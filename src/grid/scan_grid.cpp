@@ -669,6 +669,9 @@ void ScanGrid::aggregate(RunResult& result) {
   // per sample; the degradation mirror (resilience telemetry → store
   // atomics) refreshes once per drain sweep, not per sample.
   serve::TelemetryStore* store = config_.store.get();
+  // The store may outlive this grid: count only the publishes of this run.
+  const std::uint64_t publishes_before =
+      store != nullptr ? store->publishes() : 0;
   Counter* serve_ingested = nullptr;
   Counter* deg_injected = nullptr;
   Counter* deg_retries = nullptr;
@@ -817,7 +820,8 @@ void ScanGrid::aggregate(RunResult& result) {
   if (store != nullptr) {
     mirror_degradation();
     store->publish_all();
-    telemetry_.counter("grid.serve.publishes").increment(store->publishes());
+    telemetry_.counter("grid.serve.publishes")
+        .increment(store->publishes() - publishes_before);
   }
 
   // Publish the drain-pass ENC statistics once the scan is complete.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <mutex>
+#include <new>
+#include <utility>
 
 #include "util/error.h"
 
@@ -9,6 +11,123 @@ namespace psnt::serve {
 
 namespace {
 constexpr std::size_t kCacheLine = 64;
+
+// Hands released snapshots back to the shard that published them. Owned
+// jointly by the shard and by every snapshot it published (through the
+// snapshot's deleter and control-block allocator), so it lives until the
+// last of them is gone. It keeps at most one idle snapshot and one idle
+// control block, so the memory held for reuse is bounded by one snapshot
+// no matter how many readers release at once. Once the shard is gone
+// (close()), whatever comes back is freed instead.
+class SnapshotRecycler {
+ public:
+  SnapshotRecycler() = default;
+  SnapshotRecycler(const SnapshotRecycler&) = delete;
+  SnapshotRecycler& operator=(const SnapshotRecycler&) = delete;
+  ~SnapshotRecycler() { ::operator delete(idle_block_); }
+
+  // The idle snapshot (null if none) and the generation it was built at.
+  std::unique_ptr<ShardSnapshot> take(std::uint64_t& generation) {
+    const std::lock_guard<std::mutex> guard(mutex_);
+    generation = idle_generation_;
+    return std::move(idle_);
+  }
+
+  // Runs on whichever thread drops the last reference to `snap`. The
+  // snapshot is freed, if at all, after the lock is released.
+  void give_back(ShardSnapshot* snap, std::uint64_t generation) {
+    std::unique_ptr<ShardSnapshot> owned(snap);
+    const std::lock_guard<std::mutex> guard(mutex_);
+    if (closed_ || idle_ != nullptr) return;
+    idle_ = std::move(owned);
+    idle_generation_ = generation;
+  }
+
+  void* allocate(std::size_t bytes) {
+    {
+      const std::lock_guard<std::mutex> guard(mutex_);
+      if (idle_block_ != nullptr && idle_block_bytes_ == bytes) {
+        return std::exchange(idle_block_, nullptr);
+      }
+    }
+    return ::operator new(bytes);
+  }
+
+  void deallocate(void* block, std::size_t bytes) {
+    {
+      const std::lock_guard<std::mutex> guard(mutex_);
+      if (!closed_ && idle_block_ == nullptr) {
+        idle_block_ = block;
+        idle_block_bytes_ = bytes;
+        return;
+      }
+    }
+    ::operator delete(block);
+  }
+
+  // The shard is being destroyed: free what is idle now, and everything
+  // handed back from here on.
+  void close() {
+    std::unique_ptr<ShardSnapshot> snap;
+    void* block = nullptr;
+    {
+      const std::lock_guard<std::mutex> guard(mutex_);
+      closed_ = true;
+      snap = std::move(idle_);
+      block = std::exchange(idle_block_, nullptr);
+    }
+    ::operator delete(block);
+  }
+
+ private:
+  std::mutex mutex_;
+  bool closed_ = false;
+  std::unique_ptr<ShardSnapshot> idle_;
+  std::uint64_t idle_generation_ = 0;
+  void* idle_block_ = nullptr;
+  std::size_t idle_block_bytes_ = 0;
+};
+
+// Deleter of a published snapshot: recycles instead of deleting. The
+// recycler, not a use_count() poll, learns that readers are done: the last
+// holder's reference drop is an acq_rel RMW, so every reader's accesses
+// happen-before the deleter, and the recycler's mutex carries that edge on
+// to the writer that reuses the buffers.
+struct RecycleDeleter {
+  std::shared_ptr<SnapshotRecycler> recycler;
+  std::uint64_t generation = 0;
+
+  void operator()(ShardSnapshot* snap) const {
+    recycler->give_back(snap, generation);
+  }
+};
+
+// Control-block allocator of a published snapshot: the block is recycled
+// alongside the snapshot, so a steady-state publish allocates nothing.
+template <class T>
+struct RecyclingAllocator {
+  using value_type = T;
+
+  explicit RecyclingAllocator(std::shared_ptr<SnapshotRecycler> r)
+      : recycler(std::move(r)) {}
+  template <class U>
+  RecyclingAllocator(const RecyclingAllocator<U>& other)  // NOLINT: rebind
+      : recycler(other.recycler) {}
+
+  T* allocate(std::size_t n) {
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    return static_cast<T*>(recycler->allocate(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) {
+    recycler->deallocate(p, n * sizeof(T));
+  }
+  template <class U>
+  bool operator==(const RecyclingAllocator<U>& other) const {
+    return recycler == other.recycler;
+  }
+
+  std::shared_ptr<SnapshotRecycler> recycler;
+};
 }  // namespace
 
 // Writer-exclusive state of one ingest lane plus its published snapshot.
@@ -20,6 +139,9 @@ struct alignas(kCacheLine) TelemetryStore::Shard {
     std::uint64_t ingested = 0;
     std::uint64_t out_of_range = 0;
     std::uint64_t invalid = 0;
+    // Shard publish count at this site's last ingest: a snapshot built at
+    // generation g holds this site up to date iff stamp <= g.
+    std::uint64_t stamp = 0;
     WindowRing windows;
 
     explicit SiteState(const WindowConfig& config) : windows(config) {}
@@ -34,6 +156,9 @@ struct alignas(kCacheLine) TelemetryStore::Shard {
   TopKDroop top_droop;
   std::uint64_t ingested = 0;
   std::size_t until_publish = 0;
+  // Publishes of this shard so far: the generation ingest() stamps and the
+  // next snapshot is built at.
+  std::uint64_t generation = 0;
 
   // --- shared ----------------------------------------------------------
   // Live mirror of `ingested` (relaxed store per ingest, read anywhere).
@@ -42,6 +167,9 @@ struct alignas(kCacheLine) TelemetryStore::Shard {
   // the pointer. The mutex guards only that assignment/copy.
   mutable std::mutex snap_mutex;
   std::shared_ptr<const ShardSnapshot> published;
+  // Where released snapshots come back to (see SnapshotRecycler).
+  std::shared_ptr<SnapshotRecycler> recycler =
+      std::make_shared<SnapshotRecycler>();
   // Serializes ingest_locked() callers; untouched by the lock-free ingest()
   // contract (one entry point per shard per deployment).
   std::mutex ingest_mutex;
@@ -58,6 +186,10 @@ struct alignas(kCacheLine) TelemetryStore::Shard {
       sites.emplace_back(config.window);
     }
   }
+
+  Shard(const Shard&) = delete;
+  Shard& operator=(const Shard&) = delete;
+  ~Shard() { recycler->close(); }
 
   [[nodiscard]] SiteState& site_state(std::uint32_t site,
                                       std::size_t shards) {
@@ -87,6 +219,7 @@ void TelemetryStore::ingest(const IngestRecord& record) {
 
   ++shard.ingested;
   ++site.ingested;
+  site.stamp = shard.generation;
   if (!record.valid) {
     ++site.invalid;
   } else {
@@ -118,18 +251,31 @@ void TelemetryStore::ingest_locked(const IngestRecord& record) {
 }
 
 void TelemetryStore::publish(std::size_t shard_index) {
+  PSNT_CHECK(shard_index < shards_.size(), "publish shard out of range");
   Shard& shard = *shards_[shard_index];
-  auto snap = std::make_shared<ShardSnapshot>();
+  const std::uint64_t generation = shard.generation++;
+
+  // Refresh the idle snapshot in place when one came back: the shard-level
+  // summaries are always re-copied (a few KB), a site only if it ingested
+  // since that snapshot was built. Copy-assignment into same-sized buffers
+  // allocates nothing. Without an idle snapshot, build one from scratch.
+  std::uint64_t built = 0;
+  std::unique_ptr<ShardSnapshot> snap = shard.recycler->take(built);
+  const bool fresh = snap == nullptr;
+  if (fresh) {
+    snap = std::make_unique<ShardSnapshot>();
+    snap->sites.resize(shard.sites.size());
+  }
   snap->seq = shard.ingested;
   snap->voltage = shard.voltage;
   snap->latency = shard.latency;
   snap->voltage_stats = shard.voltage_stats;
   snap->latency_stats = shard.latency_stats;
-  snap->top_droop = shard.top_droop.top();
-  snap->sites.reserve(shard.sites.size());
+  shard.top_droop.top_into(snap->top_droop);
   for (std::size_t i = 0; i < shard.sites.size(); ++i) {
     const Shard::SiteState& s = shard.sites[i];
-    SiteSnapshot site;
+    if (!fresh && s.stamp <= built) continue;
+    SiteSnapshot& site = snap->sites[i];
     site.site = shard.site_ids[i];
     site.latest = s.latest;
     site.ingested = s.ingested;
@@ -137,12 +283,19 @@ void TelemetryStore::publish(std::size_t shard_index) {
     site.invalid = s.invalid;
     site.latest_epoch = s.windows.latest_epoch();
     site.windows = s.windows.slots();
-    snap->sites.push_back(std::move(site));
   }
+
+  std::shared_ptr<const ShardSnapshot> next(
+      snap.release(), RecycleDeleter{shard.recycler, generation},
+      RecyclingAllocator<ShardSnapshot>{shard.recycler});
+  std::shared_ptr<const ShardSnapshot> displaced;
   {
     const std::lock_guard<std::mutex> guard(shard.snap_mutex);
-    shard.published = std::move(snap);
+    displaced = std::exchange(shard.published, std::move(next));
   }
+  // Outside the slot lock, so readers' snapshot() never waits on it: if no
+  // reader holds the displaced snapshot, this recycles it.
+  displaced.reset();
   publishes_.fetch_add(1, std::memory_order_relaxed);
 }
 

@@ -24,19 +24,32 @@
 //     shard-local state plus one relaxed atomic mirror of the ingest count,
 //     so shards never contend.
 //   * Every `publish_every` ingests (and on publish()/publish_all()) a
-//     shard copies its state into an immutable ShardSnapshot and swaps it
+//     shard publishes an immutable ShardSnapshot of its state and swaps it
 //     into the shard's snapshot slot. The slot is a shared_ptr guarded by
-//     a per-shard mutex held only for the pointer assignment/copy — never
-//     while building a snapshot or answering a query — so readers
-//     (QueryEngine) never observe a torn state, can keep a snapshot alive
-//     as long as they like while the writer keeps publishing, and the
-//     ingest hot path touches the mutex only at publish boundaries. (A
-//     std::atomic<shared_ptr> slot would avoid even that, but libstdc++'s
-//     implementation unlocks its reader-side spinlock with a relaxed RMW,
-//     which TSan rightly reports — the mutex is the portable, provably
-//     clean spelling.) The grid's drain is the sole writer in the
-//     scan-grid deployment (shards = 1); the soak bench drives one writer
-//     thread per shard.
+//     a per-shard mutex held only for the pointer swap/copy — never while
+//     building a snapshot, releasing the displaced one, or answering a
+//     query — so readers (QueryEngine) never observe a torn state, can keep
+//     a snapshot alive as long as they like while the writer keeps
+//     publishing, and the ingest hot path touches the mutex only at publish
+//     boundaries. (A std::atomic<shared_ptr> slot would avoid even that,
+//     but libstdc++'s implementation unlocks its reader-side spinlock with
+//     a relaxed RMW, which TSan rightly reports — the mutex is the
+//     portable, provably clean spelling.) The grid's drain is the sole
+//     writer in the scan-grid deployment (shards = 1); the soak bench
+//     drives one writer thread per shard.
+//   * Publication is incremental and allocation-free in steady state. Each
+//     shard counts its publishes (its generation) and ingest() stamps the
+//     site it touches with that count. A published snapshot's deleter
+//     hands it back to its shard when the last reader releases it; the
+//     shard keeps at most one such idle snapshot (so RSS cannot grow), and
+//     frees instead once the store is gone. publish() refreshes the idle
+//     snapshot in place — shard-level sketches, stats and top-K always,
+//     a site only if its stamp is newer than the snapshot's own build
+//     generation — and builds from scratch only when none is idle. The
+//     release is detected by the deleter, never by polling use_count():
+//     that is a relaxed load, which orders nothing against the readers'
+//     last accesses, so a writer reusing the buffers on its say-so races
+//     them (TSan reports it).
 //   * Degradation status is a bank of relaxed atomics any thread may
 //     set/read (the drain mirrors the grid.fault.* telemetry counters into
 //     it each sweep).
@@ -163,7 +176,8 @@ class TelemetryStore {
 
   // Snapshot publication. publish(shard) must be called by that shard's
   // writer; publish_all() by a single thread after writers quiesce (the
-  // grid calls it once the drain completes).
+  // grid calls it once the drain completes). Throws std::logic_error on a
+  // shard index out of range.
   void publish(std::size_t shard);
   void publish_all();
 

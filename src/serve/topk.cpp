@@ -87,6 +87,12 @@ void TopKDroop::update(std::uint32_t site, double droop) {
 std::vector<TopKDroop::Entry> TopKDroop::top() const {
   std::vector<Entry> out;
   out.reserve(heap_.size());
+  top_into(out);
+  return out;
+}
+
+void TopKDroop::top_into(std::vector<Entry>& out) const {
+  out.clear();
   for (const std::uint32_t site : heap_) {
     out.push_back(Entry{site, worst_[site]});
   }
@@ -94,7 +100,6 @@ std::vector<TopKDroop::Entry> TopKDroop::top() const {
     if (a.droop != b.droop) return a.droop > b.droop;
     return a.site < b.site;
   });
-  return out;
 }
 
 void TopKDroop::reset() {

@@ -33,6 +33,9 @@ class TopKDroop {
 
   // The up-to-K worst sites, droop descending (ties: lower site id first).
   [[nodiscard]] std::vector<Entry> top() const;
+  // Same, written into `out` (reuses its capacity: allocation-free once
+  // `out` has held K entries).
+  void top_into(std::vector<Entry>& out) const;
 
   [[nodiscard]] std::size_t k() const { return k_; }
   [[nodiscard]] std::size_t site_count() const { return worst_.size(); }

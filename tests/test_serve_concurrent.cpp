@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -172,6 +173,111 @@ TEST(ServeConcurrent, PinnedSnapshotsSurviveLaterPublishes) {
   pinned.refresh();
   EXPECT_EQ(pinned.published_seq(), 1001u);
   EXPECT_DOUBLE_EQ(pinned.latest(0)->volts, 0.8);
+}
+
+// Order-sensitive FNV-1a digest of a view's counters, sketches, top-K and
+// per-site windows.
+std::uint64_t view_digest(const StoreView& view) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ull;
+  };
+  const auto mix_real = [&mix](double v) {
+    mix(std::bit_cast<std::uint64_t>(v));
+  };
+  const auto mix_sketch = [&mix, &mix_real](const HistogramSketch& s) {
+    mix(s.count());
+    mix(s.zero_count());
+    mix_real(s.sum());
+    for (std::size_t i = 0; i < s.config().bucket_count; ++i) {
+      mix(s.bucket_count_at(i));
+    }
+  };
+  for (const auto& shard : view.shards) {
+    if (!shard) continue;
+    mix(shard->seq);
+    mix_sketch(shard->voltage);
+    mix_sketch(shard->latency);
+    mix(shard->voltage_stats.count());
+    mix_real(shard->voltage_stats.mean());
+    for (const auto& entry : shard->top_droop) {
+      mix(entry.site);
+      mix_real(entry.droop);
+    }
+    for (const auto& site : shard->sites) {
+      mix(site.site);
+      mix(site.ingested);
+      mix(site.invalid);
+      mix(site.out_of_range);
+      mix(site.latest.seq);
+      mix_real(site.latest.volts);
+      mix(site.latest_epoch);
+      for (const auto& slot : site.windows) {
+        mix(slot.epoch);
+        mix(slot.stats.count());
+        mix_real(slot.stats.mean());
+        mix_sketch(slot.sketch);
+      }
+    }
+  }
+  return h;
+}
+
+// Snapshot buffers are recycled once released; a reader that still holds
+// one must never see it rewritten. The reader pins a view, waits out at
+// least 8 publishes (whose recycling runs concurrently), and re-digests it.
+// Under TSan a rewrite of a pinned buffer is also reported as a race.
+TEST(ServeConcurrent, PinnedViewUnchangedAcrossRecyclingPublishes) {
+  constexpr std::size_t kSites = 16;
+  constexpr std::uint64_t kPerSite = 3000;
+  constexpr std::uint64_t kPublishesPinned = 8;
+  auto config = make_config(kSites, 1);
+  config.publish_every = 16;
+  TelemetryStore store{config};
+  // Seed one snapshot so the first pinned view already holds data.
+  store.ingest(IngestRecord{});
+  store.publish_all();
+
+  std::atomic<bool> first_pin{false};
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&] {
+    while (!first_pin.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    stats::Xoshiro256 rng(5);
+    IngestRecord rec;
+    for (std::uint64_t k = 0; k < kPerSite; ++k) {
+      // Hot site 0 plus one rotating site: most sites stay clean between
+      // publishes, so recycled buffers are refreshed only in part.
+      for (const std::uint32_t site :
+           {0u, static_cast<std::uint32_t>(1 + k % (kSites - 1))}) {
+        rec.site = site;
+        rec.timestamp = Picoseconds{static_cast<double>(k) * 5000.0};
+        rec.volts = 1.0 - 0.05 * rng.uniform01();
+        rec.latency_us = 0.1;
+        store.ingest(rec);
+      }
+    }
+    writer_done.store(true, std::memory_order_release);
+  });
+
+  std::uint64_t checks = 0;
+  while (!writer_done.load(std::memory_order_acquire)) {
+    const StoreView view = store.snapshot();
+    const std::uint64_t digest = view_digest(view);
+    const std::uint64_t pinned_at = store.publishes();
+    first_pin.store(true, std::memory_order_release);
+    while (store.publishes() < pinned_at + kPublishesPinned &&
+           !writer_done.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    if (store.publishes() < pinned_at + kPublishesPinned) break;
+    EXPECT_EQ(view_digest(view), digest) << "pinned at publish " << pinned_at;
+    ++checks;
+  }
+  writer.join();
+  EXPECT_GT(checks, 0u);
 }
 
 TEST(ServeConcurrent, ShardPartitionIsStable) {

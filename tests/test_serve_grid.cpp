@@ -70,6 +70,31 @@ TEST(ServeGrid, DrainPublishesEverySampleIntoStore) {
   EXPECT_EQ(degradation.sites_quarantined, 0u);
 }
 
+// grid.serve.publishes counts the publishes of its own run, not the
+// store's lifetime total: a store may outlive (and be shared across) grids.
+TEST(ServeGrid, PublishCounterCountsOnlyThisRun) {
+  const auto fp = scan::Floorplan::grid(2000.0, 2000.0, 3, 3);
+  serve::StoreConfig store_config;
+  store_config.site_count = fp.site_count();
+  store_config.publish_every = 16;
+  auto store = std::make_shared<serve::TelemetryStore>(store_config);
+
+  auto config = base_config(1);
+  config.store = store;
+  ScanGrid first{fp, config, test_rails(fp)};
+  (void)first.run();
+  const std::uint64_t after_first = store->publishes();
+  EXPECT_EQ(first.telemetry().counter("grid.serve.publishes").value(),
+            after_first);
+
+  ScanGrid second{fp, config, test_rails(fp)};
+  (void)second.run();
+  const std::uint64_t caused = store->publishes() - after_first;
+  EXPECT_GT(caused, 0u);
+  EXPECT_EQ(second.telemetry().counter("grid.serve.publishes").value(),
+            caused);
+}
+
 TEST(ServeGrid, StoreSmallerThanGridIsRejected) {
   const auto fp = scan::Floorplan::grid(2000.0, 2000.0, 3, 3);
   auto config = base_config(1);
