@@ -81,10 +81,6 @@ std::vector<std::vector<core::ThermoWord>> serial_reference(
 }
 
 void report_simcore_structural();
-void report_simcore_compiled(double event_ns_per_measure,
-                             const grid::RunResult& event_result);
-void report_simcore_banked(double event_ns_per_measure,
-                           const grid::RunResult& event_result);
 
 // One decode path measured serially: 1 thread, min-of-`repeats` wall time
 // (behavioral measures are microsecond-scale, shared CI machines are noisy),
@@ -290,11 +286,6 @@ void report_simcore_structural() {
   const auto fp = scan::Floorplan::grid(4000.0, 4000.0, 2, 2);
   auto config = grid_config(1);
   config.fidelity = grid::SiteFidelity::kStructural;
-  // This section is the *event-driven* structural baseline: the compiled
-  // kernel is benchmarked (and proven bit-identical) separately below, and
-  // keeping the scheduler path pinned here means a kernel regression cannot
-  // hide an event-path regression or vice versa.
-  config.structural_compile = false;
   config.samples_per_site = 128;
 
   // Shared CI machines are noisy; repeat the run and keep the least-disturbed
@@ -373,205 +364,6 @@ void report_simcore_structural() {
                 allocs_per_measure, kSeedNsPerMeasure, kSeedEventsPerMeasure,
                 kSeedAllocsPerMeasure, kSeedNsPerMeasure / ns_per_measure,
                 identical ? "yes" : "NO");
-  bench::note(line);
-
-  report_simcore_compiled(ns_per_measure, result);
-}
-
-// Compiled-kernel perf + conformance: the same 2×2 × 128-sample structural
-// grid with sim/lower's levelized kernel on the hot path. bit_identical is
-// an identity metric (the gate holds it at exactly 1): every published word
-// must match the event-driven run above, and the 2-thread rerun must match
-// the 1-thread run. speedup_vs_event compares against the event-driven
-// ns_per_measure measured in the same process a moment ago, so machine noise
-// largely divides out. In a PSNT_COMPILE=off build the kernel is absent and
-// the section is skipped (the gate skips missing sections).
-void report_simcore_compiled(double event_ns_per_measure,
-                             const grid::RunResult& event_result) {
-#if defined(PSNT_COMPILE_OFF)
-  (void)event_ns_per_measure;
-  (void)event_result;
-  bench::note("structural_compiled: skipped (PSNT_COMPILE=off build)");
-#else
-  bench::section("simcore — compiled structural kernel → BENCH_simcore.json");
-
-  const auto fp = scan::Floorplan::grid(4000.0, 4000.0, 2, 2);
-  auto config = grid_config(1);
-  config.fidelity = grid::SiteFidelity::kStructural;
-  config.samples_per_site = 128;
-
-  constexpr int kRepeats = 3;
-  double ns_per_measure = 0.0;
-  double events_per_measure = 0.0;
-  double allocs_per_measure = 0.0;
-  double measures_per_sec = 0.0;
-  grid::RunResult result;
-  for (int r = 0; r < kRepeats; ++r) {
-    grid::ScanGrid g{fp, config, bench_rails(fp)};
-    const std::uint64_t allocs_before = bench::alloc_count();
-    auto run = g.run();
-    const auto allocs =
-        static_cast<double>(bench::alloc_count() - allocs_before);
-    const auto measures = static_cast<double>(run.produced);
-    const double events =
-        static_cast<double>(g.telemetry().counter("grid.sim_events").value());
-    const double sim_ns = static_cast<double>(
-        g.telemetry().counter("grid.structural_ns").value());
-    if (r == 0 || sim_ns / measures < ns_per_measure) {
-      ns_per_measure = sim_ns / measures;
-      measures_per_sec = measures / (sim_ns * 1e-9);
-    }
-    events_per_measure = events / measures;
-    allocs_per_measure = allocs / measures;
-    if (r == 0) result = std::move(run);
-  }
-
-  // Conformance: word-for-word against the event-driven run, and against a
-  // 2-thread compiled rerun.
-  auto config2 = config;
-  config2.threads = 2;
-  grid::ScanGrid g2{fp, config2, bench_rails(fp)};
-  const auto result2 = g2.run();
-  bool bit_identical = true;
-  bool thread_invariant = true;
-  for (std::size_t i = 0; i < result.sites.size(); ++i) {
-    for (std::size_t k = 0; k < config.samples_per_site; ++k) {
-      bit_identical &= result.sites[i].samples[k].word ==
-                       event_result.sites[i].samples[k].word;
-      thread_invariant &=
-          result.sites[i].samples[k].word == result2.sites[i].samples[k].word;
-    }
-  }
-
-  bench::JsonReport json;
-  json.set("structural_compiled", "measures_per_sec", measures_per_sec);
-  json.set("structural_compiled", "ns_per_measure", ns_per_measure);
-  json.set("structural_compiled", "events_per_measure", events_per_measure);
-  json.set("structural_compiled", "allocs_per_measure", allocs_per_measure);
-  json.set("structural_compiled", "bit_identical", bit_identical ? 1.0 : 0.0);
-  json.set("structural_compiled", "thread_invariant",
-           thread_invariant ? 1.0 : 0.0);
-  json.set("structural_compiled", "event_ns_per_measure",
-           event_ns_per_measure);
-  json.set("structural_compiled", "speedup_vs_event",
-           event_ns_per_measure / ns_per_measure);
-  json.write();
-
-  char line[200];
-  std::snprintf(line, sizeof(line),
-                "%.0f ns/measure, %.1f events/measure, %.2f allocs/measure — "
-                "%.1fx vs event-driven (%.0f ns), bit-identical=%s, "
-                "thread-invariant=%s",
-                ns_per_measure, events_per_measure, allocs_per_measure,
-                event_ns_per_measure / ns_per_measure, event_ns_per_measure,
-                bit_identical ? "yes" : "NO", thread_invariant ? "yes" : "NO");
-  bench::note(line);
-
-  report_simcore_banked(event_ns_per_measure, event_result);
-#endif
-}
-
-// Banked structural arrays (DESIGN.md §17): the same 2×2 × 128-sample scan
-// with each site's engine elaborating 1/4/16/64 lockstep sensor banks into
-// one compiled kernel. The level-major sweep evaluates every bank's
-// same-depth cohort per level, so the kernel's per-batch and per-level
-// bookkeeping is paid once for `banks` measures — ns/measure should fall as
-// width grows until per-gate work dominates. bit_identical holds every width
-// to the event-driven words (the grid's rails are time-invariant, so the
-// banked block mapping reproduces the banks=1 stream exactly — the banked
-// test suite proves the per-bank contract). The dispatch batch is raised to
-// the full 128 samples so every width divides its batches evenly and the
-// sweep isolates bank amortization from block-mapping padding.
-void report_simcore_banked(double event_ns_per_measure,
-                           const grid::RunResult& event_result) {
-  bench::section("simcore — banked structural kernel → BENCH_simcore.json");
-
-  const auto fp = scan::Floorplan::grid(4000.0, 4000.0, 2, 2);
-  constexpr std::size_t kWidths[] = {1, 4, 16, 64};
-  constexpr int kRepeats = 3;
-
-  double best_ns = 0.0;
-  std::size_t best_width = 1;
-  bool all_identical = true;
-  double width_ns[4] = {};
-
-  util::CsvTable table({"banks", "ns_per_measure", "speedup_vs_event",
-                        "events_per_measure", "bit_identical"});
-  bench::JsonReport json;
-  for (std::size_t w = 0; w < 4; ++w) {
-    const std::size_t banks = kWidths[w];
-    auto config = grid_config(1);
-    config.fidelity = grid::SiteFidelity::kStructural;
-    config.structural_banks = banks;
-    config.samples_per_site = 128;
-    config.batch = 128;
-
-    double ns_per_measure = 0.0;
-    double events_per_measure = 0.0;
-    grid::RunResult result;
-    for (int r = 0; r < kRepeats; ++r) {
-      grid::ScanGrid g{fp, config, bench_rails(fp)};
-      auto run = g.run();
-      const auto measures = static_cast<double>(run.produced);
-      const double events = static_cast<double>(
-          g.telemetry().counter("grid.sim_events").value());
-      const double sim_ns = static_cast<double>(
-          g.telemetry().counter("grid.structural_ns").value());
-      if (r == 0 || sim_ns / measures < ns_per_measure) {
-        ns_per_measure = sim_ns / measures;
-      }
-      events_per_measure = events / measures;
-      if (r == 0) result = std::move(run);
-    }
-
-    bool identical = true;
-    for (std::size_t i = 0; i < result.sites.size(); ++i) {
-      for (std::size_t k = 0; k < config.samples_per_site; ++k) {
-        identical &= result.sites[i].samples[k].word ==
-                     event_result.sites[i].samples[k].word;
-      }
-    }
-    all_identical &= identical;
-    width_ns[w] = ns_per_measure;
-    if (w == 0 || ns_per_measure < best_ns) {
-      best_ns = ns_per_measure;
-      best_width = banks;
-    }
-
-    table.new_row()
-        .add(static_cast<long long>(banks))
-        .add(ns_per_measure, 1)
-        .add(event_ns_per_measure / ns_per_measure, 3)
-        .add(events_per_measure, 1)
-        .add(identical ? "yes" : "NO");
-    const std::string suffix = "_w" + std::to_string(banks);
-    json.set("structural_banked", "ns_per_measure" + suffix, ns_per_measure);
-    json.set("structural_banked", "speedup_vs_event" + suffix,
-             event_ns_per_measure / ns_per_measure);
-  }
-  bench::print_table(table);
-
-  // Headline (gated) numbers: the best width's per-measure cost, its
-  // identity bit exact-gated across ALL widths, and the bank width that
-  // produced it for context. speedup_vs_event is derived (ungated), same
-  // treatment as structural_compiled's.
-  json.set("structural_banked", "ns_per_measure", best_ns);
-  json.set("structural_banked", "sites_per_kernel",
-           static_cast<double>(best_width));
-  json.set("structural_banked", "event_ns_per_measure", event_ns_per_measure);
-  json.set("structural_banked", "speedup_vs_event",
-           event_ns_per_measure / best_ns);
-  json.set("structural_banked", "bit_identical", all_identical ? 1.0 : 0.0);
-  json.write();
-
-  char line[220];
-  std::snprintf(line, sizeof(line),
-                "best %.0f ns/measure at %zu banks — %.2fx vs event-driven "
-                "(%.0f ns); w1 %.0f / w4 %.0f / w16 %.0f / w64 %.0f ns; "
-                "bit-identical=%s",
-                best_ns, best_width, event_ns_per_measure / best_ns,
-                event_ns_per_measure, width_ns[0], width_ns[1], width_ns[2],
-                width_ns[3], all_identical ? "yes" : "NO");
   bench::note(line);
 }
 

@@ -48,9 +48,8 @@ bool is_init(FsmState s) { return s == FsmState::kInit; }
 StructuralControlFsm::StructuralControlFsm(sim::Simulator& sim,
                                            const std::string& name,
                                            analog::FlipFlopTimingModel ff_model,
-                                           sim::SynthOptions synth,
-                                           sim::Net* external_clk) {
-  clk_ = external_clk != nullptr ? external_clk : &sim.net(name + ".clk");
+                                           sim::SynthOptions synth) {
+  clk_ = &sim.net(name + ".clk");
   enable_ = &sim.net(name + ".enable");
   configure_ = &sim.net(name + ".configure");
   continuous_ = &sim.net(name + ".continuous");

@@ -22,13 +22,9 @@ namespace psnt::core {
 
 class StructuralControlFsm {
  public:
-  // `external_clk` lets several FSM instances share one clock net (the banked
-  // elaboration in FullStructuralSystem drives a single clock into every
-  // bank's controller). When null the FSM owns its clock: name + ".clk".
   StructuralControlFsm(sim::Simulator& sim, const std::string& name,
                        analog::FlipFlopTimingModel ff_model = {},
-                       sim::SynthOptions synth = {},
-                       sim::Net* external_clk = nullptr);
+                       sim::SynthOptions synth = {});
 
   // External pins.
   [[nodiscard]] sim::Net& clk() { return *clk_; }

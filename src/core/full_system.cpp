@@ -1,7 +1,5 @@
 #include "core/full_system.h"
 
-#include <utility>
-
 #include "sim/gates.h"
 #include "util/error.h"
 
@@ -13,259 +11,126 @@ FullStructuralSystem::FullStructuralSystem(sim::Simulator& sim,
                                            const PulseGenerator& pg,
                                            analog::RailPair rails,
                                            Config config)
-    : FullStructuralSystem(sim, name, array, pg,
-                           std::vector<analog::RailPair>{rails}, config) {}
+    : sim_(sim),
+      config_(config),
+      fsm_(sim, name + ".cntr", config.control_ff),
+      sensor_([&] {
+        BuilderOptions opts;
+        opts.polarity = config.polarity;
+        // Route the FSM's code register straight into the MUX selects: the
+        // PG tap follows whatever code INIT last loaded.
+        opts.select_nets = {&fsm_.code_q(0), &fsm_.code_q(1),
+                            &fsm_.code_q(2)};
+        return build_structural_sensor(sim, name + ".arr", array, pg,
+                                       config.code, rails, opts);
+      }()) {
+  // Command registers: the FSM's Moore outputs are re-timed on the falling
+  // clock edge by two identical flops, so the P and CP commands toward the
+  // PG change simultaneously regardless of their decode-cone depths — the
+  // standard registered-output trick, and the reason the PG sees a clean
+  // differential pair.
+  sim::Net& clkb = sim.net(name + ".clkb");
+  sim.add<sim::InvGate>(name + ".clk_inv", fsm_.clk(), clkb,
+                        Picoseconds{14.0});
 
-FullStructuralSystem::FullStructuralSystem(
-    sim::Simulator& sim, const std::string& name, const SensorArray& array,
-    const PulseGenerator& pg, std::vector<analog::RailPair> bank_rails,
-    Config config)
-    : sim_(sim), config_(config) {
-  PSNT_CHECK(!bank_rails.empty(), "banked system needs at least one rail");
-  const std::size_t nbanks = bank_rails.size();
-  // Banked systems share one clock net so every controller sees the same
-  // edge from a single root event; a single-site system keeps the legacy
-  // FSM-owned clock (name + ".cntr.clk") so its netlist is unchanged.
-  if (nbanks > 1) shared_clk_ = &sim.net(name + ".clk");
-  build_banks(array, pg, bank_rails, name);
+  sim::Net* p_src = &fsm_.p_level();
+  if (config.polarity == SensePolarity::kLowSense) {
+    // LOW-SENSE: "the PREPARE and SENSE conditions are opposite".
+    sim::Net& p_inv = sim.net(name + ".p_inv");
+    sim.add<sim::InvGate>(name + ".p_pol_inv", fsm_.p_level(), p_inv,
+                          Picoseconds{14.0});
+    p_src = &p_inv;
+  }
+  sim.add<sim::DFlipFlop>(name + ".p_cmd_ff", *p_src, clkb, *sensor_.p_cmd,
+                          config.control_ff);
+  sim.add<sim::DFlipFlop>(name + ".cp_cmd_ff", fsm_.cp_level(), clkb,
+                          *sensor_.cp_cmd, config.control_ff);
 
   // Power-on: park every input, let the netlist settle.
-  if (shared_clk_ != nullptr) {
-    sim.drive(*shared_clk_, Picoseconds{0.0}, sim::Logic::L0);
-  }
-  for (Bank& bank : banks_) {
-    if (shared_clk_ == nullptr) {
-      sim.drive(bank.fsm.clk(), Picoseconds{0.0}, sim::Logic::L0);
-    }
-    sim.drive(bank.fsm.enable(), Picoseconds{0.0}, sim::Logic::L0);
-    sim.drive(bank.fsm.configure(), Picoseconds{0.0}, sim::Logic::L0);
-    sim.drive(bank.fsm.continuous(), Picoseconds{0.0}, sim::Logic::L0);
-    for (std::size_t b = 0; b < 3; ++b) {
-      sim.drive(bank.fsm.ext_code(b), Picoseconds{0.0},
-                sim::from_bool((config.code.value() >> b) & 1u));
-    }
-  }
+  sim.drive(fsm_.clk(), Picoseconds{0.0}, sim::Logic::L0);
+  sim.drive(fsm_.enable(), Picoseconds{0.0}, sim::Logic::L0);
+  sim.drive(fsm_.configure(), Picoseconds{0.0}, sim::Logic::L0);
+  sim.drive(fsm_.continuous(), Picoseconds{0.0}, sim::Logic::L0);
+  drive_code(Picoseconds{0.0});
   sim.run_until(Picoseconds{1000.0});
   t_ = 2000.0;
-
-#if !defined(PSNT_COMPILE_OFF)
-  if (config.compile == Config::Compile::kAuto) {
-    // Lower the settled netlist. run_all drains any event still in flight
-    // (compile refuses a non-quiescent scheduler); a refused compile —
-    // probes attached, foreign components added alongside — leaves kernel_
-    // null and everything runs event-driven.
-    sim.run_all();
-    kernel_ = sim::CompiledKernel::compile(sim);
-    if (kernel_ && nbanks > 1) {
-      // Per-bank root accounting: each bank elaborated into a contiguous
-      // net-id range, so the kernel can attribute every root pop to a bank
-      // and quiet banks are visible as zero-root banks in steady state.
-      // Clock distribution — the shared clock root and each bank's clkb
-      // inverter output, which toggles every cycle regardless of bank
-      // activity — stays unattributed.
-      std::vector<std::uint32_t> map(sim.net_count(),
-                                     sim::CompiledKernel::kNoBank);
-      for (std::size_t b = 0; b < banks_.size(); ++b) {
-        for (std::size_t id = banks_[b].net_begin; id < banks_[b].net_end;
-             ++id) {
-          map[id] = static_cast<std::uint32_t>(b);
-        }
-        map[banks_[b].clkb_net] = sim::CompiledKernel::kNoBank;
-      }
-      kernel_->set_bank_map(std::move(map), banks_.size());
-    }
-  }
-#endif
-}
-
-void FullStructuralSystem::build_banks(
-    const SensorArray& array, const PulseGenerator& pg,
-    const std::vector<analog::RailPair>& bank_rails, const std::string& name) {
-  banks_.reserve(bank_rails.size());
-  for (std::size_t b = 0; b < bank_rails.size(); ++b) {
-    const std::string prefix =
-        bank_rails.size() == 1 ? name : name + ".b" + std::to_string(b);
-    const std::size_t net_begin = sim_.net_count();
-
-    StructuralControlFsm fsm(sim_, prefix + ".cntr", config_.control_ff, {},
-                             shared_clk_);
-    BuilderOptions opts;
-    opts.polarity = config_.polarity;
-    // Route the FSM's code register straight into the MUX selects: the
-    // PG tap follows whatever code INIT last loaded.
-    opts.select_nets = {&fsm.code_q(0), &fsm.code_q(1), &fsm.code_q(2)};
-    StructuralSensor sensor = build_structural_sensor(
-        sim_, prefix + ".arr", array, pg, config_.code, bank_rails[b], opts);
-
-    // Command registers: the FSM's Moore outputs are re-timed on the falling
-    // clock edge by two identical flops, so the P and CP commands toward the
-    // PG change simultaneously regardless of their decode-cone depths — the
-    // standard registered-output trick, and the reason the PG sees a clean
-    // differential pair.
-    sim::Net& clkb = sim_.net(prefix + ".clkb");
-    sim_.add<sim::InvGate>(prefix + ".clk_inv", fsm.clk(), clkb,
-                           Picoseconds{14.0});
-
-    sim::Net* p_src = &fsm.p_level();
-    if (config_.polarity == SensePolarity::kLowSense) {
-      // LOW-SENSE: "the PREPARE and SENSE conditions are opposite".
-      sim::Net& p_inv = sim_.net(prefix + ".p_inv");
-      sim_.add<sim::InvGate>(prefix + ".p_pol_inv", fsm.p_level(), p_inv,
-                             Picoseconds{14.0});
-      p_src = &p_inv;
-    }
-    sim_.add<sim::DFlipFlop>(prefix + ".p_cmd_ff", *p_src, clkb, *sensor.p_cmd,
-                             config_.control_ff);
-    sim_.add<sim::DFlipFlop>(prefix + ".cp_cmd_ff", fsm.cp_level(), clkb,
-                             *sensor.cp_cmd, config_.control_ff);
-
-    banks_.push_back(Bank{std::move(fsm), std::move(sensor), config_.code,
-                          false, net_begin, sim_.net_count(), clkb.id()});
-  }
 }
 
 void FullStructuralSystem::set_code(DelayCode code) {
+  if (code.value() == config_.code.value()) return;
   config_.code = code;
-  for (Bank& bank : banks_) {
-    if (bank.code.value() == code.value()) continue;
-    bank.code = code;
-    bank.needs_configure = true;
-  }
+  needs_configure_ = true;
 }
 
-void FullStructuralSystem::set_bank_code(std::size_t b, DelayCode code) {
-  Bank& bank = banks_.at(b);
-  if (bank.code.value() == code.value()) return;
-  bank.code = code;
-  bank.needs_configure = true;
-}
-
-void FullStructuralSystem::drive(sim::Net& net, Picoseconds at,
-                                 sim::Logic v) {
-  if (kernel_) {
-    kernel_->drive(net, at, v);
-  } else {
-    sim_.drive(net, at, v);
-  }
-}
-
-void FullStructuralSystem::run_to(Picoseconds t) {
-  if (kernel_) {
-    kernel_->run_until(t);
-  } else {
-    sim_.run_until(t);
+void FullStructuralSystem::drive_code(Picoseconds at) {
+  for (std::size_t b = 0; b < 3; ++b) {
+    sim_.drive(fsm_.ext_code(b), at,
+               sim::from_bool((config_.code.value() >> b) & 1u));
   }
 }
 
 void FullStructuralSystem::clock_one_cycle() {
   const double period = config_.control_period.value();
-  drive(clk_net(), Picoseconds{t_ + period / 2.0}, sim::Logic::L1);
-  drive(clk_net(), Picoseconds{t_ + period}, sim::Logic::L0);
-  run_to(Picoseconds{t_ + period});
+  sim_.drive(fsm_.clk(), Picoseconds{t_ + period / 2.0}, sim::Logic::L1);
+  sim_.drive(fsm_.clk(), Picoseconds{t_ + period}, sim::Logic::L0);
+  sim_.run_until(Picoseconds{t_ + period});
   t_ += period;
 }
 
 std::vector<ThermoWord> FullStructuralSystem::run_measures(
     std::size_t count, bool configure_first) {
-  return std::move(run_measures_banked(count, 1, configure_first).front());
-}
-
-std::vector<std::vector<ThermoWord>> FullStructuralSystem::run_measures_banked(
-    std::size_t per_bank, std::size_t active_banks, bool configure_first) {
-  PSNT_CHECK(per_bank > 0, "need at least one measure");
-  PSNT_CHECK(active_banks >= 1 && active_banks <= banks_.size(),
-             "active bank count out of range");
+  PSNT_CHECK(count > 0, "need at least one measure");
   const double period = config_.control_period.value();
 
-  // Guard against post-compile netlist growth or probe attachment: before
-  // the kernel has ever run, a mismatch silently falls back to the
-  // event-driven path (the kernel is stale but nothing was lost); after the
-  // first compiled batch the two worlds have diverged and the mutation is a
-  // hard error.
-  if (kernel_ && (kernel_->topology_version() != sim_.topology_version() ||
-                  !kernel_->listeners_unchanged())) {
-    PSNT_CHECK(!kernel_ran_,
-               "netlist mutated after compiled measures began; compiled and "
-               "event-driven state have diverged");
-    kernel_.reset();
-  }
-  if (kernel_) kernel_ran_ = true;
-
   // A previous batch returns with sim time at t_ + T/4 (the read-out point),
-  // the enable-drop event still pending at t_ + 0.4T, and the FSMs parked in
+  // the enable-drop event still pending at t_ + 0.4T, and the FSM parked in
   // READY (the post-capture cycles walk S_SNS → IDLE → READY while enable is
   // still up). Run one realign cycle to land on a cycle boundary; its rising
   // edge launches the batch's first transaction straight out of READY, so
-  // when this batch retargets delay codes, configure and the new codes must
-  // already be up at that edge — READY then detours through INIT and the
-  // first word uses the new tap. Configure is a *global* decision: the
-  // controllers only stay in lockstep when they all see the same
-  // enable/configure sequence, so one bank needing a reload reconfigures
-  // every active bank (each reloading its own code).
-  bool configure = configure_first;
-  for (std::size_t a = 0; a < active_banks; ++a) {
-    configure = configure || banks_[a].needs_configure;
-  }
-  const bool realign = now().value() > t_;
+  // when this batch retargets the delay code, configure and the new code
+  // must already be up at that edge — READY then detours through INIT and
+  // the first word uses the new tap.
+  const bool configure = configure_first || needs_configure_;
+  const bool realign = sim_.now().value() > t_;
   if (realign && configure) {
-    const double t_cfg = t_ + period * 0.3;  // just past the read-out point
-    for (std::size_t a = 0; a < active_banks; ++a) {
-      Bank& bank = banks_[a];
-      for (std::size_t b = 0; b < 3; ++b) {
-        drive(bank.fsm.ext_code(b), Picoseconds{t_cfg},
-              sim::from_bool((bank.code.value() >> b) & 1u));
-      }
-      drive(bank.fsm.configure(), Picoseconds{t_cfg}, sim::Logic::L1);
-    }
+    const Picoseconds t_cfg{t_ + period * 0.3};  // just past the read-out
+    drive_code(t_cfg);
+    sim_.drive(fsm_.configure(), t_cfg, sim::Logic::L1);
     // The next-state SOP cone is deeper than the T/4 left between the
     // read-out point and the realign edge, so the drive above cannot make
-    // setup at T/2. Hold the clock low for one extra period — the FSMs sit
+    // setup at T/2. Hold the clock low for one extra period — the FSM sits
     // in READY, the cones settle — and realign on the following edge.
     t_ += period;
   }
   if (realign) clock_one_cycle();
 
-  for (std::size_t a = 0; a < active_banks; ++a) {
-    drive(banks_[a].fsm.enable(), Picoseconds{t_ + 100.0}, sim::Logic::L1);
-  }
+  sim_.drive(fsm_.enable(), Picoseconds{t_ + 100.0}, sim::Logic::L1);
   if (configure) {
-    for (std::size_t a = 0; a < active_banks; ++a) {
-      Bank& bank = banks_[a];
-      if (realign) {
-        // INIT was entered at the realign edge; the code register loads at
-        // the next edge (ext_code is already presented). Retire configure.
-        drive(bank.fsm.configure(), Picoseconds{t_ + 100.0}, sim::Logic::L0);
-      } else {
-        // Fresh start: the FSMs walk RESET → IDLE → READY and sample
-        // configure there, several edges past these drives.
-        for (std::size_t b = 0; b < 3; ++b) {
-          drive(bank.fsm.ext_code(b), Picoseconds{t_ + 100.0},
-                sim::from_bool((bank.code.value() >> b) & 1u));
-        }
-        drive(bank.fsm.configure(), Picoseconds{t_ + 100.0}, sim::Logic::L1);
-      }
-      bank.needs_configure = false;
+    if (realign) {
+      // INIT was entered at the realign edge; the code register loads at
+      // the next edge (ext_code is already presented). Retire configure.
+      sim_.drive(fsm_.configure(), Picoseconds{t_ + 100.0}, sim::Logic::L0);
+    } else {
+      // Fresh start: the FSM walks RESET → IDLE → READY and samples
+      // configure there, several edges past these drives.
+      drive_code(Picoseconds{t_ + 100.0});
+      sim_.drive(fsm_.configure(), Picoseconds{t_ + 100.0}, sim::Logic::L1);
     }
+    needs_configure_ = false;
   }
 
-  std::vector<std::vector<ThermoWord>> words(active_banks);
-  for (auto& w : words) w.reserve(per_bank);
+  std::vector<ThermoWord> words;
+  words.reserve(count);
   std::size_t guard = 0;
-  const std::size_t guard_limit = per_bank * 12 + 16;
-  while (words.front().size() < per_bank) {
+  const std::size_t guard_limit = count * 12 + 16;
+  while (words.size() < count) {
     clock_one_cycle();
     PSNT_CHECK(++guard < guard_limit, "system failed to complete measures");
 
-    // Bank 0 is the lockstep representative: every active controller sees
-    // the same clk/enable/configure/continuous sequence and the transition
-    // function reads nothing else, so all active FSMs share one trajectory.
-    const FsmState state = banks_.front().fsm.decoded_state();
+    const FsmState state = fsm_.decoded_state();
     if (state == FsmState::kInit) {
       // Code latched on the next edge; stop configuring.
-      for (std::size_t a = 0; a < active_banks; ++a) {
-        drive(banks_[a].fsm.configure(), Picoseconds{t_ + 100.0},
-              sim::Logic::L0);
-      }
+      sim_.drive(fsm_.configure(), Picoseconds{t_ + 100.0}, sim::Logic::L0);
     }
     if (state == FsmState::kSenseHigh) {
       // The command flops fire on this cycle's falling edge; the CP sampling
@@ -273,19 +138,12 @@ std::vector<std::vector<ThermoWord>> FullStructuralSystem::run_measures_banked(
       // metastability resolution. Two cycles is comfortably enough.
       clock_one_cycle();
       clock_one_cycle();
-      run_to(Picoseconds{t_ + period / 4.0});
-      const FsmState lead = banks_.front().fsm.decoded_state();
-      for (std::size_t a = 0; a < active_banks; ++a) {
-        PSNT_CHECK(banks_[a].fsm.decoded_state() == lead,
-                   "banked controllers fell out of lockstep");
-        words[a].push_back(banks_[a].sensor.read_word());
-      }
-      if (words.front().size() == per_bank) {
+      sim_.run_until(Picoseconds{t_ + period / 4.0});
+      words.push_back(sensor_.read_word());
+      if (words.size() == count) {
         // Drop enable before the next rising edge (we are at t_ + T/4).
-        for (std::size_t a = 0; a < active_banks; ++a) {
-          drive(banks_[a].fsm.enable(), Picoseconds{t_ + period * 0.4},
-                sim::Logic::L0);
-        }
+        sim_.drive(fsm_.enable(), Picoseconds{t_ + period * 0.4},
+                   sim::Logic::L0);
       }
     }
   }

@@ -11,39 +11,13 @@
 // The PG MUX selects are the FSM's Delay-Code register Q nets, so the tap
 // selection is live: set_code() reloads the register through INIT on the
 // next batch and the tree retargets structurally, no rebuild.
-//
-// Banked elaboration (PR 10): the system can instantiate B independent
-// sensor banks — delay line, FF array, PG MUX and control FSM per bank,
-// sharing one clock net, each bank sensing its own rail pair — inside the
-// same simulator. Banks are mutually disjoint netlists except for the
-// externally driven clock, so a lockstep banked run is bit-identical,
-// bank for bank, to B standalone single-site systems driven with the same
-// call sequence: every bank-local event lands at the same absolute time and
-// in the same within-bank order a standalone elaboration would produce, and
-// same-time updates across disjoint banks commute. The per-bank timing-check
-// state (DFF hold/setup/metastability) lives entirely inside each bank's
-// flops, so it is bank-sliced by construction.
-//
-// Execution backend: after power-on settle the elaborated netlist is lowered
-// into a sim::CompiledKernel (levelized flat gate array; see sim/lower.h)
-// and all measures run through it — bit-identical to the event scheduler by
-// construction. Banked netlists are where the kernel pays off: the global
-// levelization places all B banks' same-depth gates in one level, so each
-// levelized sweep touches B same-level cohorts and the per-batch bookkeeping
-// (root-queue pops, park flushes, epoch resets) is paid once for B measures
-// instead of once per site. The event-driven path remains the oracle:
-// Config::compile = kOff (or building with -DPSNT_COMPILE=off) runs
-// everything through the scheduler instead.
 #pragma once
 
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/fsm_netlist.h"
 #include "core/system_builder.h"
 #include "core/thermometer.h"
-#include "sim/lower.h"
 
 namespace psnt::core {
 
@@ -54,115 +28,37 @@ class FullStructuralSystem {
     DelayCode code{3};
     SensePolarity polarity = SensePolarity::kHighSense;
     analog::FlipFlopTimingModel control_ff{};
-    // kAuto lowers the netlist after power-on settle and runs measures
-    // through the compiled kernel, falling back to event-driven when
-    // lowering is refused (e.g. probes attached). kOff always uses the
-    // event scheduler. -DPSNT_COMPILE=off forces kOff at build time.
-    enum class Compile { kAuto, kOff };
-    Compile compile = Compile::kAuto;
   };
 
-  // Single-site system (one bank). Unchanged behavior and netlist naming.
   FullStructuralSystem(sim::Simulator& sim, const std::string& name,
                        const SensorArray& array, const PulseGenerator& pg,
                        analog::RailPair rails, Config config);
-
-  // Banked system: one bank per entry of `bank_rails`, all banks identical
-  // except the rail each senses. Bank b's nets are prefixed
-  // `name + ".b<b>"` (a single-bank system keeps the legacy flat names);
-  // the shared clock is `name + ".clk"`.
-  FullStructuralSystem(sim::Simulator& sim, const std::string& name,
-                       const SensorArray& array, const PulseGenerator& pg,
-                       std::vector<analog::RailPair> bank_rails, Config config);
 
   // Runs complete measure transactions by clocking the FSM netlist with
   // enable held high; returns one word per completed SENSE capture.
   // `configure_first` loads the config's delay code through INIT before the
   // first PREPARE (otherwise the FSM's current code — 000 at power-on —
   // selects the tap, since the MUX selects follow the code register live).
-  // On a banked system this drives bank 0 only (the sibling banks stay
-  // parked); use run_measures_banked to run banks in parallel.
   std::vector<ThermoWord> run_measures(std::size_t count,
                                        bool configure_first = true);
 
-  // Lockstep banked run: clocks the shared FSM schedule once while the first
-  // `active_banks` banks each complete `per_bank` measures; banks beyond
-  // `active_banks` keep enable parked low and stay quiet. Returns one word
-  // vector per active bank. Configure is resolved globally — if any active
-  // bank needs its code (re)loaded, every active bank pulses configure and
-  // reloads its own code, keeping the controllers in lockstep; the
-  // equivalent standalone reference run must therefore use the same
-  // configure decision (run_measures_banked == B independent run_measures
-  // calls with identical `configure_first` arguments).
-  std::vector<std::vector<ThermoWord>> run_measures_banked(
-      std::size_t per_bank, std::size_t active_banks,
-      bool configure_first = true);
-
-  // Retargets the delay code for subsequent measures on every bank: the next
-  // run batch pulses configure so INIT reloads the code register, and the
-  // live MUX selects move the PG tap. No-op for banks already at the code.
+  // Retargets the delay code for subsequent measures: the next run batch
+  // pulses configure so INIT reloads the code register, and the live MUX
+  // selects move the PG tap. No-op when the code is unchanged.
   void set_code(DelayCode code);
-  [[nodiscard]] DelayCode code() const { return config_.code; }
-  // Per-bank retarget (diverging codes across banks). The next banked run
-  // that activates bank `b` reconfigures — globally, see run_measures_banked.
-  void set_bank_code(std::size_t b, DelayCode code);
-  [[nodiscard]] DelayCode bank_code(std::size_t b) const {
-    return banks_.at(b).code;
-  }
 
-  [[nodiscard]] std::size_t bank_count() const { return banks_.size(); }
-  [[nodiscard]] StructuralControlFsm& fsm() { return banks_.front().fsm; }
-  [[nodiscard]] StructuralSensor& sensor() { return banks_.front().sensor; }
-  [[nodiscard]] StructuralControlFsm& fsm(std::size_t b) {
-    return banks_.at(b).fsm;
-  }
-  [[nodiscard]] StructuralSensor& sensor(std::size_t b) {
-    return banks_.at(b).sensor;
-  }
-  [[nodiscard]] Picoseconds now() const {
-    return kernel_ ? kernel_->now() : sim_.now();
-  }
-
-  // Compiled-mode observability: non-null when measures run through the
-  // lowered kernel.
-  [[nodiscard]] bool compiled() const { return kernel_ != nullptr; }
-  [[nodiscard]] const sim::CompiledKernel* kernel() const {
-    return kernel_.get();
-  }
+  [[nodiscard]] StructuralControlFsm& fsm() { return fsm_; }
+  [[nodiscard]] StructuralSensor& sensor() { return sensor_; }
 
  private:
-  // One sensor site inside the shared simulator: its controller, datapath,
-  // current delay code and the net-id range it elaborated into (used for the
-  // kernel's per-bank root accounting).
-  struct Bank {
-    StructuralControlFsm fsm;
-    StructuralSensor sensor;
-    DelayCode code{3};
-    bool needs_configure = false;
-    std::size_t net_begin = 0;
-    std::size_t net_end = 0;
-    // The bank's inverted-clock net: clock distribution, excluded from the
-    // bank's root attribution (it toggles with the shared clock whether or
-    // not the bank measures anything).
-    std::size_t clkb_net = 0;
-  };
-
-  void build_banks(const SensorArray& array, const PulseGenerator& pg,
-                   const std::vector<analog::RailPair>& bank_rails,
-                   const std::string& name);
-  [[nodiscard]] sim::Net& clk_net() {
-    return shared_clk_ != nullptr ? *shared_clk_ : banks_.front().fsm.clk();
-  }
   void clock_one_cycle();
-  void drive(sim::Net& net, Picoseconds at, sim::Logic v);
-  void run_to(Picoseconds t);
+  void drive_code(Picoseconds at);
 
   sim::Simulator& sim_;
   Config config_;
-  std::vector<Bank> banks_;
-  sim::Net* shared_clk_ = nullptr;  // banked systems only
-  std::unique_ptr<sim::CompiledKernel> kernel_;
-  bool kernel_ran_ = false;
+  StructuralControlFsm fsm_;
+  StructuralSensor sensor_;
+  bool needs_configure_ = false;
   double t_ = 0.0;
 };
 

@@ -404,26 +404,12 @@ class BehavioralEngineHandle final : public IMeasureEngine {
 };
 
 // Gate-level backend: a private event simulator running the full Fig. 6
-// netlist, lowered to a sim::CompiledKernel when the topology allows. One
-// netlist transaction covers prepare+sense, so measure() maps onto
-// run_measures(1) and measure_batch amortizes FSM idle realignment across
-// the whole batch. The PG MUX selects are the FSM's live code register, so
-// auto-range works at gate level: each measure resolves its code from the
-// context policy and a change reloads the register through INIT.
-//
-// With options.structural_banks > 1 the netlist elaborates that many sensor
-// banks (shared clock, per-bank datapath+controller) and every run clocks
-// all of them in lockstep: a batch of `count` samples runs
-// ceil(count/banks) measures per bank and serves sample j from bank
-// j / per_bank (block mapping); single-sample calls serve bank 0's word and
-// discard the siblings'. Uniform activation is what keeps the controllers
-// in lockstep forever — a READY-parked (previously run) bank launches its
-// next transaction two cycles before an IDLE (never run) one would, so
-// mixing fresh and experienced banks in one run is structurally impossible
-// here by design. Bank b's word stream is bit-identical to a standalone
-// single-site engine serving bank b's slice of every batch, for arbitrary
-// (even time-varying) rails: the banks are disjoint netlists whose local
-// event times match a standalone elaboration's exactly.
+// netlist. One netlist transaction covers prepare+sense, so measure() maps
+// onto run_measures(1) and measure_batch amortizes FSM idle realignment
+// across the whole batch. The PG MUX selects are the FSM's live code
+// register, so auto-range works at gate level: each measure resolves its
+// code from the context policy and a change reloads the register through
+// INIT.
 // Thread-confined: build and measure on one thread.
 class StructuralEngineHandle final : public IMeasureEngine {
  public:
@@ -454,18 +440,11 @@ class StructuralEngineHandle final : public IMeasureEngine {
     FullStructuralSystem::Config config;
     config.control_period = control_period;
     config.code = code_;
-    config.compile = options.structural_compile
-                         ? FullStructuralSystem::Config::Compile::kAuto
-                         : FullStructuralSystem::Config::Compile::kOff;
-    PSNT_CHECK(options.structural_banks >= 1,
-               "structural_banks must be at least 1");
-    system_ = std::make_unique<FullStructuralSystem>(
-        sim_, "site", array_, pg_,
-        std::vector<analog::RailPair>(options.structural_banks, rails),
-        config);
+    system_ = std::make_unique<FullStructuralSystem>(sim_, "site", array_,
+                                                     pg_, rails, config);
     // Stats marks start after construction so power-on settle is excluded.
-    events_mark_ = total_events();
-    allocs_mark_ = total_allocs();
+    events_mark_ = sim_.scheduler().executed_events();
+    allocs_mark_ = sim_.scheduler().allocation_count();
   }
 
   EngineContext& context() override { return ctx_; }
@@ -526,11 +505,12 @@ class StructuralEngineHandle final : public IMeasureEngine {
   }
 
   EngineBatchStats take_batch_stats() override {
+    const sim::Scheduler& sched = sim_.scheduler();
     EngineBatchStats stats;
-    stats.sim_events = total_events() - events_mark_;
-    stats.sim_allocs = total_allocs() - allocs_mark_;
-    events_mark_ += stats.sim_events;
-    allocs_mark_ += stats.sim_allocs;
+    stats.sim_events = sched.executed_events() - events_mark_;
+    stats.sim_allocs = sched.allocation_count() - allocs_mark_;
+    events_mark_ = sched.executed_events();
+    allocs_mark_ = sched.allocation_count();
     return stats;
   }
 
@@ -539,39 +519,10 @@ class StructuralEngineHandle final : public IMeasureEngine {
     return req.code ? *req.code : ctx_.current_code();
   }
 
-  // Scheduler counters plus their compiled-kernel analogues (root-queue
-  // pops / steady-state container growth), so stats stay meaningful in
-  // either execution mode.
-  [[nodiscard]] std::uint64_t total_events() const {
-    const std::uint64_t base = sim_.scheduler().executed_events();
-    const sim::CompiledKernel* k = system_ ? system_->kernel() : nullptr;
-    return k ? base + k->events_executed() : base;
-  }
-  [[nodiscard]] std::uint64_t total_allocs() const {
-    const std::uint64_t base = sim_.scheduler().allocation_count();
-    const sim::CompiledKernel* k = system_ ? system_->kernel() : nullptr;
-    return k ? base + k->allocations() : base;
-  }
-
   std::vector<ThermoWord> run_words(DelayCode code, std::size_t count) {
     system_->set_code(code);
-    const std::size_t nbanks = system_->bank_count();
-    std::vector<ThermoWord> words;
-    if (nbanks == 1) {
-      words = system_->run_measures(count, /*configure_first=*/!configured_);
-    } else {
-      // Block mapping across the lockstep bank array: bank b serves samples
-      // [b*per_bank, (b+1)*per_bank); the last bank's padding words are
-      // discarded. Every bank runs every batch (uniform activation — see the
-      // class comment), so per-bank histories never diverge.
-      const std::size_t per_bank = (count + nbanks - 1) / nbanks;
-      const auto banked = system_->run_measures_banked(
-          per_bank, nbanks, /*configure_first=*/!configured_);
-      words.reserve(count);
-      for (std::size_t j = 0; j < count; ++j) {
-        words.push_back(banked[j / per_bank][j % per_bank]);
-      }
-    }
+    auto words =
+        system_->run_measures(count, /*configure_first=*/!configured_);
     configured_ = true;
     if (ctx_.has_word_hook()) {
       for (ThermoWord& word : words) ctx_.apply_word(word);

@@ -364,21 +364,6 @@ using EngineHandle = std::unique_ptr<IMeasureEngine>;
 struct EngineSiteOptions {
   CodePolicyConfig code_policy;
   bool fault_hooks = false;
-  // Structural sites only: lower the netlist to the compiled kernel when
-  // the topology allows (sim/lower.h). False pins the site to the
-  // event-driven scheduler — the conformance oracle.
-  bool structural_compile = true;
-  // Structural sites only: elaborate this many sensor banks into the one
-  // netlist and map request batches across them (block mapping: a batch of
-  // `count` samples runs ceil(count/banks) measures on every bank). One
-  // compiled sweep then evaluates all banks level-major, amortizing the
-  // kernel's per-batch bookkeeping across `banks` same-level gate cohorts.
-  // Every run activates all banks in lockstep — single-sample calls serve
-  // bank 0's word and discard the siblings' — so each bank's transaction
-  // history is identical and the handle stays bit-identical to `banks`
-  // independent single-site engines serving the per-bank slices (and, for
-  // bank 0, to a banks=1 handle serving the same call sequence).
-  std::size_t structural_banks = 1;
 };
 
 // Behavioral handle: wraps a BehavioralEngine bound to `rails`.
@@ -395,12 +380,12 @@ struct EngineSiteOptions {
 bool prewarm_sense_ladders(IMeasureEngine& engine, DelayCode code);
 std::size_t share_sense_ladders(IMeasureEngine& dst, const IMeasureEngine& src);
 
-// Gate-level handle: builds a private sim::Simulator + FullStructuralSystem
-// netlist around copies of `array`/`pg`, lowered to a compiled kernel when
-// the topology allows (sim/lower.h). The PG MUX selects are the FSM's live
-// code register, so the code policy runs structurally: window tuning picks
-// the starting code, per-measure resolution follows the context
-// (auto_range included — a code change reloads the register through INIT).
+// Gate-level handle: builds a private event-driven sim::Simulator +
+// FullStructuralSystem netlist around copies of `array`/`pg`. The PG MUX
+// selects are the FSM's live code register, so the code policy runs
+// structurally: window tuning picks the starting code, per-measure
+// resolution follows the context (auto_range included — a code change
+// reloads the register through INIT).
 // Build on the thread that will call measure(): the netlist is
 // thread-confined.
 [[nodiscard]] EngineHandle make_structural_engine(

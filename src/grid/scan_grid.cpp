@@ -264,8 +264,6 @@ void ScanGrid::ensure_engine(Site& site) {
 
   core::EngineSiteOptions options;
   options.fault_hooks = config_.injector != nullptr;
-  options.structural_compile = config_.structural_compile;
-  options.structural_banks = config_.structural_banks;
   options.code_policy.initial = config_.code;
   options.code_policy.window = config_.code_window;
   options.code_policy.auto_range =

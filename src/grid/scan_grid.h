@@ -144,18 +144,6 @@ struct ScanGridConfig {
   std::uint64_t seed = 2026;
   core::ThermometerConfig thermometer;
   SiteFidelity fidelity = SiteFidelity::kBehavioral;
-  // Structural sites only: lower each site's netlist into the compiled
-  // evaluation kernel (sim/lower) after elaboration. Off forces the
-  // event-driven scheduler — the conformance oracle, and the path the
-  // grid_structural perf baseline is pinned to.
-  bool structural_compile = true;
-  // Structural sites only: elaborate this many lockstep sensor banks per
-  // site engine so one kernel sweep serves a whole bank-wide cohort of
-  // measures (EngineSiteOptions::structural_banks). 1 = the single-site
-  // netlist. Batches map block-wise onto banks and stay bit-identical to
-  // the banks=1 stream under time-invariant rails (the stock constant /
-  // IR-gradient factories); see DESIGN.md §17.
-  std::size_t structural_banks = 1;
   CodePolicy code_policy = CodePolicy::kFixed;
   // When set, every site engine comes from this factory and `fidelity` is
   // ignored (see EngineFactory). Factory engines are built lazily on the

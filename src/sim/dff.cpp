@@ -6,7 +6,6 @@ DFlipFlop::DFlipFlop(Simulator& sim, std::string name, Net& d, Net& cp, Net& q,
                      analog::FlipFlopTimingModel model)
     : Component(sim, std::move(name)),
       d_(d),
-      cp_(cp),
       q_(q),
       model_(std::move(model)),
       // "Long ago": a D input that never toggles has unbounded setup margin.

@@ -50,22 +50,11 @@ class DFlipFlop : public Component {
   void set_history_enabled(bool enabled) { history_enabled_ = enabled; }
   [[nodiscard]] bool history_enabled() const { return history_enabled_; }
 
-  // --- lowering support (sim/lower) ------------------------------------
-  // Pin and edge-state introspection so the compiled kernel can replicate
-  // this flop exactly, seeding from wherever the event-driven settle left it.
-  [[nodiscard]] const Net& d_net() const { return d_; }
-  [[nodiscard]] const Net& cp_net() const { return cp_; }
-  [[nodiscard]] const Net& q_net() const { return q_; }
-  [[nodiscard]] SimTime d_last_change() const { return d_last_change_; }
-  [[nodiscard]] SimTime last_edge() const { return last_edge_; }
-  [[nodiscard]] bool has_edge() const { return has_edge_; }
-
  private:
   void on_clock(Logic old_value, Logic new_value, SimTime at);
   void on_data(SimTime at);
 
   Net& d_;
-  Net& cp_;
   Net& q_;
   analog::FlipFlopTimingModel model_;
   SimTime d_last_change_;

@@ -34,69 +34,53 @@ void CombGate::settle_initial() { on_input_change(); }
 InvGate::InvGate(Simulator& sim, std::string name, Net& a, Net& y,
                  Picoseconds delay)
     : CombGate(sim, std::move(name), {&a}, y, delay,
-               [](const std::vector<Logic>& v) { return logic_not(v[0]); }) {
-  set_kind(GateKind::kInv);
-}
+               [](const std::vector<Logic>& v) { return logic_not(v[0]); }) {}
 
 BufGate::BufGate(Simulator& sim, std::string name, Net& a, Net& y,
                  Picoseconds delay)
     : CombGate(sim, std::move(name), {&a}, y, delay,
-               [](const std::vector<Logic>& v) { return normalize(v[0]); }) {
-  set_kind(GateKind::kBuf);
-}
+               [](const std::vector<Logic>& v) { return normalize(v[0]); }) {}
 
 Nand2Gate::Nand2Gate(Simulator& sim, std::string name, Net& a, Net& b, Net& y,
                      Picoseconds delay)
     : CombGate(sim, std::move(name), {&a, &b}, y, delay,
                [](const std::vector<Logic>& v) {
                  return logic_not(logic_and(v[0], v[1]));
-               }) {
-  set_kind(GateKind::kNand2);
-}
+               }) {}
 
 Nor2Gate::Nor2Gate(Simulator& sim, std::string name, Net& a, Net& b, Net& y,
                    Picoseconds delay)
     : CombGate(sim, std::move(name), {&a, &b}, y, delay,
                [](const std::vector<Logic>& v) {
                  return logic_not(logic_or(v[0], v[1]));
-               }) {
-  set_kind(GateKind::kNor2);
-}
+               }) {}
 
 And2Gate::And2Gate(Simulator& sim, std::string name, Net& a, Net& b, Net& y,
                    Picoseconds delay)
     : CombGate(sim, std::move(name), {&a, &b}, y, delay,
                [](const std::vector<Logic>& v) {
                  return logic_and(v[0], v[1]);
-               }) {
-  set_kind(GateKind::kAnd2);
-}
+               }) {}
 
 Or2Gate::Or2Gate(Simulator& sim, std::string name, Net& a, Net& b, Net& y,
                  Picoseconds delay)
     : CombGate(sim, std::move(name), {&a, &b}, y, delay,
                [](const std::vector<Logic>& v) {
                  return logic_or(v[0], v[1]);
-               }) {
-  set_kind(GateKind::kOr2);
-}
+               }) {}
 
 Xor2Gate::Xor2Gate(Simulator& sim, std::string name, Net& a, Net& b, Net& y,
                    Picoseconds delay)
     : CombGate(sim, std::move(name), {&a, &b}, y, delay,
                [](const std::vector<Logic>& v) {
                  return logic_xor(v[0], v[1]);
-               }) {
-  set_kind(GateKind::kXor2);
-}
+               }) {}
 
 Mux2Gate::Mux2Gate(Simulator& sim, std::string name, Net& a, Net& b, Net& sel,
                    Net& y, Picoseconds delay)
     : CombGate(sim, std::move(name), {&a, &b, &sel}, y, delay,
                [](const std::vector<Logic>& v) {
                  return logic_mux(v[0], v[1], v[2]);
-               }) {
-  set_kind(GateKind::kMux2);
-}
+               }) {}
 
 }  // namespace psnt::sim

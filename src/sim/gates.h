@@ -6,29 +6,12 @@
 // every drive strength.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "sim/simulator.h"
 #include "sim/small_fn.h"
 
 namespace psnt::sim {
-
-// Identifies the stock gate primitives so the lowering pass (sim/lower) can
-// compile them to a branch-free opcode switch instead of an indirect call
-// through the type-erased EvalFn. kGeneric gates still lower — the kernel
-// falls back to calling evaluate().
-enum class GateKind : std::uint8_t {
-  kGeneric,
-  kInv,
-  kBuf,
-  kNand2,
-  kNor2,
-  kAnd2,
-  kOr2,
-  kXor2,
-  kMux2,
-};
 
 // Generic N-input gate with a user-provided evaluation function.
 class CombGate : public Component {
@@ -47,19 +30,6 @@ class CombGate : public Component {
   // Re-evaluates immediately (used at elaboration to settle initial values).
   void settle_initial();
 
-  // --- lowering support (sim/lower) ------------------------------------
-  [[nodiscard]] GateKind kind() const { return kind_; }
-  [[nodiscard]] const std::vector<Net*>& inputs() const { return inputs_; }
-  [[nodiscard]] SimTime delay_fs() const { return delay_; }
-  // Evaluates the gate's function on arbitrary input values (the kernel's
-  // slow path for kGeneric gates). `values` must match the input count.
-  [[nodiscard]] Logic evaluate(const std::vector<Logic>& values) const {
-    return eval_(values);
-  }
-
- protected:
-  void set_kind(GateKind kind) { kind_ = kind; }
-
  private:
   void on_input_change();
 
@@ -67,7 +37,6 @@ class CombGate : public Component {
   Net& output_;
   SimTime delay_;
   EvalFn eval_;
-  GateKind kind_ = GateKind::kGeneric;
   // Reused input-value buffer: re-evaluation happens on every input event,
   // so it must not allocate.
   std::vector<Logic> scratch_;

@@ -40,7 +40,6 @@ class Net {
 
   void on_change(Listener listener) {
     listeners_.push_back(std::move(listener));
-    if (listener_tick_ != nullptr) ++*listener_tick_;
   }
 
   // Immediately forces the value at the scheduler's current time (stimulus
@@ -62,27 +61,6 @@ class Net {
     pending_active_ = false;
   }
 
-  // --- lowering support (sim/lower) ------------------------------------
-  // Pending-slot introspection: the compiler refuses netlists with in-flight
-  // transitions, and the kernel mirrors its slot algebra against these.
-  [[nodiscard]] bool pending_active() const { return pending_active_; }
-  [[nodiscard]] Logic pending_value() const { return pending_value_; }
-  [[nodiscard]] SimTime pending_time() const { return pending_time_; }
-  [[nodiscard]] std::size_t listener_count() const { return listeners_.size(); }
-
-  // Simulator-owned attach counter: bumped on every on_change so the kernel's
-  // staleness guard is O(1) instead of a per-net listener-count scan.
-  void bind_listener_tick(std::uint64_t* tick) { listener_tick_ = tick; }
-
-  // Writes the value without notifying listeners or counting a transition.
-  // Only the compiled kernel uses this, to mirror its dense state vector back
-  // into the nets after a run so read-side code (read_word, decoded_state)
-  // is oblivious to which engine produced the values.
-  void mirror_value(Logic v, SimTime at) {
-    value_ = v;
-    last_change_ = at;
-  }
-
  private:
   void apply(Logic v, SimTime at);
 
@@ -96,7 +74,6 @@ class Net {
   Logic pending_value_ = Logic::X;
   SimTime pending_time_ = 0;
   std::vector<Listener> listeners_;
-  std::uint64_t* listener_tick_ = nullptr;
 };
 
 }  // namespace psnt::sim

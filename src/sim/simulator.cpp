@@ -10,9 +10,7 @@ Net& Simulator::net(std::string_view name) {
   nets_.push_back(
       std::make_unique<Net>(std::string(name),
                             static_cast<std::uint32_t>(nets_.size())));
-  nets_.back()->bind_listener_tick(&listener_version_);
   net_index_.emplace(nets_.back()->name(), nets_.size() - 1);
-  ++topology_version_;
   return *nets_.back();
 }
 

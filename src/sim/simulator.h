@@ -53,38 +53,13 @@ class Simulator {
   Net& net(std::string_view name);
   [[nodiscard]] Net* find_net(std::string_view name);
   [[nodiscard]] std::size_t net_count() const { return nets_.size(); }
-  [[nodiscard]] Net& net_at(std::size_t index) { return *nets_.at(index); }
-  [[nodiscard]] const Net& net_at(std::size_t index) const {
-    return *nets_.at(index);
-  }
 
   template <typename T, typename... Args>
   T& add(Args&&... args) {
     auto component = std::make_unique<T>(*this, std::forward<Args>(args)...);
     T& ref = *component;
     components_.push_back(std::move(component));
-    ++topology_version_;
     return ref;
-  }
-
-  // Netlist introspection for the lowering pass (sim/lower).
-  [[nodiscard]] const std::vector<std::unique_ptr<Component>>& components()
-      const {
-    return components_;
-  }
-
-  // Bumped whenever the netlist changes shape (a net or component is added).
-  // A compiled kernel records the version it was lowered from; a mismatch
-  // means the kernel is stale and the event-driven path must be used.
-  [[nodiscard]] std::uint64_t topology_version() const {
-    return topology_version_;
-  }
-
-  // Bumped whenever any net gains a listener. Together with
-  // topology_version this lets a compiled kernel detect a post-compile
-  // probe subscription in O(1) (it would be starved by compiled sweeps).
-  [[nodiscard]] std::uint64_t listener_version() const {
-    return listener_version_;
   }
 
   [[nodiscard]] Scheduler& scheduler() { return scheduler_; }
@@ -111,8 +86,9 @@ class Simulator {
   std::vector<std::unique_ptr<Net>> nets_;
   // Name -> index into nets_. Heterogeneous lookup so find_net(string_view)
   // never allocates; keys view the Net-owned name strings, which are stable
-  // for the simulator's lifetime. Without this, banked elaboration is
-  // quadratic in total net count (every sim.net() call scanned every net).
+  // for the simulator's lifetime. The netlist builders look up a net by
+  // name for every pin they wire, so a linear scan here would make
+  // elaboration quadratic in net count.
   struct NameHash {
     using is_transparent = void;
     std::size_t operator()(std::string_view s) const {
@@ -122,8 +98,6 @@ class Simulator {
   std::unordered_map<std::string_view, std::size_t, NameHash, std::equal_to<>>
       net_index_;
   std::vector<std::unique_ptr<Component>> components_;
-  std::uint64_t topology_version_ = 0;
-  std::uint64_t listener_version_ = 0;
   bool instrumentation_enabled_ = true;
 };
 

@@ -45,11 +45,6 @@ class SupplyInverter : public Component {
     return record_transitions_;
   }
 
-  // --- lowering support (sim/lower) ------------------------------------
-  [[nodiscard]] const Net& a_net() const { return a_; }
-  [[nodiscard]] const Net& y_net() const { return y_; }
-  [[nodiscard]] const analog::RailPair& rails() const { return rails_; }
-
  private:
   void on_input(SimTime at);
 

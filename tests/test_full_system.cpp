@@ -83,6 +83,26 @@ TEST(FullSystem, FsmCodeRegisterLoadedViaInit) {
   EXPECT_EQ(rig.system.fsm().decoded_code(), DelayCode{5});
 }
 
+TEST(FullSystem, RetargetsCodeThroughLiveSelects) {
+  // set_code reloads the code register through INIT on the next batch and
+  // the MUX selects follow it: each retargeted batch must read the same
+  // words as a fresh system built at that code.
+  SystemRig rig(0.97, DelayCode{3});
+  (void)rig.system.run_measures(1);
+  for (const std::uint8_t c : {3, 5, 2, 7, 0}) {
+    rig.system.set_code(DelayCode{c});
+    const auto words = rig.system.run_measures(2, /*configure_first=*/false);
+    EXPECT_EQ(rig.system.fsm().decoded_code(), DelayCode{c});
+    SystemRig fresh(0.97, DelayCode{c});
+    const auto expected = fresh.system.run_measures(2);
+    ASSERT_EQ(words.size(), expected.size());
+    for (std::size_t k = 0; k < words.size(); ++k) {
+      EXPECT_EQ(words[k].to_string(), expected[k].to_string())
+          << "code " << int(c) << " word " << k;
+    }
+  }
+}
+
 TEST(FullSystem, LowSensePolarityMeasuresGroundBounce) {
   // 100 mV bounce → effective 0.9 V → the Fig. 9 second word.
   SystemRig rig(0.10, DelayCode{3}, SensePolarity::kLowSense);

@@ -94,6 +94,41 @@ TEST(Gates, InverterSwallowsShortGlitch) {
   EXPECT_EQ(y.value(), Logic::L1);
 }
 
+TEST(Gates, ShortPulseSwallowedLongPulsePropagatesThroughChain) {
+  Simulator sim;
+  Net& a = sim.net("a");
+  Net& y = sim.net("y");
+  Net& z = sim.net("z");
+  sim.add<BufGate>("g0", a, y, 50.0_ps);
+  sim.add<InvGate>("g1", y, z, 30.0_ps);
+  sim.drive(a, 0.0_ps, Logic::L0);
+  sim.run_until(500.0_ps);
+  TransitionRecorder y_rec(y);
+  TransitionRecorder z_rec(z);
+
+  // 20 ps pulse into a 50 ps buffer: cancelled in flight, nothing downstream.
+  sim.drive(a, 1000.0_ps, Logic::L1);
+  sim.drive(a, 1020.0_ps, Logic::L0);
+  sim.run_until(1500.0_ps);
+  EXPECT_EQ(y_rec.count(), 0u);
+  EXPECT_EQ(z_rec.count(), 0u);
+
+  // 80 ps pulse: both edges survive the buffer and the inverter.
+  sim.drive(a, 2000.0_ps, Logic::L1);
+  sim.drive(a, 2080.0_ps, Logic::L0);
+  sim.run_until(2060.0_ps);
+  EXPECT_EQ(y.value(), Logic::L1);  // y high, z not yet
+  EXPECT_EQ(z.value(), Logic::L1);
+  sim.run_until(2500.0_ps);
+  ASSERT_EQ(y_rec.count(), 2u);
+  ASSERT_EQ(z_rec.count(), 2u);
+  EXPECT_DOUBLE_EQ(y_rec.transitions()[0].time.value(), 2050.0);
+  EXPECT_DOUBLE_EQ(y_rec.transitions()[1].time.value(), 2130.0);
+  EXPECT_DOUBLE_EQ(z_rec.transitions()[0].time.value(), 2080.0);
+  EXPECT_DOUBLE_EQ(z_rec.transitions()[1].time.value(), 2160.0);
+  EXPECT_EQ(z.value(), Logic::L1);
+}
+
 TEST(Gates, NandNorTruthTables) {
   Simulator sim;
   Net& a = sim.net("a");

@@ -269,36 +269,21 @@ TEST(ScanGrid, StructuralAutoRangeMatchesBehavioralAutoRange) {
   EXPECT_TRUE(stepped) << "the sagged rail must force a real range step";
 }
 
-TEST(ScanGrid, StructuralCompiledMatchesEventDrivenAcrossThreads) {
-  // The compiled kernel is the structural default; the event-driven
-  // scheduler stays the oracle. Pin one grid to the oracle through an
-  // engine factory and require bit-identity from compiled grids at 1, 2
-  // and 8 threads.
+TEST(ScanGrid, StructuralThreadInvariant) {
+  // Structural sites build and run their private netlists on pool threads;
+  // the words must not depend on how many threads share the sites.
   const auto fp = scan::Floorplan::grid(1000.0, 1000.0, 2, 2);
   auto config = base_config(1);
   config.fidelity = SiteFidelity::kStructural;
   config.samples_per_site = 4;
-
-  auto oracle_config = config;
-  oracle_config.engine_factory = [](std::uint32_t,
-                                    const analog::RailPair& rails,
-                                    const core::EngineSiteOptions& options) {
-    const auto& model = calib::calibrated().model;
-    auto event_options = options;
-    event_options.structural_compile = false;
-    return core::make_structural_engine(
-        calib::make_paper_array(model),
-        core::PulseGenerator{model.pg_config()}, rails,
-        core::ThermometerConfig{}.control_period, event_options);
-  };
-  ScanGrid oracle{fp, oracle_config, test_rails(fp)};
-  const auto expected = oracle.run();
+  ScanGrid serial{fp, config, test_rails(fp)};
+  const auto expected = serial.run();
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    auto compiled_config = config;
-    compiled_config.threads = threads;
-    ScanGrid compiled{fp, compiled_config, test_rails(fp)};
-    const auto actual = compiled.run();
+    auto threaded_config = config;
+    threaded_config.threads = threads;
+    ScanGrid threaded{fp, threaded_config, test_rails(fp)};
+    const auto actual = threaded.run();
     ASSERT_EQ(actual.sites.size(), expected.sites.size());
     for (std::size_t i = 0; i < expected.sites.size(); ++i) {
       for (std::size_t k = 0; k < 4; ++k) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
+#include "sim/gates.h"
 #include "sim/probe.h"
 
 namespace psnt::sim {
@@ -84,6 +88,47 @@ TEST(SupplyInverter, SamplesRailAtEventTime) {
   EXPECT_DOUBLE_EQ(inv.transitions()[1].supply.value(), 0.9);
   EXPECT_GT(inv.transitions()[1].delay.value(),
             inv.transitions()[0].delay.value());
+}
+
+TEST(SupplyInverter, DelayTracksTimeVaryingRail) {
+  // Every output edge lands at its input time plus the model delay at the
+  // rail voltage of that input time, edge after edge on a moving rail.
+  analog::CallbackRail vdd{[](Picoseconds t) {
+    return Volt{1.0 - 0.08 * std::sin(t.value() / 700.0)};
+  }};
+  const analog::AlphaPowerDelayModel model;
+  Simulator sim;
+  Net& a = sim.net("a");
+  Net& pre = sim.net("pre");
+  Net& y = sim.net("y");
+  sim.add<BufGate>("g0", a, pre, 9.0_ps);
+  auto& inv = sim.add<SupplyInverter>(
+      "si", pre, y, model, analog::RailPair{&vdd, nullptr}, 2.0_pF);
+  TransitionRecorder rec(y);
+  sim.drive(a, 0.0_ps, Logic::L1);  // DS settles low
+  double t = 1000.0;
+  for (int i = 0; i < 40; ++i) {
+    sim.drive(a, Picoseconds{t}, i % 2 == 0 ? Logic::L0 : Logic::L1);
+    t += 431.0;  // long enough for the (slow) sense edge to land
+  }
+  sim.run_all();
+
+  ASSERT_EQ(inv.transitions().size(), 41u);
+  ASSERT_EQ(rec.count(), 41u);
+  double min_delay = 1e9;
+  double max_delay = 0.0;
+  for (std::size_t i = 0; i < rec.count(); ++i) {
+    const auto& tr = inv.transitions()[i];
+    EXPECT_DOUBLE_EQ(tr.supply.value(), vdd.at(tr.input_time).value());
+    EXPECT_DOUBLE_EQ(tr.delay.value(),
+                     model.delay(tr.supply, 2.0_pF).value());
+    // fs quantisation: within 1 fs.
+    EXPECT_NEAR(rec.transitions()[i].time.value(),
+                tr.input_time.value() + tr.delay.value(), 0.001);
+    min_delay = std::min(min_delay, tr.delay.value());
+    max_delay = std::max(max_delay, tr.delay.value());
+  }
+  EXPECT_GT(max_delay - min_delay, 1.0) << "the rail must move the delay";
 }
 
 TEST(SupplyInverter, GroundBounceReducesOverdrive) {
