@@ -8,13 +8,10 @@
 // scan::PsnScanChain::broadcast_measure reference — parallelism must never
 // change a single measured word.
 //
-// A second section compares the three decode paths head-to-head at one
-// thread: the vectorized SoA batch capture + bulk drain (the default), the
-// PR-5 per-sample streaming pipeline, and the legacy per-site decode. All
-// land in BENCH_grid.json — `grid_behavioral` and `grid_streaming` stay
-// pinned to their historical shapes (per-sample capture, dispatch batch 8)
-// so the committed baselines keep measuring the same thing they always did;
-// `grid_batch` gates the new default path.
+// A second section times the grid's one capture path at one thread — the
+// vectorized SoA batch capture + bulk drain — and lands it in
+// BENCH_grid.json as `grid_batch`, gated on ns/measure, allocs/measure and
+// bit-identity to the serial reference.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -82,10 +79,10 @@ std::vector<std::vector<core::ThermoWord>> serial_reference(
 
 void report_simcore_structural();
 
-// One decode path measured serially: 1 thread, min-of-`repeats` wall time
-// (behavioral measures are microsecond-scale, shared CI machines are noisy),
+// The grid measured serially: 1 thread, min-of-`repeats` wall time
+// (behavioral measures are sub-microsecond, shared CI machines are noisy),
 // allocs from the least-recently-disturbed run, first run's words kept for
-// the bit-identity checks.
+// the bit-identity check.
 struct PathRun {
   double ns_per_measure = 0.0;
   double allocs_per_measure = 0.0;
@@ -93,15 +90,10 @@ struct PathRun {
   grid::RunResult result;
 };
 
-PathRun measure_path(const scan::Floorplan& fp, grid::DecodePath path,
-                     bool batch_capture, std::size_t batch, int repeats = 3) {
+PathRun measure_serial(const scan::Floorplan& fp, int repeats = 3) {
   PathRun best;
   for (int r = 0; r < repeats; ++r) {
-    auto config = grid_config(1);
-    config.decode_path = path;
-    config.batch_capture = batch_capture;
-    config.batch = batch;
-    grid::ScanGrid g{fp, config, bench_rails(fp)};
+    grid::ScanGrid g{fp, grid_config(1), bench_rails(fp)};
     const std::uint64_t allocs_before = bench::alloc_count();
     auto run = g.run();
     const auto allocs =
@@ -120,7 +112,7 @@ PathRun measure_path(const scan::Floorplan& fp, grid::DecodePath path,
 
 void report() {
   bench::section(
-      "grid scaling — 16-site scan grid, samples/sec vs threads (streaming)");
+      "grid scaling — 16-site scan grid, samples/sec vs threads");
   const auto fp = scan::Floorplan::grid(4000.0, 4000.0, kRows, kCols);
   const auto reference = serial_reference(fp);
 
@@ -134,7 +126,7 @@ void report() {
     return identical;
   };
 
-  // Thread sweep on the default (streaming) decode path.
+  // Thread sweep over the one capture path.
   util::CsvTable table({"threads", "sites", "samples", "wall_ms",
                         "samples_per_sec", "speedup_vs_1t", "ring_stalls",
                         "bit_identical_to_serial"});
@@ -163,41 +155,13 @@ void report() {
   bench::note("bit_identical_to_serial must read 'yes' in every row: the "
               "runtime guarantees thread count never changes a measurement");
 
-  // Head-to-head: the vectorized SoA batch path vs the PR-5 per-sample
-  // streaming pipeline vs the legacy per-site decode, all at 1 thread on the
-  // same 16-site × 96-sample scan. The two historical sections stay pinned
-  // to their original shape (per-sample capture, dispatch batch 8) so the
-  // committed baselines keep measuring what they always measured; the batch
-  // section runs the new defaults (batch_capture, dispatch batch 96).
-  bench::section(
-      "grid decode paths — SIMD batch vs streaming vs per-site (1 thread)");
-  const auto batch =
-      measure_path(fp, grid::DecodePath::kStreaming, true, kSamples);
-  const auto streaming =
-      measure_path(fp, grid::DecodePath::kStreaming, false, 8);
-  const auto per_site =
-      measure_path(fp, grid::DecodePath::kPerSite, false, 8);
-
-  const auto identical_runs = [&](const grid::RunResult& a,
-                                  const grid::RunResult& b) {
-    bool identical = true;
-    for (std::size_t i = 0; i < a.sites.size(); ++i) {
-      for (std::size_t k = 0; k < kSamples; ++k) {
-        const auto& sa = a.sites[i].samples[k];
-        const auto& sb = b.sites[i].samples[k];
-        identical &= sa.word == sb.word;
-        identical &= sa.bin.lo == sb.bin.lo && sa.bin.hi == sb.bin.hi;
-      }
-    }
-    return identical;
-  };
-  const bool paths_identical = identical_runs(streaming.result, per_site.result);
-  const bool batch_vs_per_site = identical_runs(batch.result, per_site.result);
+  // The one capture path at 1 thread on the same 16-site × 96-sample scan:
+  // each site batch is one vectorized SoA capture, decoded in the drain.
+  bench::section("grid batch — one capture path, serial (1 thread)");
+  const auto batch = measure_serial(fp);
   const bool batch_serial_ok = identical_to_reference(batch.result);
-  const bool streaming_serial_ok = identical_to_reference(streaming.result);
-  const bool per_site_serial_ok = identical_to_reference(per_site.result);
 
-  util::CsvTable cmp({"decode_path", "ns_per_measure", "allocs_per_measure",
+  util::CsvTable cmp({"path", "ns_per_measure", "allocs_per_measure",
                       "samples_per_sec_1t", "bit_identical_to_serial"});
   cmp.new_row()
       .add("batch")
@@ -205,68 +169,20 @@ void report() {
       .add(batch.allocs_per_measure, 3)
       .add(batch.samples_per_sec, 2)
       .add(batch_serial_ok ? "yes" : "NO");
-  cmp.new_row()
-      .add("streaming")
-      .add(streaming.ns_per_measure, 2)
-      .add(streaming.allocs_per_measure, 3)
-      .add(streaming.samples_per_sec, 2)
-      .add(streaming_serial_ok ? "yes" : "NO");
-  cmp.new_row()
-      .add("per_site")
-      .add(per_site.ns_per_measure, 2)
-      .add(per_site.allocs_per_measure, 3)
-      .add(per_site.samples_per_sec, 2)
-      .add(per_site_serial_ok ? "yes" : "NO");
   bench::print_table(cmp);
-  {
-    char line[200];
-    std::snprintf(line, sizeof(line),
-                  "batch vs streaming: %.2fx; streaming vs per-site: %.2fx; "
-                  "words+bins bit-identical=%s",
-                  streaming.ns_per_measure / batch.ns_per_measure,
-                  per_site.ns_per_measure / streaming.ns_per_measure,
-                  (paths_identical && batch_vs_per_site) ? "yes" : "NO");
-    bench::note(line);
-  }
 
-  // Behavioral-grid perf baselines → BENCH_grid.json, gated by
+  // Behavioral-grid perf baseline → BENCH_grid.json, gated by
   // bench/check_bench_regression.py exactly like BENCH_simcore.json.
   // ns_per_measure is the serial (1-thread) end-to-end cost per published
   // sample through the engine layer; allocs_per_measure counts every
   // operator-new in the process across that run (engine construction
-  // amortised over sites × samples). `grid_behavioral` keeps the legacy
-  // per-site decode path so the history of the committed number stays
-  // comparable; `grid_streaming` is the new default pipeline.
+  // amortised over sites × samples).
   bench::JsonReport grid_json{"BENCH_grid.json"};
-  grid_json.set("grid_behavioral", "ns_per_measure", per_site.ns_per_measure);
-  grid_json.set("grid_behavioral", "allocs_per_measure",
-                per_site.allocs_per_measure);
-  grid_json.set("grid_behavioral", "samples_per_sec_1t",
-                per_site.samples_per_sec);
-  grid_json.set("grid_behavioral", "bit_identical_to_serial",
-                per_site_serial_ok ? 1.0 : 0.0);
-  grid_json.set("grid_streaming", "ns_per_measure", streaming.ns_per_measure);
-  grid_json.set("grid_streaming", "allocs_per_measure",
-                streaming.allocs_per_measure);
-  grid_json.set("grid_streaming", "samples_per_sec_1t",
-                streaming.samples_per_sec);
-  grid_json.set("grid_streaming", "bit_identical_to_serial",
-                streaming_serial_ok ? 1.0 : 0.0);
-  grid_json.set("grid_streaming", "bit_identical_to_per_site",
-                paths_identical ? 1.0 : 0.0);
-  grid_json.set("grid_streaming", "speedup_vs_per_site",
-                per_site.ns_per_measure / streaming.ns_per_measure);
-  // `grid_batch` is the vectorized SoA capture + bulk drain (the ISSUE-7
-  // tentpole): gated on ns/measure, allocs/measure and both identity bits.
   grid_json.set("grid_batch", "ns_per_measure", batch.ns_per_measure);
   grid_json.set("grid_batch", "allocs_per_measure", batch.allocs_per_measure);
   grid_json.set("grid_batch", "samples_per_sec_1t", batch.samples_per_sec);
   grid_json.set("grid_batch", "bit_identical_to_serial",
                 batch_serial_ok ? 1.0 : 0.0);
-  grid_json.set("grid_batch", "bit_identical_to_per_site",
-                batch_vs_per_site ? 1.0 : 0.0);
-  grid_json.set("grid_batch", "speedup_vs_streaming",
-                streaming.ns_per_measure / batch.ns_per_measure);
   grid_json.write();
   report_simcore_structural();
 }

@@ -11,10 +11,10 @@
 // (seed, site, sample, attempt), rerunning this binary reproduces the same
 // storm, the same traces, and the same words at any thread count.
 //
-// Note on decode paths: attaching an injector activates the chaos loop,
-// which forces the legacy per-site decode (DecodePath::kPerSite) — the
-// retry/vote/quarantine machinery consumes decoded bins at the point of each
-// recovery decision, so the streaming drain-pass ENC does not apply here.
+// Note on capture: attaching an injector switches every site to per-sample
+// capture — retry/vote/quarantine wrap each single-sample engine call — but
+// decode is unchanged: the published (majority) words stream through the
+// rings like any other, and the drain pass runs ENC + voltage conversion.
 #include <cstdio>
 #include <iostream>
 #include <map>

@@ -4,7 +4,7 @@
 // A 4×4 grid of sensor sites over one die, local rails derived from a solved
 // first-droop PDN waveform (corner sites droop harder), sampled by the
 // grid::ScanGrid runtime on a thread pool. Workers ship capture-only raw
-// words through the SPSC rings (the default streaming DecodePath); the
+// words through the SPSC rings (the grid's one capture path); the
 // aggregator's drain pass runs ENC + voltage conversion, tallies the
 // grid.enc.* statistics, and feeds every decoded sample into the attached
 // serve::TelemetryStore. Reporting then goes through the store's query API

@@ -177,9 +177,11 @@ RawSample BehavioralEngine::measure_raw(const MeasureRequest& req,
   return raw;
 }
 
-void BehavioralEngine::capture_batch(const MeasureRequest& first,
-                                     Picoseconds interval, std::size_t count,
-                                     const analog::RailPair& rails) {
+void BehavioralEngine::measure_raw_batch(const MeasureRequest& first,
+                                         Picoseconds interval,
+                                         std::size_t count,
+                                         const analog::RailPair& rails,
+                                         std::vector<RawSample>& out) {
   const DelayCode code = resolve_code(first);
   const SenseTarget target = first.target;
   const Picoseconds skew = pg_.skew(code);
@@ -225,47 +227,18 @@ void BehavioralEngine::capture_batch(const MeasureRequest& first,
       batch_words_[k] = sense_word(array, kernel, Volt{batch_v_[k]}, skew);
     }
   }
+
   // Word hook per sample, post-capture, in sample order — the same points
   // of the sequence sense() applies it at.
-  if (ctx_.has_word_hook()) {
-    for (std::size_t k = 0; k < count; ++k) ctx_.apply_word(batch_words_[k]);
-  }
-}
-
-void BehavioralEngine::measure_raw_batch(const MeasureRequest& first,
-                                         Picoseconds interval,
-                                         std::size_t count,
-                                         const analog::RailPair& rails,
-                                         std::vector<RawSample>& out) {
-  capture_batch(first, interval, count, rails);
-  const DelayCode code = resolve_code(first);
   out.reserve(out.size() + count);
   for (std::size_t k = 0; k < count; ++k) {
     RawSample raw;
     raw.timestamp = batch_launch_[k];
-    raw.target = first.target;
+    raw.target = target;
     raw.code = code;
     raw.word = batch_words_[k];
+    ctx_.apply_word(raw.word);
     out.push_back(raw);
-  }
-}
-
-void BehavioralEngine::measure_batch(const MeasureRequest& first,
-                                     Picoseconds interval, std::size_t count,
-                                     const analog::RailPair& rails,
-                                     std::vector<Measurement>& out) {
-  capture_batch(first, interval, count, rails);
-  const DelayCode code = resolve_code(first);
-  out.reserve(out.size() + count);
-  for (std::size_t k = 0; k < count; ++k) {
-    Measurement m;
-    m.timestamp = batch_launch_[k];
-    m.target = first.target;
-    m.code = code;
-    m.word = batch_words_[k];
-    m.bin = m.target == SenseTarget::kVdd ? decode(m.word, code)
-                                          : decode_gnd_word(m.word, code);
-    out.push_back(std::move(m));
   }
 }
 
@@ -307,43 +280,6 @@ std::size_t BehavioralEngine::adopt_sense_ladders(const BehavioralEngine& src) {
 // Type-erased handles
 // ---------------------------------------------------------------------------
 
-void IMeasureEngine::measure_batch(const MeasureRequest& first,
-                                   Picoseconds interval, std::size_t count,
-                                   std::vector<Measurement>& out) {
-  out.reserve(out.size() + count);
-  MeasureRequest req = first;
-  for (std::size_t k = 0; k < count; ++k) {
-    req.start = Picoseconds{first.start.value() +
-                            static_cast<double>(k) * interval.value()};
-    out.push_back(measure(req));
-  }
-}
-
-RawSample IMeasureEngine::measure_raw(const MeasureRequest& req) {
-  // Fallback for backends without the raw capability: run the full measure
-  // and drop the bin. Correct, but pays the decode — hot-path callers gate
-  // on supports_raw_samples() instead.
-  const Measurement m = measure(req);
-  RawSample raw;
-  raw.timestamp = m.timestamp;
-  raw.target = m.target;
-  raw.code = m.code;
-  raw.word = m.word;
-  return raw;
-}
-
-void IMeasureEngine::measure_raw_batch(const MeasureRequest& first,
-                                       Picoseconds interval, std::size_t count,
-                                       std::vector<RawSample>& out) {
-  out.reserve(out.size() + count);
-  MeasureRequest req = first;
-  for (std::size_t k = 0; k < count; ++k) {
-    req.start = Picoseconds{first.start.value() +
-                            static_cast<double>(k) * interval.value()};
-    out.push_back(measure_raw(req));
-  }
-}
-
 namespace {
 
 class BehavioralEngineHandle final : public IMeasureEngine {
@@ -362,31 +298,10 @@ class BehavioralEngineHandle final : public IMeasureEngine {
   [[nodiscard]] std::size_t word_bits() const override {
     return engine_.word_bits();
   }
-  Measurement measure(const MeasureRequest& req) override {
-    return engine_.measure(req, rails_);
-  }
-  void measure_batch(const MeasureRequest& first, Picoseconds interval,
-                     std::size_t count,
-                     std::vector<Measurement>& out) override {
-    engine_.measure_batch(first, interval, count, rails_, out);
-  }
-  // The vectorized SoA capture path. Auto-ranged sites must stay
-  // per-sample: the policy observes each published word before the next
-  // PREPARE, and a batch would freeze the trim sequence mid-flight.
-  [[nodiscard]] bool prefers_batch() const override {
-    return engine_.batch_capable() && !engine_.context().auto_ranging();
-  }
-  [[nodiscard]] bool supports_raw_samples() const override { return true; }
-  RawSample measure_raw(const MeasureRequest& req) override {
-    return engine_.measure_raw(req, rails_);
-  }
   void measure_raw_batch(const MeasureRequest& first, Picoseconds interval,
                          std::size_t count,
                          std::vector<RawSample>& out) override {
     engine_.measure_raw_batch(first, interval, count, rails_, out);
-  }
-  VoltageBin decode(const ThermoWord& word, DelayCode code) override {
-    return engine_.decode(word, code);
   }
   [[nodiscard]] EncodedWord encode(const ThermoWord& word) const override {
     return engine_.encode(word);
@@ -404,19 +319,18 @@ class BehavioralEngineHandle final : public IMeasureEngine {
 };
 
 // Gate-level backend: a private event simulator running the full Fig. 6
-// netlist. One netlist transaction covers prepare+sense, so measure() maps
-// onto run_measures(1) and measure_batch amortizes FSM idle realignment
-// across the whole batch. The PG MUX selects are the FSM's live code
-// register, so auto-range works at gate level: each measure resolves its
-// code from the context policy and a change reloads the register through
-// INIT.
-// Thread-confined: build and measure on one thread.
+// netlist. One netlist transaction covers prepare+sense, so a batch maps
+// onto one run_measures(count), amortizing FSM idle realignment across the
+// whole batch. The PG MUX selects are the FSM's live code register, so
+// auto-range works at gate level: each call resolves its code from the
+// context policy and a change reloads the register through INIT.
+// Thread-confined: build and capture on one thread.
 class StructuralEngineHandle final : public IMeasureEngine {
  public:
   StructuralEngineHandle(const SensorArray& array, const PulseGenerator& pg,
                          analog::RailPair rails, Picoseconds control_period,
                          const EngineSiteOptions& options)
-      : array_(array), pg_(pg), kernel_(array_), encoder_(BubblePolicy::kMajority) {
+      : array_(array), pg_(pg), encoder_(BubblePolicy::kMajority) {
     code_ = options.code_policy.initial;
     if (options.code_policy.window) {
       code_ = tune_for_window(array_, pg_, options.code_policy.window->lo,
@@ -450,56 +364,29 @@ class StructuralEngineHandle final : public IMeasureEngine {
   EngineContext& context() override { return ctx_; }
   [[nodiscard]] std::size_t word_bits() const override { return array_.bits(); }
 
-  Measurement measure(const MeasureRequest& req) override {
-    const DelayCode code = resolve_code(req);
-    const auto words = run_words(code, 1);
-    return to_measurement(req.start, code, words.front());
-  }
-
-  void measure_batch(const MeasureRequest& first, Picoseconds interval,
-                     std::size_t count, std::vector<Measurement>& out) override {
-    const DelayCode code = resolve_code(first);
-    const auto words = run_words(code, count);
-    out.reserve(out.size() + count);
-    for (std::size_t k = 0; k < count; ++k) {
-      const Picoseconds at{first.start.value() +
-                           static_cast<double>(k) * interval.value()};
-      out.push_back(to_measurement(at, code, words[k]));
-    }
-  }
-
-  // Auto-ranged sites must stay per-sample (the policy observes each word
-  // before the next PREPARE); fixed-code sites amortize the whole batch
-  // through one netlist run.
-  [[nodiscard]] bool prefers_batch() const override {
-    return !ctx_.auto_ranging();
-  }
   [[nodiscard]] bool supports_voting() const override { return false; }
 
-  [[nodiscard]] bool supports_raw_samples() const override { return true; }
-  RawSample measure_raw(const MeasureRequest& req) override {
-    const DelayCode code = resolve_code(req);
-    const auto words = run_words(code, 1);
-    return to_raw(req.start, code, words.front());
-  }
   void measure_raw_batch(const MeasureRequest& first, Picoseconds interval,
                          std::size_t count,
                          std::vector<RawSample>& out) override {
-    // The big win for the netlist backend: one simulator run for the whole
-    // batch and zero per-word decode — the drain pass owns ENC + voltage.
     const DelayCode code = resolve_code(first);
-    const auto words = run_words(code, count);
+    system_->set_code(code);
+    const auto words =
+        system_->run_measures(count, /*configure_first=*/!configured_);
+    configured_ = true;
     out.reserve(out.size() + count);
     for (std::size_t k = 0; k < count; ++k) {
-      const Picoseconds at{first.start.value() +
-                           static_cast<double>(k) * interval.value()};
-      out.push_back(to_raw(at, code, words[k]));
+      RawSample raw;
+      raw.timestamp = Picoseconds{first.start.value() +
+                                  static_cast<double>(k) * interval.value()};
+      raw.target = SenseTarget::kVdd;
+      raw.code = code;
+      raw.word = words[k];
+      ctx_.apply_word(raw.word);
+      out.push_back(raw);
     }
   }
 
-  VoltageBin decode(const ThermoWord& word, DelayCode code) override {
-    return kernel_.decode(array_, word, code, pg_.skew(code));
-  }
   [[nodiscard]] EncodedWord encode(const ThermoWord& word) const override {
     return encoder_.encode(word);
   }
@@ -519,45 +406,12 @@ class StructuralEngineHandle final : public IMeasureEngine {
     return req.code ? *req.code : ctx_.current_code();
   }
 
-  std::vector<ThermoWord> run_words(DelayCode code, std::size_t count) {
-    system_->set_code(code);
-    auto words =
-        system_->run_measures(count, /*configure_first=*/!configured_);
-    configured_ = true;
-    if (ctx_.has_word_hook()) {
-      for (ThermoWord& word : words) ctx_.apply_word(word);
-    }
-    return words;
-  }
-
-  Measurement to_measurement(Picoseconds at, DelayCode code,
-                             const ThermoWord& word) {
-    Measurement m;
-    m.timestamp = at;
-    m.target = SenseTarget::kVdd;
-    m.code = code;
-    m.word = word;
-    m.bin = decode(word, code);
-    return m;
-  }
-
-  [[nodiscard]] RawSample to_raw(Picoseconds at, DelayCode code,
-                                 const ThermoWord& word) const {
-    RawSample raw;
-    raw.timestamp = at;
-    raw.target = SenseTarget::kVdd;
-    raw.code = code;
-    raw.word = word;
-    return raw;
-  }
-
   sim::Simulator sim_;
   SensorArray array_;
   PulseGenerator pg_;
   EngineContext ctx_;
   std::optional<ContextOffsetRail> offset_vdd_;
   std::unique_ptr<FullStructuralSystem> system_;
-  mutable BatchedSenseKernel kernel_;
   Encoder encoder_;
   DelayCode code_{3};
   bool configured_ = false;

@@ -1,26 +1,28 @@
 // MeasureEngine: the single measurement contract behind every sensing path.
 //
-// The paper's system (Fig. 6) is one pipeline — PG skew, PREPARE/SENSE, array
-// sample, ENC — and this layer makes the codebase mirror that: every backend
-// (the behavioral NoiseThermometer model, the gate-level structural netlist,
-// and any future SIMD-batched or remote-site engine) implements the same
+// The paper's system (Fig. 6) is one pipeline — PG skew, PREPARE/SENSE, FF
+// array sample, then one ENC — and this layer makes the codebase mirror
+// that. Every backend (the behavioral NoiseThermometer model, the gate-level
+// structural netlist, a remote site behind a socket) implements one capture
+// call,
 //
-//     prepare(request) -> launch instant
-//     sense(rails, code) -> ThermoWord      (word hook applied post-capture)
-//     decode / encode
+//     measure_raw_batch(first, interval, count) -> RawSamples
 //
-// transaction, and every consumer — the serial scan chain, the parallel scan
-// grid, the resilience retry/vote/quarantine loop — speaks only this contract.
+// (a count of 1 is just a batch), and the word hook runs post-capture inside
+// it. ENC and voltage conversion are not engine work: consumers run them
+// downstream through a StreamingEncoder and one shared DecodeLadder — the
+// scan grid in its drain pass.
 //
 // Two polymorphism styles, matching the two consumer shapes:
 //
 //  * `MeasureEngine` (a C++20 concept) is the static-polymorphic contract for
-//    code specialized at compile time (the scan chain, tight benches).
-//    `BehavioralEngine` satisfies it directly.
+//    code specialized at compile time: the serial scan chain, which still
+//    decodes inside the engine and is therefore the grid's independent
+//    reference. `BehavioralEngine` satisfies it directly.
 //  * `IMeasureEngine` / `EngineHandle` is a thin type-erased handle for the
-//    grid, where behavioral and gate-level sites coexist at runtime. Site
-//    fidelity and fault-hook installation are *construction parameters* of
-//    the handle factories, never branches in the consumer.
+//    grid, where behavioral, gate-level and remote sites coexist at runtime.
+//    Site fidelity and fault-hook installation are *construction parameters*
+//    of the handle factories, never branches in the consumer.
 //
 // Hook surface (the ONLY one in the codebase)
 //   `EngineContext` carries exactly three cross-cutting concerns:
@@ -210,23 +212,20 @@ class BehavioralEngine {
   // --- vectorized batch capture (the SoA hot path, DESIGN.md §14) -------
   // `count` consecutive capture transactions starting at first.start spaced
   // by `interval`, appended to `out`. Bit-identical to the equivalent
-  // measure_raw / measure loop: the FSM walk, launch instants and rail
-  // reads replay the scalar arithmetic per sample; the SENSE itself runs
-  // through BatchedSenseKernel::measure_batch (per-sample scalar fallback
-  // where the compare ladder flags a sample); the word hook then applies
-  // per sample, in sample order, post-capture. Assumes rails are pure
-  // functions of time across the batch — true for every RailSource — and
-  // that the hook does not read rail state mid-batch (the one hook
-  // installer, fault::FaultSession, never does: chaos runs per-sample
-  // measure()).
+  // measure_raw loop: the FSM walk, launch instants and rail reads replay
+  // the scalar arithmetic per sample; the SENSE itself runs through
+  // BatchedSenseKernel::measure_batch (per-sample scalar fallback where the
+  // compare ladder flags a sample); the word hook then applies per sample,
+  // in sample order, post-capture. Assumes rails are pure functions of time
+  // across the batch — true for every RailSource — and that the hook does
+  // not read rail state mid-batch (the one hook installer,
+  // fault::FaultSession, arms one sample at a time: the grid's resilient
+  // loop captures with count 1).
   void measure_raw_batch(const MeasureRequest& first, Picoseconds interval,
                          std::size_t count, const analog::RailPair& rails,
                          std::vector<RawSample>& out);
-  void measure_batch(const MeasureRequest& first, Picoseconds interval,
-                     std::size_t count, const analog::RailPair& rails,
-                     std::vector<Measurement>& out);
-  // True when measure_raw_batch can beat the per-sample loop: the kernels'
-  // vectorized compare path is available for this array.
+  // True when the kernels' vectorized compare path serves this array; when
+  // false every batch sample takes the scalar sense (still bit-identical).
   [[nodiscard]] bool batch_capable() const {
     return high_kernel_.vectorizable();
   }
@@ -266,12 +265,6 @@ class BehavioralEngine {
   [[nodiscard]] ThermoWord sense_word(const SensorArray& array,
                                       const BatchedSenseKernel& kernel,
                                       Volt v_eff, Picoseconds skew) const;
-  // Shared core of the batch entry points: runs `count` transactions,
-  // leaving launch instants in batch_launch_ and post-hook words in
-  // batch_words_.
-  void capture_batch(const MeasureRequest& first, Picoseconds interval,
-                     std::size_t count, const analog::RailPair& rails);
-
   SensorArray high_sense_;
   SensorArray low_sense_;
   PulseGenerator pg_;
@@ -312,43 +305,22 @@ class IMeasureEngine {
   virtual EngineContext& context() = 0;
   [[nodiscard]] virtual std::size_t word_bits() const = 0;
 
-  // One full PREPARE+SENSE transaction against the engine's bound rails.
-  virtual Measurement measure(const MeasureRequest& req) = 0;
-
-  // `count` consecutive transactions starting at `first.start`, spaced by
-  // `interval`, appended to `out`. Backends that amortize per-transaction
-  // setup (the structural netlist) override this; the default loops
-  // measure().
-  virtual void measure_batch(const MeasureRequest& first, Picoseconds interval,
-                             std::size_t count, std::vector<Measurement>& out);
-  // True when measure_batch is materially cheaper than measure() in a loop.
-  [[nodiscard]] virtual bool prefers_batch() const { return false; }
-
-  // --- raw-capture path (streaming pipeline) ----------------------------
-  // True when the backend can ship capture-only RawSamples, skipping ENC and
-  // voltage conversion on its own thread (the grid's streaming drain then
-  // encodes/decodes in bulk). Backends without the capability keep the
-  // legacy full-measure path; consumers must check before calling the raw
-  // entry points on a hot path (the defaults fall back to measure(), which
-  // pays the decode the caller was trying to avoid).
-  [[nodiscard]] virtual bool supports_raw_samples() const { return false; }
-  // One capture-only transaction: word + code + launch instant, no ENC, no
-  // bin. The word hook has already run. Default derives from measure().
-  virtual RawSample measure_raw(const MeasureRequest& req);
-  // Batch form of measure_raw, same schedule contract as measure_batch.
+  // The one capture call: `count` consecutive PREPARE+SENSE transactions
+  // against the bound rails, starting at `first.start` and spaced by
+  // `interval`, appended to `out` as capture-only RawSamples (word, code,
+  // launch instant; no ENC, no bin). The word hook has already run.
+  // `first.code` overrides the context's code policy for the whole call.
   virtual void measure_raw_batch(const MeasureRequest& first,
                                  Picoseconds interval, std::size_t count,
-                                 std::vector<RawSample>& out);
+                                 std::vector<RawSample>& out) = 0;
 
-  // Per-transaction delay-code trim (auto-range, drift injection). False for
-  // backends whose PG tap is hard-selected at construction (the netlist).
-  [[nodiscard]] virtual bool supports_code_trim() const { return true; }
+  // The ENC the context's auto-range policy observes a published word
+  // through (EngineContext::observe).
+  [[nodiscard]] virtual EncodedWord encode(const ThermoWord& word) const = 0;
+
   // Majority voting re-measures the same sample; false when the backend
   // cannot replay a sample independently of its live state.
   [[nodiscard]] virtual bool supports_voting() const { return true; }
-
-  virtual VoltageBin decode(const ThermoWord& word, DelayCode code) = 0;
-  [[nodiscard]] virtual EncodedWord encode(const ThermoWord& word) const = 0;
 
   // Simulation cost since the previous call (or construction). Zeros for
   // non-simulating backends.
@@ -386,7 +358,7 @@ std::size_t share_sense_ladders(IMeasureEngine& dst, const IMeasureEngine& src);
 // structurally: window tuning picks the starting code, per-measure
 // resolution follows the context (auto_range included — a code change
 // reloads the register through INIT).
-// Build on the thread that will call measure(): the netlist is
+// Build on the thread that will capture through it: the netlist is
 // thread-confined.
 [[nodiscard]] EngineHandle make_structural_engine(
     const SensorArray& array, const PulseGenerator& pg, analog::RailPair rails,

@@ -16,7 +16,7 @@
 // read-only across threads, which is what lets the grid decode on the
 // aggregator while workers keep capturing. decode() mirrors
 // BatchedSenseKernel::decode operand-for-operand, so bins are bit-identical
-// to the per-site decode path.
+// to an engine's own decode (the serial scan chain's reference path).
 #pragma once
 
 #include <array>

@@ -20,31 +20,11 @@ namespace {
 
 // One capture in flight from a worker to the aggregator. `raw.site_id`
 // carries the grid-internal site *index* (matrix row), `raw.sample_index`
-// the column. On the streaming path `decoded` is false and the drain pass
-// owns ENC + voltage conversion; the legacy/chaos paths ship the bin they
-// already computed (`decoded` true) and the drain publishes it as-is.
+// the column; the drain pass owns ENC + voltage conversion.
 struct GridSample {
   core::RawSample raw;
-  core::VoltageBin bin;
-  bool decoded = false;
-  double wall_us = 0.0;  // producer-side wall time of the measure
+  double wall_us = 0.0;  // producer-side capture wall time, batch average
 };
-
-// Legacy/chaos producer: splits an already-decoded Measurement back into the
-// wire format so both paths share one ring payload and one drain loop.
-GridSample to_grid_sample(std::uint32_t site_index, std::size_t sample_index,
-                          const core::Measurement& m) {
-  GridSample s;
-  s.raw.site_id = site_index;
-  s.raw.sample_index = static_cast<std::uint32_t>(sample_index);
-  s.raw.timestamp = m.timestamp;
-  s.raw.target = m.target;
-  s.raw.code = m.code;
-  s.raw.word = m.word;
-  s.bin = m.bin;
-  s.decoded = true;
-  return s;
-}
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -70,7 +50,7 @@ struct ScanGrid::Site {
   // hook detaches before the context it points into goes away.
   std::unique_ptr<fault::FaultSession> fault_session;
 
-  // --- degradation accounting (idle unless the chaos path runs) ---------
+  // --- degradation accounting (idle unless resilient capture runs) -----
   bool quarantined = false;
   std::uint32_t quarantine_sample = 0;
   std::uint32_t fail_streak = 0;  // consecutive lost samples
@@ -85,8 +65,8 @@ struct ScanGrid::Shard {
   std::size_t index = 0;
   std::vector<Site*> sites;
   SpscRing<GridSample> ring;
-  // Streaming capture buffers, reused across batches. Touched only by the
-  // shard's single worker thread.
+  // Capture buffers, reused across batches. Touched only by the shard's
+  // single worker thread.
   std::vector<core::RawSample> scratch;
   std::vector<GridSample> sample_scratch;
   std::atomic<bool> done{false};
@@ -96,35 +76,31 @@ struct ScanGrid::Shard {
 
 namespace {
 
-// Producer-side backpressure: block (lossless, stalls counted) or drop the
-// newest sample (lossy, drops counted). `produced` counts every attempt.
-// `forced_full_pushes` is the ring-overflow-storm hook: that many pushes are
-// treated as having hit a full ring before the real push happens — stalls
-// under kBlockProducer (lossless), a drop under kDropNewest.
-void push_with_backpressure(BackpressurePolicy policy,
-                            SpscRing<GridSample>& ring, GridSample& sample,
-                            Counter& stalls, Counter& drops, Counter& produced,
-                            std::uint32_t forced_full_pushes = 0) {
-  produced.increment();
-  if (policy == BackpressurePolicy::kBlockProducer) {
-    for (std::uint32_t i = 0; i < forced_full_pushes; ++i) {
-      stalls.increment();
-      std::this_thread::yield();
-    }
-    while (!ring.try_push(std::move(sample))) {
-      stalls.increment();
-      std::this_thread::yield();
-    }
-  } else if (forced_full_pushes > 0 || !ring.try_push(std::move(sample))) {
+// Ring-overflow-storm hook: `forced_full_pushes` pushes are treated as
+// having hit a full ring before the sample's real push — counted stalls
+// under kBlockProducer (lossless: returns true, the sample still ships), a
+// counted drop under kDropNewest (returns false: the sample is produced but
+// never enters the ring).
+bool absorb_forced_full(BackpressurePolicy policy,
+                        std::uint32_t forced_full_pushes, Counter& stalls,
+                        Counter& drops, Counter& produced) {
+  if (policy == BackpressurePolicy::kDropNewest) {
+    produced.increment();
     drops.increment();
+    return false;
   }
+  for (std::uint32_t i = 0; i < forced_full_pushes; ++i) {
+    stalls.increment();
+    std::this_thread::yield();
+  }
+  return true;
 }
 
-// Span form for the batched capture path: one try_push_span call moves the
-// whole batch through two atomics when the ring has room; the remainder (a
-// full ring) falls back to the same per-sample policy semantics as above —
-// block-and-yield with stalls counted, or drop with every lost sample
-// counted.
+// Producer-side backpressure for one site batch: one try_push_span call
+// moves the whole batch through two atomics when the ring has room; the
+// remainder (a full ring) blocks and yields with stalls counted
+// (kBlockProducer, lossless) or is dropped with every lost sample counted
+// (kDropNewest). `produced` counts every sample offered.
 void push_span_with_backpressure(BackpressurePolicy policy,
                                  SpscRing<GridSample>& ring,
                                  GridSample* samples, std::size_t n,
@@ -145,6 +121,35 @@ void push_span_with_backpressure(BackpressurePolicy policy,
 }
 
 }  // namespace
+
+// Telemetry instruments of the resilient capture, resolved once at
+// construction.
+struct ScanGrid::ChaosCounters {
+  explicit ChaosCounters(TelemetryRegistry& t)
+      : injected(t.counter("grid.fault.injected")),
+        retries(t.counter("grid.retries")),
+        recovered(t.counter("grid.samples_recovered")),
+        lost(t.counter("grid.samples_lost")),
+        quarantined(t.counter("grid.sites_quarantined")),
+        vote_overrides(t.counter("grid.vote_overrides")),
+        timeouts(t.counter("grid.measure_timeouts")),
+        backoff_us(t.counter("grid.backoff_us")) {
+    for (std::size_t k = 0; k < fault::kFaultKindCount; ++k) {
+      by_kind[k] = &t.counter(std::string("grid.fault.") +
+                              fault::to_string(static_cast<fault::FaultKind>(k)));
+    }
+  }
+
+  Counter& injected;
+  Counter& retries;
+  Counter& recovered;
+  Counter& lost;
+  Counter& quarantined;
+  Counter& vote_overrides;
+  Counter& timeouts;
+  Counter& backoff_us;
+  std::array<Counter*, fault::kFaultKindCount> by_kind{};
+};
 
 ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
                    RailFactory vdd_factory, RailFactory gnd_factory)
@@ -167,10 +172,9 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
     PSNT_CHECK(config_.store->config().shards == 1,
                "the grid drain is a single writer; use a 1-shard store");
   }
-  chaos_ = config_.injector != nullptr || config_.resilience.enabled();
-  // Chaos recovery (retry/vote/quarantine) consumes decoded bins at the
-  // point of the failure, so the chaos path always runs per-site decode.
-  streaming_ = config_.decode_path == DecodePath::kStreaming && !chaos_;
+  if (config_.injector != nullptr || config_.resilience.enabled()) {
+    chaos_ = std::make_unique<ChaosCounters>(telemetry_);
+  }
 
   // Resolve the hot-path instruments once: counter() takes a std::string
   // and these names overflow SSO, so looking them up per site batch was the
@@ -185,11 +189,7 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
   // Force the (thread-safe, but serial) calibration fit before any worker
   // can race to be first through the magic static.
   (void)calib::calibrated();
-  if (streaming_) {
-    // Built on the constructor thread, immutable afterwards: the drain pass
-    // decodes against this instead of any engine's mutable kernel cache.
-    ladder_ = calib::make_paper_decode_ladder(calib::calibrated().model);
-  }
+  ladder_ = calib::make_paper_decode_ladder(calib::calibrated().model);
 
   // Sites are built in floorplan order on the caller thread so every
   // stochastic draw happens in a deterministic sequence per site.
@@ -218,7 +218,7 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
   // behavior change. Auto-ranged grids walk codes at runtime; their first
   // step per code still solves lazily (and correctly) as before.
   if (config_.fidelity == SiteFidelity::kBehavioral &&
-      !config_.engine_factory && config_.batch_capture && sites_.size() > 1) {
+      !config_.engine_factory && sites_.size() > 1) {
     core::IMeasureEngine& first = *sites_.front()->engine;
     if (core::prewarm_sense_ladders(first,
                                     first.context().current_code())) {
@@ -291,114 +291,91 @@ void ScanGrid::ensure_engine(Site& site) {
   }
 }
 
-void ScanGrid::observe_code_policy(Site& site, const core::ThermoWord& word) {
-  core::EngineContext& ctx = site.engine->context();
-  if (!ctx.auto_ranging()) return;
-  ctx.observe(site.engine->encode(word), word.width());
-}
-
 void ScanGrid::run_site_batch(Site& site, std::size_t first, std::size_t count,
                               Shard& shard) {
   ensure_engine(site);
   core::IMeasureEngine& engine = *site.engine;
-
-  if (config_.batch_capture && engine.prefers_batch()) {
-    core::MeasureRequest req;
-    req.start = sample_time(first);
-    std::vector<core::Measurement> batch;
-    const double t0 = now_seconds();
-    engine.measure_batch(req, config_.interval, count, batch);
-    const double batch_seconds = now_seconds() - t0;
-    const core::EngineBatchStats stats = engine.take_batch_stats();
-    if (stats.sim_events > 0) {
-      hot_.sim_events->increment(stats.sim_events);
-      hot_.sim_allocs->increment(stats.sim_allocs);
-      // Worker-side simulation time (excludes ring/aggregator); the perf
-      // bench derives its ns-per-structural-measure from this. Guarded so
-      // vectorized behavioral batches (zero sim events) don't dilute it.
-      hot_.structural_ns->increment(
-          static_cast<std::uint64_t>(batch_seconds * 1e9));
-    }
-    const double per_sample_us =
-        batch_seconds * 1e6 / static_cast<double>(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      GridSample s = to_grid_sample(site.index, first + k, batch[k]);
-      s.wall_us = per_sample_us;
-      push_with_backpressure(config_.backpressure, shard.ring, s,
-                             *hot_.stalls, *hot_.drops, *hot_.produced);
-    }
-    return;
-  }
-
-  for (std::size_t k = first; k < first + count; ++k) {
-    const double t0 = now_seconds();
-    core::MeasureRequest req;
-    req.start = sample_time(k);
-    const core::Measurement m = engine.measure(req);
-    const double wall_us = (now_seconds() - t0) * 1e6;
-    observe_code_policy(site, m.word);
-    GridSample s = to_grid_sample(site.index, k, m);
-    s.wall_us = wall_us;
-    push_with_backpressure(config_.backpressure, shard.ring, s, *hot_.stalls,
-                           *hot_.drops, *hot_.produced);
-  }
-}
-
-void ScanGrid::run_site_batch_streaming(Site& site, std::size_t first,
-                                        std::size_t count, Shard& shard) {
-  ensure_engine(site);
-  // Per-site fallback: engines without the raw capability keep the legacy
-  // decode-in-transaction path; the drain handles both payload shapes.
-  if (!site.engine->supports_raw_samples()) {
-    run_site_batch(site, first, count, shard);
-    return;
-  }
-  core::IMeasureEngine& engine = *site.engine;
-  const bool batched = config_.batch_capture && engine.prefers_batch();
-
+  core::EngineContext& ctx = engine.context();
+  const ResiliencePolicy& policy = config_.resilience;
   shard.scratch.clear();
+  core::MeasureRequest req;
   const double t0 = now_seconds();
-  if (batched) {
-    // One backend run for the whole batch — the vectorized behavioral SoA
-    // capture or the structural netlist — zero per-word decode anywhere on
-    // the worker.
-    core::MeasureRequest req;
+  if (!chaos_ && !ctx.auto_ranging()) {
+    // Nothing to do between two captures: one engine call for the whole
+    // batch — the vectorized behavioral SoA capture, one netlist run, one
+    // remote round trip.
     req.start = sample_time(first);
     engine.measure_raw_batch(req, config_.interval, count, shard.scratch);
+    for (std::size_t k = 0; k < count; ++k) {
+      shard.scratch[k].sample_index = static_cast<std::uint32_t>(first + k);
+    }
   } else {
-    // Per-sample captures so auto-range feedback sees every word before the
-    // next PREPARE — same trim sequence as the legacy path, hence the
-    // bit-identity guarantee extends to auto-ranged sites.
-    shard.scratch.reserve(count);
+    // Per-sample loop: auto-range observes each published word before the
+    // next PREPARE; retry, vote and quarantine wrap each count-1 capture.
     for (std::size_t k = first; k < first + count; ++k) {
-      core::MeasureRequest req;
-      req.start = sample_time(k);
-      shard.scratch.push_back(engine.measure_raw(req));
-      observe_code_policy(site, shard.scratch.back().word);
+      if (site.quarantined) {
+        ++site.lost;
+        chaos_->lost.increment();
+        continue;
+      }
+      std::uint32_t forced_full_pushes = 0;
+      if (chaos_) {
+        core::RawSample raw;
+        if (!resilient_capture(site, k, raw, forced_full_pushes)) {
+          ++site.lost;
+          chaos_->lost.increment();
+          ++site.fail_streak;
+          if (policy.quarantine_after > 0 &&
+              site.fail_streak >= policy.quarantine_after) {
+            site.quarantined = true;
+            site.quarantine_sample = static_cast<std::uint32_t>(k + 1);
+            chaos_->quarantined.increment();
+          }
+          continue;
+        }
+        site.fail_streak = 0;
+        shard.scratch.push_back(raw);
+      } else {
+        req.start = sample_time(k);
+        engine.measure_raw_batch(req, config_.interval, 1, shard.scratch);
+      }
+      core::RawSample& raw = shard.scratch.back();
+      raw.sample_index = static_cast<std::uint32_t>(k);
+      // Auto-range feedback: once per published sample, on the published
+      // (majority) word — never per capture, so votes and retries leave
+      // the trim sequence untouched.
+      if (ctx.auto_ranging()) {
+        ctx.observe(engine.encode(raw.word), raw.word.width());
+      }
+      if (forced_full_pushes > 0 &&
+          !absorb_forced_full(config_.backpressure, forced_full_pushes,
+                              *hot_.stalls, *hot_.drops, *hot_.produced)) {
+        shard.scratch.pop_back();
+      }
     }
   }
   const double batch_seconds = now_seconds() - t0;
-  if (batched) {
-    const core::EngineBatchStats stats = engine.take_batch_stats();
-    if (stats.sim_events > 0) {
-      hot_.sim_events->increment(stats.sim_events);
-      hot_.sim_allocs->increment(stats.sim_allocs);
-      hot_.structural_ns->increment(
-          static_cast<std::uint64_t>(batch_seconds * 1e9));
-    }
+
+  const core::EngineBatchStats stats = engine.take_batch_stats();
+  if (stats.sim_events > 0) {
+    hot_.sim_events->increment(stats.sim_events);
+    hot_.sim_allocs->increment(stats.sim_allocs);
+    // Worker-side simulation time (excludes ring/aggregator); the perf
+    // bench derives its ns-per-structural-measure from this. Guarded so
+    // behavioral captures (zero sim events) don't dilute it.
+    hot_.structural_ns->increment(
+        static_cast<std::uint64_t>(batch_seconds * 1e9));
   }
 
   const double per_sample_us =
       batch_seconds * 1e6 / static_cast<double>(count);
   shard.sample_scratch.clear();
-  shard.sample_scratch.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
+  for (const core::RawSample& raw : shard.scratch) {
     GridSample s;
-    s.raw = shard.scratch[k];
+    s.raw = raw;
     s.raw.site_id = site.index;
-    s.raw.sample_index = static_cast<std::uint32_t>(first + k);
     s.wall_us = per_sample_us;
-    shard.sample_scratch.push_back(std::move(s));
+    shard.sample_scratch.push_back(s);
   }
   push_span_with_backpressure(config_.backpressure, shard.ring,
                               shard.sample_scratch.data(),
@@ -406,47 +383,18 @@ void ScanGrid::run_site_batch_streaming(Site& site, std::size_t first,
                               *hot_.drops, *hot_.produced);
 }
 
-// Telemetry instruments of the chaos path, resolved once per batch.
-struct ScanGrid::ChaosCounters {
-  explicit ChaosCounters(TelemetryRegistry& t)
-      : injected(t.counter("grid.fault.injected")),
-        retries(t.counter("grid.retries")),
-        recovered(t.counter("grid.samples_recovered")),
-        lost(t.counter("grid.samples_lost")),
-        quarantined(t.counter("grid.sites_quarantined")),
-        vote_overrides(t.counter("grid.vote_overrides")),
-        timeouts(t.counter("grid.measure_timeouts")),
-        backoff_us(t.counter("grid.backoff_us")) {
-    for (std::size_t k = 0; k < fault::kFaultKindCount; ++k) {
-      by_kind[k] = &t.counter(std::string("grid.fault.") +
-                              fault::to_string(static_cast<fault::FaultKind>(k)));
-    }
-  }
-
-  Counter& injected;
-  Counter& retries;
-  Counter& recovered;
-  Counter& lost;
-  Counter& quarantined;
-  Counter& vote_overrides;
-  Counter& timeouts;
-  Counter& backoff_us;
-  std::array<Counter*, fault::kFaultKindCount> by_kind{};
-};
-
 void ScanGrid::record_fault_events(Site& site,
                                    const fault::MeasureFaults& faults,
-                                   std::size_t sample, std::uint32_t attempt,
-                                   ChaosCounters& counters) {
+                                   std::size_t sample, std::uint32_t attempt) {
   if (!faults.any()) return;
   const std::size_t before = site.trace.size();
   fault::FaultInjector::append_events(faults, site.id,
                                       static_cast<std::uint32_t>(sample),
                                       attempt, site.trace);
   const std::size_t added = site.trace.size() - before;
-  counters.injected.increment(added);
+  chaos_->injected.increment(added);
   for (std::size_t i = before; i < site.trace.size(); ++i) {
-    counters.by_kind[static_cast<std::size_t>(site.trace[i].kind)]
+    chaos_->by_kind[static_cast<std::size_t>(site.trace[i].kind)]
         ->increment();
   }
 }
@@ -471,23 +419,31 @@ void apply_backoff(const ResiliencePolicy& policy, std::size_t attempt,
 
 }  // namespace
 
-bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
-                             core::Measurement& out,
-                             std::uint32_t& forced_stall_pushes,
-                             ChaosCounters& counters) {
+bool ScanGrid::resilient_capture(Site& site, std::size_t sample,
+                                 core::RawSample& out,
+                                 std::uint32_t& forced_full_pushes) {
   const ResiliencePolicy& policy = config_.resilience;
+  ChaosCounters& counters = *chaos_;
   core::IMeasureEngine& engine = *site.engine;
   // Voting re-measures the sample; engines that cannot (the live netlist)
-  // run a single vote. Retrying a measure re-measures either way, exactly
+  // run a single vote. Retrying a capture re-measures either way, exactly
   // as silicon would.
   const std::size_t votes =
       engine.supports_voting() ? std::max<std::size_t>(1, policy.votes) : 1;
   const std::size_t attempts_per_vote = policy.max_retries + 1;
   const std::size_t width = engine.word_bits();
 
-  std::vector<core::Measurement> vote_ms;
-  vote_ms.reserve(votes);
+  std::vector<core::RawSample> vote_raws;
+  vote_raws.reserve(votes);
   bool needed_retry = false;
+  const auto retry_after_failure = [&](std::size_t a) {
+    if (a + 1 < attempts_per_vote) {
+      ++site.retries;
+      counters.retries.increment();
+      apply_backoff(policy, a + 1, counters.backoff_us);
+      needed_retry = true;
+    }
+  };
 
   for (std::size_t v = 0; v < votes; ++v) {
     for (std::size_t a = 0; a < attempts_per_vote; ++a) {
@@ -498,67 +454,52 @@ bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
         f = site.fault_session->roll(static_cast<std::uint32_t>(sample),
                                      attempt, width);
       }
-      // Code drift is not injectable when the engine's tap is hard-selected
-      // at construction; drop the lane before it reaches the trace.
-      if (!engine.supports_code_trim()) f.code_delta = 0;
-      record_fault_events(site, f, sample, attempt, counters);
+      record_fault_events(site, f, sample, attempt);
       if (f.dead || f.hung) {
         if (f.hung) counters.timeouts.increment();
-        if (a + 1 < attempts_per_vote) {
-          ++site.retries;
-          counters.retries.increment();
-          apply_backoff(policy, a + 1, counters.backoff_us);
-          needed_retry = true;
-        }
+        retry_after_failure(a);
         continue;
       }
       core::MeasureRequest req;
       req.start = sample_time(sample);
-      if (engine.supports_code_trim()) {
-        req.code = drifted_code(engine.context().current_code(), f.code_delta);
-      }
+      req.code = drifted_code(engine.context().current_code(), f.code_delta);
       if (site.fault_session) site.fault_session->arm(f);
-      core::Measurement m;
+      const std::size_t before = vote_raws.size();
       try {
-        m = engine.measure(req);
+        engine.measure_raw_batch(req, config_.interval, 1, vote_raws);
       } catch (const net::TransportError& err) {
         // A remote engine's transport failure (deadline blown, short read,
-        // connection lost) IS a hung measure: record it on the hung lane
+        // connection lost) IS a hung capture: record it on the hung lane
         // with the IoStatus as the trace detail and fall through to the
         // same retry/backoff path. Quarantine streaks and degradation
         // telemetry follow for free.
         if (site.fault_session) site.fault_session->disarm();
+        vote_raws.resize(before);
         fault::MeasureFaults tf;
         tf.hung = true;
         tf.hung_detail = static_cast<std::int32_t>(err.status());
-        record_fault_events(site, tf, sample, attempt, counters);
+        record_fault_events(site, tf, sample, attempt);
         counters.timeouts.increment();
-        if (a + 1 < attempts_per_vote) {
-          ++site.retries;
-          counters.retries.increment();
-          apply_backoff(policy, a + 1, counters.backoff_us);
-          needed_retry = true;
-        }
+        retry_after_failure(a);
         continue;
       }
       if (site.fault_session) site.fault_session->disarm();
       if (a > 0) needed_retry = true;
-      forced_stall_pushes = std::max(forced_stall_pushes, f.ring_stall_pushes);
-      vote_ms.push_back(std::move(m));
+      forced_full_pushes = std::max(forced_full_pushes, f.ring_stall_pushes);
       break;
     }
   }
-  if (vote_ms.empty()) return false;
+  if (vote_raws.empty()) return false;
 
-  if (vote_ms.size() == 1) {
-    out = std::move(vote_ms.front());
+  if (vote_raws.size() == 1) {
+    out = vote_raws.front();
   } else {
     // Lost votes shrink the panel; keep it odd so majority stays defined.
-    std::size_t panel = vote_ms.size();
+    std::size_t panel = vote_raws.size();
     if (panel % 2 == 0) --panel;
     std::vector<core::ThermoWord> words;
     words.reserve(panel);
-    for (std::size_t i = 0; i < panel; ++i) words.push_back(vote_ms[i].word);
+    for (std::size_t i = 0; i < panel; ++i) words.push_back(vote_raws[i].word);
     const core::ThermoWord winner = majority_word(words);
     bool overridden = false;
     std::size_t match = panel;  // first vote that already equals the winner
@@ -569,15 +510,11 @@ bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
         overridden = true;
       }
     }
-    if (match < panel) {
-      out = std::move(vote_ms[match]);
-    } else {
-      // Majority word matches no single vote (flips on distinct bits):
-      // publish the majority word with a freshly decoded bin.
-      out = std::move(vote_ms.front());
-      out.word = winner;
-      out.bin = engine.decode(winner, out.code);
-    }
+    // Publish the first vote that carries the winner; when the majority
+    // matches no single vote (flips on distinct bits), the first vote's
+    // schedule with the majority word. The drain decodes either.
+    out = vote_raws[match < panel ? match : 0];
+    out.word = winner;
     if (overridden) {
       ++site.vote_overrides;
       counters.vote_overrides.increment();
@@ -590,43 +527,6 @@ bool ScanGrid::chaos_measure(Site& site, std::size_t sample,
   return true;
 }
 
-void ScanGrid::run_site_batch_chaos(Site& site, std::size_t first,
-                                    std::size_t count, Shard& shard) {
-  ChaosCounters counters(telemetry_);
-  const ResiliencePolicy& policy = config_.resilience;
-  ensure_engine(site);
-
-  for (std::size_t k = first; k < first + count; ++k) {
-    if (site.quarantined) {
-      ++site.lost;
-      counters.lost.increment();
-      continue;
-    }
-    const double t0 = now_seconds();
-    core::Measurement m;
-    std::uint32_t forced_stall_pushes = 0;
-    const bool ok = chaos_measure(site, k, m, forced_stall_pushes, counters);
-    if (!ok) {
-      ++site.lost;
-      counters.lost.increment();
-      ++site.fail_streak;
-      if (policy.quarantine_after > 0 &&
-          site.fail_streak >= policy.quarantine_after) {
-        site.quarantined = true;
-        site.quarantine_sample = static_cast<std::uint32_t>(k + 1);
-        counters.quarantined.increment();
-      }
-      continue;
-    }
-    site.fail_streak = 0;
-    observe_code_policy(site, m.word);
-    GridSample s = to_grid_sample(site.index, k, m);
-    s.wall_us = (now_seconds() - t0) * 1e6;
-    push_with_backpressure(config_.backpressure, shard.ring, s, *hot_.stalls,
-                           *hot_.drops, *hot_.produced, forced_stall_pushes);
-  }
-}
-
 void ScanGrid::worker_run_shard(Shard& shard) {
   struct DoneGuard {
     Shard& shard;
@@ -636,15 +536,7 @@ void ScanGrid::worker_run_shard(Shard& shard) {
   const std::size_t samples = config_.samples_per_site;
   for (std::size_t base = 0; base < samples; base += config_.batch) {
     const std::size_t count = std::min(config_.batch, samples - base);
-    for (Site* site : shard.sites) {
-      if (chaos_) {
-        run_site_batch_chaos(*site, base, count, shard);
-      } else if (streaming_) {
-        run_site_batch_streaming(*site, base, count, shard);
-      } else {
-        run_site_batch(*site, base, count, shard);
-      }
-    }
+    for (Site* site : shard.sites) run_site_batch(*site, base, count, shard);
   }
 }
 
@@ -657,10 +549,10 @@ void ScanGrid::aggregate(RunResult& result) {
   auto& depth = telemetry_.gauge("grid.ring_depth_last");
   auto& snapshots = telemetry_.counter("grid.snapshots_exported");
 
-  // The streaming ENC block lives here: every undecoded ring sample goes
-  // through this encoder (running under/overflow + bubble tallies) and the
-  // shared immutable ladder. Single-threaded by construction — the caller
-  // thread is the only drain.
+  // The ENC block lives here: every ring sample goes through this encoder
+  // (running under/overflow + bubble tallies) and the shared immutable
+  // ladder. Single-threaded by construction — the caller thread is the only
+  // drain.
   core::StreamingEncoder enc(config_.thermometer.bubble_policy);
 
   // Serving layer: the drain is the store's single writer. Ingest happens
@@ -698,19 +590,16 @@ void ScanGrid::aggregate(RunResult& result) {
   };
 
   // Drain-pass scratch, reused across sweeps: samples come off each ring in
-  // chunks, the undecoded run goes through encode_span/decode_span in one
-  // pass, then every sample is published individually. Function-scope so the
-  // steady state performs no allocation — this was the residual
-  // allocs-per-measure the grid bench still showed after PR 5.
+  // chunks, each chunk goes through encode_span/decode_span in one pass,
+  // then every sample is published individually. Function-scope so the
+  // steady state performs no allocation.
   constexpr std::size_t kDrainChunk = 256;
   std::vector<GridSample> chunk;
-  std::vector<std::size_t> undecoded;
   std::vector<core::ThermoWord> word_scratch;
   std::vector<core::DelayCode> code_scratch;
   std::vector<core::EncodedWord> enc_scratch(kDrainChunk);
   std::vector<core::VoltageBin> bin_scratch(kDrainChunk);
   chunk.reserve(kDrainChunk);
-  undecoded.reserve(kDrainChunk);
   word_scratch.reserve(kDrainChunk);
   code_scratch.reserve(kDrainChunk);
   // Histogram feeds buffered per chunk: ValueHistogram locks per call, so
@@ -744,33 +633,24 @@ void ScanGrid::aggregate(RunResult& result) {
         any = true;
         drained_counter.increment(chunk.size());
 
-        // Streaming ENC + voltage conversion over the chunk's undecoded run
-        // in one span each; the bins land back in their samples before the
-        // publish loop below.
-        undecoded.clear();
+        // ENC + voltage conversion over the whole chunk in one span each.
         word_scratch.clear();
         code_scratch.clear();
-        for (std::size_t i = 0; i < chunk.size(); ++i) {
-          if (chunk[i].decoded) continue;
-          undecoded.push_back(i);
-          word_scratch.push_back(chunk[i].raw.word);
-          code_scratch.push_back(chunk[i].raw.code);
+        for (const GridSample& s : chunk) {
+          word_scratch.push_back(s.raw.word);
+          code_scratch.push_back(s.raw.code);
         }
-        if (!undecoded.empty()) {
-          enc.encode_span(word_scratch.data(), word_scratch.size(),
-                          enc_scratch.data());  // grid.enc.* telemetry
-          ladder_.decode_span(word_scratch.data(), code_scratch.data(),
-                              word_scratch.size(), bin_scratch.data());
-          for (std::size_t j = 0; j < undecoded.size(); ++j) {
-            chunk[undecoded[j]].bin = bin_scratch[j];
-          }
-        }
+        enc.encode_span(word_scratch.data(), word_scratch.size(),
+                        enc_scratch.data());  // grid.enc.* telemetry
+        ladder_.decode_span(word_scratch.data(), code_scratch.data(),
+                            word_scratch.size(), bin_scratch.data());
 
         latency_vals.clear();
         volt_vals.clear();
-        for (const GridSample& s : chunk) {
+        for (std::size_t i = 0; i < chunk.size(); ++i) {
+          const GridSample& s = chunk[i];
           ++drained;
-          const core::VoltageBin& bin = s.bin;
+          const core::VoltageBin& bin = bin_scratch[i];
           auto& sr = result.sites[s.raw.site_id];
           sr.samples[s.raw.sample_index] =
               core::assemble_measurement(s.raw, bin);

@@ -4,10 +4,27 @@
 // per-site sensor simulations run on a fixed-size thread pool, each site's
 // captures stream through a bounded SPSC ring into a central aggregator
 // that maintains telemetry (counters, latency/value histograms, per-site
-// OnlineStats rollups) and assembles the ordered result matrix. Under the
-// default DecodePath::kStreaming the ring carries wire-sized raw words and
-// the aggregator's drain pass owns ENC + voltage conversion — the paper's
-// capture/encode split (Fig. 6) applied to the runtime.
+// OnlineStats rollups) and assembles the ordered result matrix. The ring
+// carries wire-sized capture-only core::RawSamples, and the aggregator's
+// drain pass owns ENC + voltage conversion — the paper's capture/encode
+// split (Fig. 6: FF array → ENC → OUTE) applied to the runtime.
+//
+// One capture path
+//   Workers capture through the one engine entry point,
+//   IMeasureEngine::measure_raw_batch, and never decode. A site batch is
+//   either one engine call for the whole batch (the vectorized behavioral
+//   SoA capture, the structural netlist run, one remote round trip) or a
+//   per-sample loop of count-1 calls. The loop runs when the grid must act
+//   between two captures of a site:
+//     * auto-range: the site's code policy observes every published word
+//       before the next PREPARE. Feedback stays capture-side, once per
+//       published sample: the paper's CNTR trims the delay code on-die, and
+//       re-trimming from the drain would make code selection depend on
+//       aggregator timing — breaking the (site, sample) determinism below;
+//     * resilience: retry, vote and quarantine wrap each count-1 capture.
+//   The drain decodes every sample the same way: a core::StreamingEncoder
+//   pass (running under/overflow + bubble telemetry, grid.enc.*) and one
+//   shared immutable core::DecodeLadder.
 //
 // Threading model
 //   * Sites are sharded round-robin across `threads` shards; each shard is
@@ -23,9 +40,10 @@
 //   site i's RNG stream is site_rng(seed, i) regardless of which thread
 //   simulates it, and each site owns its thermometer, so the per-site call
 //   sequence (sample 0, 1, 2, ...) is identical to a serial run. A parallel
-//   run is therefore bit-identical to scan::PsnScanChain::broadcast_measure
-//   iterated over the same times with the same rails and thermometers
-//   (tests/test_scan_grid.cpp asserts this site-for-site).
+//   run is therefore bit-identical, words and bins, to
+//   scan::PsnScanChain::broadcast_measure iterated over the same times with
+//   the same rails and thermometers (tests/test_scan_grid.cpp asserts this
+//   site-for-site).
 //
 // Backpressure
 //   kBlockProducer (default): a full ring stalls the producing worker
@@ -39,20 +57,21 @@
 //   Every site measures through a core::EngineHandle (measure_engine.h).
 //   Site fidelity (behavioral model vs gate-level netlist), fault-hook
 //   installation and the delay-code policy are engine *construction
-//   parameters* — the grid's batch and chaos loops are backend-agnostic and
-//   never branch on fidelity past the one factory call per site.
+//   parameters* — the grid's site-batch loop is backend-agnostic and never
+//   branches on fidelity past the one factory call per site.
 //
 // Fault injection & graceful degradation
-//   Attaching a fault::FaultInjector (ScanGridConfig::injector) routes every
-//   measure through the chaos path: deterministic sensor-level faults reach
-//   the engine through one fault::FaultSession per site (the context word
-//   hook + rail offset — the single hook surface), plus forced-full pushes
-//   in the ring path, and the ResiliencePolicy decides
-//   recovery — bounded-backoff retry, majority vote, and site quarantine.
-//   Degradation telemetry (grid.fault.*, grid.retries, grid.samples_lost,
-//   grid.sites_quarantined, ...) flows through the TelemetryRegistry and the
-//   per-site trace lands in SiteResult::fault_events. With no injector and
-//   the default policy the plain path runs and words stay bit-identical.
+//   Attaching a fault::FaultInjector (ScanGridConfig::injector) or a
+//   non-default ResiliencePolicy makes every capture resilient:
+//   deterministic sensor-level faults reach the engine through one
+//   fault::FaultSession per site (the context word hook + rail offset — the
+//   single hook surface), plus forced-full pushes in the ring path, and the
+//   ResiliencePolicy decides recovery — bounded-backoff retry, majority
+//   vote, and site quarantine. Degradation telemetry (grid.fault.*,
+//   grid.retries, grid.samples_lost, grid.sites_quarantined, ...) flows
+//   through the TelemetryRegistry and the per-site trace lands in
+//   SiteResult::fault_events. With no injector and the default policy no
+//   fault lane exists and words stay bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -95,29 +114,6 @@ enum class SiteFidelity { kBehavioral, kStructural };
 // grid only feeds published words back through it.
 enum class CodePolicy { kFixed, kAutoRange };
 
-// Where ENC + voltage conversion run (the paper's capture/encode split,
-// Fig. 6: FF array → ENC → OUTE).
-//
-// kStreaming (default): workers ship capture-only core::RawSamples through
-// the rings; the aggregator's drain pass batch-encodes them with a
-// core::StreamingEncoder (running under/overflow + bubble telemetry,
-// grid.enc.*) and converts voltages through one shared immutable
-// core::DecodeLadder — per-site threads pay no per-sample ENC or decode.
-// Published words and bins are bit-identical to kPerSite
-// (tests/test_streaming_grid.cpp proves it at 1/2/8 threads).
-//
-// kPerSite: the legacy path — every worker decodes inside the measure
-// transaction and ships full Measurements. Kept as the fallback for engines
-// without the raw-sample capability, and forced for the whole run when the
-// chaos path is active (retry/vote/quarantine needs decoded bins at the
-// point of recovery).
-//
-// Auto-range feedback stays capture-side in BOTH modes: the paper's CNTR
-// trims the delay code on-die, and re-trimming from the drain would make
-// code selection depend on aggregator timing — breaking the (site, sample)
-// determinism guarantee.
-enum class DecodePath { kStreaming, kPerSite };
-
 // Builds one site's rail source, deterministically, from the site record and
 // the site's private RNG stream. Must be pure apart from the RNG (it may be
 // invoked from the grid constructor for every site, in site order).
@@ -130,7 +126,8 @@ using RailFactory = std::function<std::unique_ptr<analog::RailSource>(
 // lazily on the site's worker thread, once per site, with the site's rails
 // and the grid-resolved site options; must return non-null. Transport
 // failures thrown by a remote engine (net::TransportError) are mapped by
-// the chaos path onto the hung-fault lane — retry/backoff, then quarantine.
+// the resilient capture onto the hung-fault lane — retry/backoff, then
+// quarantine.
 using EngineFactory = std::function<core::EngineHandle(
     std::uint32_t site_id, const analog::RailPair&,
     const core::EngineSiteOptions&)>;
@@ -149,8 +146,6 @@ struct ScanGridConfig {
   // ignored (see EngineFactory). Factory engines are built lazily on the
   // worker thread — a remote engine's connect happens off the constructor.
   EngineFactory engine_factory;
-  // Streaming drain-pass ENC vs legacy per-site decode; see DecodePath.
-  DecodePath decode_path = DecodePath::kStreaming;
   // When set, each site's starting Delay Code is resolved once at engine
   // construction by core::tune_for_window over this window (Sec. III-A),
   // instead of taking `code` as-is. Works for both fidelities (the
@@ -160,19 +155,12 @@ struct ScanGridConfig {
   // Per-shard ring capacity (rounded up to a power of two).
   std::size_t ring_capacity = 256;
   // Samples a worker runs per site before moving to the next site of its
-  // shard — the PREPARE/SENSE batch size. Larger batches improve model
-  // locality and, for engines that prefer batches, the span one vectorized
-  // capture covers; per-site sample order is unaffected, so determinism
-  // holds. 96 keeps a whole batch's SoA scratch inside L1 while amortizing
-  // the per-batch dispatch (see DESIGN.md §14).
+  // shard — the PREPARE/SENSE batch size, and the span one engine call
+  // covers when the site captures a whole batch at once. Per-site sample
+  // order is unaffected, so determinism holds. 96 keeps a whole batch's SoA
+  // scratch inside L1 while amortizing the per-batch dispatch (see
+  // DESIGN.md §14).
   std::size_t batch = 96;
-  // Allow engines that prefer batches (the vectorized behavioral capture,
-  // the structural netlist) to serve a whole site batch in one engine call.
-  // Off forces the per-sample capture loop everywhere — the legacy PR-5
-  // pipeline, kept addressable for benchmarking and bisection. Auto-ranged
-  // sites capture per sample regardless (the trim loop must observe every
-  // word).
-  bool batch_capture = true;
   // When non-empty, the aggregator exports the telemetry snapshot to this
   // CSV path every `snapshot_every` drained samples (and once at the end).
   std::string snapshot_csv_path;
@@ -188,8 +176,8 @@ struct ScanGridConfig {
   // never stall the drain. grid.serve.* telemetry counts the traffic.
   std::shared_ptr<serve::TelemetryStore> store;
   // Deterministic fault injector (null = off). When null and `resilience`
-  // is the default policy, the measure path is byte-for-byte the plain one
-  // and every word is bit-identical to a fault-free run.
+  // is the default policy, no fault lane exists and every word is
+  // bit-identical to a fault-free run.
   std::shared_ptr<const fault::FaultInjector> injector;
   // Retry / vote / quarantine policy applied per sample (see resilience.h).
   ResiliencePolicy resilience;
@@ -300,31 +288,19 @@ class ScanGrid {
   // built by the constructor in site order; structural engines lazily on
   // their worker thread (the netlist is thread-confined).
   void ensure_engine(Site& site);
-  // Feeds a published word back into the engine's code policy (no-op under
-  // a fixed code).
-  void observe_code_policy(Site& site, const core::ThermoWord& word);
+  // The one site-batch worker: captures samples [first, first + count) of
+  // `site` — one engine call for the batch, or a per-sample loop under
+  // auto-range or resilience — and ships RawSamples into the shard's ring.
   void run_site_batch(Site& site, std::size_t first, std::size_t count,
                       Shard& shard);
-  // Streaming capture path: ships RawSamples (no ENC, no decode) and leaves
-  // encode + voltage conversion to the aggregator drain. Falls back to
-  // run_site_batch per site when the engine lacks the raw capability.
-  void run_site_batch_streaming(Site& site, std::size_t first,
-                                std::size_t count, Shard& shard);
-  // Fault/resilience path: per-sample retry, vote, quarantine. Selected for
-  // the whole run when an injector is attached or the policy is non-default;
-  // the plain path above stays untouched (and bit-identical) otherwise.
-  void run_site_batch_chaos(Site& site, std::size_t first, std::size_t count,
-                            Shard& shard);
-  // One published sample through the engine handle, backend-agnostic: up to
-  // `votes` successful measures (voting only when the engine supports it),
-  // each with bounded retry; the published word is their bitwise majority.
-  // Returns false when every attempt of every vote failed.
-  bool chaos_measure(Site& site, std::size_t sample, core::Measurement& out,
-                     std::uint32_t& forced_stall_pushes,
-                     ChaosCounters& counters);
+  // One published sample under the resilience policy, backend-agnostic: up
+  // to `votes` successful count-1 captures (voting only when the engine
+  // supports it), each with bounded retry; the published word is their
+  // bitwise majority. Returns false when every attempt of every vote failed.
+  bool resilient_capture(Site& site, std::size_t sample, core::RawSample& out,
+                         std::uint32_t& forced_full_pushes);
   void record_fault_events(Site& site, const fault::MeasureFaults& faults,
-                           std::size_t sample, std::uint32_t attempt,
-                           ChaosCounters& counters);
+                           std::size_t sample, std::uint32_t attempt);
   void aggregate(RunResult& result);
 
   const scan::Floorplan& floorplan_;
@@ -332,13 +308,14 @@ class ScanGrid {
   TelemetryRegistry telemetry_;
   std::vector<std::unique_ptr<Site>> sites_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  // Shared aggregator-side voltage conversion (streaming mode only): built
-  // once in the constructor, immutable afterwards, so the drain never
-  // touches a worker's mutable per-engine kernel caches.
+  // The drain's voltage conversion: built once in the constructor,
+  // immutable afterwards, so the drain never touches a worker's mutable
+  // per-engine kernel caches.
   core::DecodeLadder ladder_;
   HotCounters hot_;
-  bool chaos_ = false;      // injector attached or non-default resilience
-  bool streaming_ = false;  // decode_path == kStreaming and not chaos
+  // Resilience telemetry; null unless an injector is attached or the
+  // resilience policy is non-default (the per-sample resilient loop).
+  std::unique_ptr<ChaosCounters> chaos_;
   bool ran_ = false;
 };
 

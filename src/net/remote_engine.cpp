@@ -1,5 +1,6 @@
 #include "net/remote_engine.h"
 
+#include <algorithm>
 #include <string>
 
 namespace psnt::net {
@@ -17,11 +18,9 @@ namespace {
 
 // --- client ----------------------------------------------------------------
 
-RemoteEngineHandle::RemoteEngineHandle(
-    Fd conn, std::shared_ptr<const core::DecodeLadder> ladder,
-    const RemoteEngineConfig& config)
+RemoteEngineHandle::RemoteEngineHandle(Fd conn,
+                                       const RemoteEngineConfig& config)
     : conn_(std::move(conn)),
-      ladder_(std::move(ladder)),
       config_(config),
       encoder_(config.bubble_policy) {
   // Handshake: the server leads with kHello carrying its word width.
@@ -116,44 +115,19 @@ void RemoteEngineHandle::round_trip(const core::MeasureRequest& first,
   }
 }
 
-core::VoltageBin RemoteEngineHandle::decode_for(
-    const core::RawSample& raw) const {
-  if (raw.target == core::SenseTarget::kGnd) {
-    return ladder_->decode_gnd(raw.word, raw.code, config_.v_nominal);
-  }
-  return ladder_->decode(raw.word, raw.code);
-}
-
-core::RawSample RemoteEngineHandle::measure_raw(
-    const core::MeasureRequest& req) {
-  std::vector<core::RawSample> one;
-  round_trip(req, Picoseconds{0.0}, 1, one);
-  return one.front();
-}
-
 void RemoteEngineHandle::measure_raw_batch(const core::MeasureRequest& first,
                                            Picoseconds interval,
                                            std::size_t count,
                                            std::vector<core::RawSample>& out) {
-  if (count == 0) return;
-  round_trip(first, interval, count, out);
-}
-
-core::Measurement RemoteEngineHandle::measure(const core::MeasureRequest& req) {
-  const core::RawSample raw = measure_raw(req);
-  return core::assemble_measurement(raw, decode_for(raw));
-}
-
-void RemoteEngineHandle::measure_batch(const core::MeasureRequest& first,
-                                       Picoseconds interval,
-                                       std::size_t count,
-                                       std::vector<core::Measurement>& out) {
-  std::vector<core::RawSample> raw;
-  raw.reserve(count);
-  measure_raw_batch(first, interval, count, raw);
-  out.reserve(out.size() + raw.size());
-  for (const core::RawSample& sample : raw) {
-    out.push_back(core::assemble_measurement(sample, decode_for(sample)));
+  // One reply frame carries at most kMaxSpanSamples; larger batches go as
+  // consecutive round trips. Chunk j starts at first.start + base * interval,
+  // which is exact (and the schedule bit-identical to one local call)
+  // whenever the schedule's picosecond values are integers below 2^53.
+  core::MeasureRequest chunk = first;
+  for (std::size_t base = 0; base < count; base += kMaxSpanSamples) {
+    chunk.start = Picoseconds{first.start.value() +
+                              static_cast<double>(base) * interval.value()};
+    round_trip(chunk, interval, std::min(kMaxSpanSamples, count - base), out);
   }
 }
 
@@ -186,13 +160,11 @@ void EngineServer::serve() {
       first.target = static_cast<core::SenseTarget>(req.target);
       if (req.has_code != 0) first.code = core::DelayCode(req.code);
 
+      // decode_measure_req bounds count by kMaxSpanSamples, so the reply
+      // always fits one frame.
       batch.clear();
-      if (req.count == 1) {
-        batch.push_back(engine_->measure_raw(first));
-      } else {
-        engine_->measure_raw_batch(first, Picoseconds{req.interval_ps},
-                                   req.count, batch);
-      }
+      engine_->measure_raw_batch(first, Picoseconds{req.interval_ps},
+                                 req.count, batch);
 
       SpanHeader span;
       span.worker = worker_;

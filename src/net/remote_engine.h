@@ -1,11 +1,11 @@
 // Remote measurement sites: IMeasureEngine over a socket.
 //
 // The capture/encode split (DESIGN.md §10) is what makes a remote site cheap:
-// only the capture half crosses the wire — MeasureReq over, RawSample spans
-// back — while ENC and voltage conversion stay client-side against a local
-// DecodeLadder that is bit-identical to the remote engine's own decode. A
-// RemoteEngineHandle therefore drops into any EngineHandle consumer (the scan
-// grid above all) with no consumer changes.
+// engines only capture, so only the capture half crosses the wire —
+// MeasureReq over, RawSample spans back — and the consumer's drain decodes
+// remote words exactly like local ones. A RemoteEngineHandle therefore drops
+// into any EngineHandle consumer (the scan grid above all) with no consumer
+// changes.
 //
 // Failure contract: every call carries a deadline. A timeout, short read,
 // connection loss or wire-format violation throws TransportError — and the
@@ -23,7 +23,6 @@
 
 #include "core/encoder.h"
 #include "core/measure_engine.h"
-#include "core/streaming_encoder.h"
 #include "net/socket.h"
 #include "net/wire.h"
 
@@ -51,46 +50,29 @@ struct RemoteEngineConfig {
   // Per-call deadline for the full request→response round trip. The grid's
   // hung-site watchdog semantics, but enforced at the transport.
   int deadline_ms = 2000;
-  // Supply nominal for GND-bounce decode (must match the remote engine's
-  // ThermometerConfig::v_nominal).
-  Volt v_nominal{1.0};
   core::BubblePolicy bubble_policy = core::BubblePolicy::kMajority;
 };
 
-// Client half. Owns the connection; decode/encode run locally against
-// `ladder` (shareable read-only across handles, so a grid of remote sites
-// builds it once). The context's code policy is resolved client-side and
-// every request ships an explicit DelayCode — the server never second-guesses
-// the code, which keeps auto-range and drift injection working unchanged.
-// The context word hook runs on words as they come off the wire (transport
-// position of the post-capture hook point).
+// Client half. Owns the connection; encode (for the auto-range observe) runs
+// locally. The context's code policy is resolved client-side and every
+// request ships an explicit DelayCode — the server never second-guesses the
+// code, which keeps auto-range and drift injection working unchanged. The
+// context word hook runs on words as they come off the wire (transport
+// position of the post-capture hook point). A batch larger than one reply
+// frame holds (net::kMaxSpanSamples) is split into consecutive round trips.
 class RemoteEngineHandle final : public core::IMeasureEngine {
  public:
   // `conn` must already be connected and about to deliver the server's
   // kHello (word width handshake). Throws TransportError when the hello does
   // not arrive within the deadline.
-  RemoteEngineHandle(Fd conn, std::shared_ptr<const core::DecodeLadder> ladder,
-                     const RemoteEngineConfig& config);
+  RemoteEngineHandle(Fd conn, const RemoteEngineConfig& config);
 
   core::EngineContext& context() override { return ctx_; }
   [[nodiscard]] std::size_t word_bits() const override { return word_bits_; }
 
-  core::Measurement measure(const core::MeasureRequest& req) override;
-  void measure_batch(const core::MeasureRequest& first,
-                     Picoseconds interval, std::size_t count,
-                     std::vector<core::Measurement>& out) override;
-  [[nodiscard]] bool prefers_batch() const override { return true; }
-
-  [[nodiscard]] bool supports_raw_samples() const override { return true; }
-  core::RawSample measure_raw(const core::MeasureRequest& req) override;
   void measure_raw_batch(const core::MeasureRequest& first,
                          Picoseconds interval, std::size_t count,
                          std::vector<core::RawSample>& out) override;
-
-  core::VoltageBin decode(const core::ThermoWord& word,
-                          core::DelayCode code) override {
-    return ladder_->decode(word, code);
-  }
   [[nodiscard]] core::EncodedWord encode(
       const core::ThermoWord& word) const override {
     return encoder_.encode(word);
@@ -107,10 +89,8 @@ class RemoteEngineHandle final : public core::IMeasureEngine {
   // TransportError on any failure.
   void round_trip(const core::MeasureRequest& first, Picoseconds interval,
                   std::size_t count, std::vector<core::RawSample>& out);
-  [[nodiscard]] core::VoltageBin decode_for(const core::RawSample& raw) const;
 
   Fd conn_;
-  std::shared_ptr<const core::DecodeLadder> ladder_;
   RemoteEngineConfig config_;
   core::EngineContext ctx_;
   core::Encoder encoder_;

@@ -363,7 +363,7 @@ std::optional<WireError> decode_measure_req(const Frame& frame,
   out.code = frame.payload[22];
   if (out.target > static_cast<std::uint8_t>(core::SenseTarget::kGnd) ||
       (out.has_code != 0 && out.code >= core::DelayCode::kCount) ||
-      out.count == 0) {
+      out.count == 0 || out.count > kMaxSpanSamples) {
     return WireError::kBadPayload;
   }
   return std::nullopt;

@@ -111,6 +111,11 @@ struct SpanHeader {
   std::uint64_t send_ns = 0;
 };
 inline constexpr std::size_t kSpanHeaderBytes = 16;
+// Most samples one kSampleSpan frame can carry under kMaxPayloadBytes
+// (45,589). A MeasureReq asking for more is rejected (kBadPayload): its
+// reply could not be framed, and the count sizes the server's capture.
+inline constexpr std::size_t kMaxSpanSamples =
+    (kMaxPayloadBytes - kSpanHeaderBytes) / kSampleWireBytes;
 
 struct HelloPayload {
   std::uint32_t worker = 0;

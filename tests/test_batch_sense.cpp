@@ -264,7 +264,7 @@ TEST(BatchSense, AdoptRefusesValueDifferentArrays) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine level: measure_raw_batch / measure_batch against the per-sample
+// Engine level: measure_raw_batch against the per-sample
 // transaction loop, on noisy rails, across codes, targets and hooks.
 // ---------------------------------------------------------------------------
 
@@ -331,34 +331,6 @@ TEST(BatchEngine, RawBatchMatchesRawLoopAcrossCodesAndTargets) {
   }
 }
 
-TEST(BatchEngine, DecodedBatchMatchesMeasureLoop) {
-  const auto vdd = noisy_rail(1.0, 0.08);
-  const analog::RailPair rails{&vdd, nullptr};
-  const Picoseconds interval{5000.0};
-  constexpr std::size_t kCount = 64;
-
-  BehavioralEngine batch_engine = make_engine();
-  BehavioralEngine serial_engine = make_engine();
-  std::vector<Measurement> batch;
-  batch_engine.measure_batch(request_at(0.0), interval, kCount, rails, batch);
-  ASSERT_EQ(batch.size(), kCount);
-  for (std::size_t k = 0; k < kCount; ++k) {
-    MeasureRequest req = request_at(interval.value() *
-                                    static_cast<double>(k));
-    const Measurement ref = serial_engine.measure(req, rails);
-    ASSERT_EQ(batch[k].word, ref.word) << "k=" << k;
-    EXPECT_EQ(batch[k].timestamp.value(), ref.timestamp.value());
-    ASSERT_EQ(batch[k].bin.lo.has_value(), ref.bin.lo.has_value());
-    ASSERT_EQ(batch[k].bin.hi.has_value(), ref.bin.hi.has_value());
-    if (ref.bin.lo) {
-      EXPECT_EQ(batch[k].bin.lo->value(), ref.bin.lo->value());
-    }
-    if (ref.bin.hi) {
-      EXPECT_EQ(batch[k].bin.hi->value(), ref.bin.hi->value());
-    }
-  }
-}
-
 TEST(BatchEngine, WordHookAppliesPerSampleInOrder) {
   // A stateful hook (flips the low bit of every third word) must see the
   // batch in sample order and produce the same corruption sequence as the
@@ -392,8 +364,8 @@ TEST(BatchEngine, WordHookAppliesPerSampleInOrder) {
 
 TEST(BatchEngine, FaultHookedHandleStaysIdenticalThroughBatch) {
   // Through the type-erased handle with fault hooks on (rail-offset wrapper
-  // installed) and a nonzero offset: the batch capture reads the same offset
-  // rail per sample as the serial loop.
+  // installed) and a nonzero offset: one batch capture reads the same offset
+  // rail per sample as a loop of count-1 captures.
   const auto& model = calib::calibrated().model;
   const auto vdd = noisy_rail(1.0, 0.04);
   const analog::RailPair rails{&vdd, nullptr};
@@ -404,8 +376,6 @@ TEST(BatchEngine, FaultHookedHandleStaysIdenticalThroughBatch) {
       make_behavioral_engine(calib::make_paper_engine(model), rails, options);
   auto serial_handle =
       make_behavioral_engine(calib::make_paper_engine(model), rails, options);
-  ASSERT_TRUE(batch_handle->supports_raw_samples());
-  ASSERT_TRUE(batch_handle->prefers_batch());
   batch_handle->context().set_rail_offset(-0.0375);
   serial_handle->context().set_rail_offset(-0.0375);
 
@@ -419,9 +389,11 @@ TEST(BatchEngine, FaultHookedHandleStaysIdenticalThroughBatch) {
     MeasureRequest req = first;
     req.start = first.start +
                 Picoseconds{interval.value() * static_cast<double>(k)};
-    const RawSample ref = serial_handle->measure_raw(req);
-    ASSERT_EQ(batch[k].word, ref.word) << "k=" << k;
-    EXPECT_EQ(batch[k].timestamp.value(), ref.timestamp.value());
+    std::vector<RawSample> one;
+    serial_handle->measure_raw_batch(req, interval, 1, one);
+    ASSERT_EQ(one.size(), 1u);
+    ASSERT_EQ(batch[k].word, one.front().word) << "k=" << k;
+    EXPECT_EQ(batch[k].timestamp.value(), one.front().timestamp.value());
   }
 }
 

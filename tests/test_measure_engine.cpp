@@ -1,8 +1,10 @@
 // Conformance suite for the MeasureEngine layer: every registered backend
 // (behavioral model, gate-level structural netlist) must honour the same
-// PREPARE/SENSE transaction semantics, the EngineContext hook surface (word
-// hook + rail offset), the delay-code policy, and decode/encode coherence.
-// New backends register a factory in backends() and inherit the whole suite.
+// PREPARE/SENSE transaction semantics through the one capture call
+// (measure_raw_batch), the EngineContext hook surface (word hook + rail
+// offset), the delay-code policy, and decode/encode coherence of the words
+// it captures. New backends register a factory in backends() and inherit
+// the whole suite.
 #include "core/measure_engine.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 
 #include "calib/fit.h"
 #include "core/range_tuner.h"
+#include "core/streaming_encoder.h"
 #include "core/thermometer.h"
 
 namespace psnt::core {
@@ -48,6 +51,17 @@ std::vector<BackendSpec> backends() {
   return out;
 }
 
+// One transaction through the one capture call, decoded the way the grid's
+// drain decodes it: the shared paper DecodeLadder.
+Measurement measure_one(IMeasureEngine& engine, const MeasureRequest& req) {
+  static const DecodeLadder ladder =
+      calib::make_paper_decode_ladder(calib::calibrated().model);
+  std::vector<RawSample> raw;
+  engine.measure_raw_batch(req, Picoseconds{0.0}, 1, raw);
+  return assemble_measurement(raw.front(),
+                              ladder.decode(raw.front().word, raw.front().code));
+}
+
 class MeasureEngineConformance : public ::testing::TestWithParam<BackendSpec> {
  protected:
   static MeasureRequest request_at(double ps) {
@@ -67,8 +81,8 @@ TEST_P(MeasureEngineConformance, MeasureIsRepeatableOnQuietRails) {
   const analog::ConstantRail vdd{1.0_V};
   auto a = GetParam().build({&vdd, nullptr}, {});
   auto b = GetParam().build({&vdd, nullptr}, {});
-  const auto ma = a->measure(request_at(0.0));
-  const auto mb = b->measure(request_at(0.0));
+  const auto ma = measure_one(*a, request_at(0.0));
+  const auto mb = measure_one(*b, request_at(0.0));
   EXPECT_EQ(ma.word, mb.word) << "same backend, same rails, same request";
   EXPECT_EQ(ma.word.width(), a->word_bits());
   EXPECT_GE(ma.timestamp.value(), 0.0)
@@ -84,7 +98,7 @@ TEST_P(MeasureEngineConformance, WordIsMonotoneInSupplyVoltage) {
   for (const double v : {0.88, 0.95, 1.0, 1.05, 1.12}) {
     const analog::ConstantRail vdd{Volt{v}};
     auto engine = GetParam().build({&vdd, nullptr}, {});
-    const auto m = engine->measure(request_at(0.0));
+    const auto m = measure_one(*engine, request_at(0.0));
     EXPECT_GE(m.word.count_ones(), prev_ones) << "V=" << v;
     prev_ones = m.word.count_ones();
   }
@@ -94,7 +108,7 @@ TEST_P(MeasureEngineConformance, WordIsMonotoneInSupplyVoltage) {
 TEST_P(MeasureEngineConformance, WordHookSeesAndCorruptsEveryWord) {
   const analog::ConstantRail vdd{1.0_V};
   auto clean = GetParam().build({&vdd, nullptr}, {});
-  const auto reference = clean->measure(request_at(0.0));
+  const auto reference = measure_one(*clean, request_at(0.0));
 
   auto hooked = GetParam().build({&vdd, nullptr}, {});
   std::size_t hook_calls = 0;
@@ -102,7 +116,7 @@ TEST_P(MeasureEngineConformance, WordHookSeesAndCorruptsEveryWord) {
     ++hook_calls;
     word.set_bit(0, false);  // stuck-at-0 DS node on cell 0
   });
-  const auto corrupted = hooked->measure(request_at(0.0));
+  const auto corrupted = measure_one(*hooked, request_at(0.0));
   EXPECT_EQ(hook_calls, 1u);
   EXPECT_FALSE(corrupted.word.bit(0));
   ThermoWord expected = reference.word;
@@ -111,7 +125,7 @@ TEST_P(MeasureEngineConformance, WordHookSeesAndCorruptsEveryWord) {
       << "hook must act on the raw sensed word, nothing else";
 
   hooked->context().clear_word_hook();
-  const auto clean_again = hooked->measure(request_at(20000.0));
+  const auto clean_again = measure_one(*hooked, request_at(20000.0));
   EXPECT_EQ(clean_again.word.count_ones(), reference.word.count_ones())
       << "clearing the hook restores the clean path";
   EXPECT_EQ(hook_calls, 1u);
@@ -120,35 +134,39 @@ TEST_P(MeasureEngineConformance, WordHookSeesAndCorruptsEveryWord) {
 TEST_P(MeasureEngineConformance, RailOffsetSagsTheWordThenRestores) {
   const analog::ConstantRail vdd{1.0_V};
   auto plain = GetParam().build({&vdd, nullptr}, {});
-  const auto reference = plain->measure(request_at(0.0));
+  const auto reference = measure_one(*plain, request_at(0.0));
 
   EngineSiteOptions options;
   options.fault_hooks = true;  // installs the ContextOffsetRail view
   auto engine = GetParam().build({&vdd, nullptr}, options);
   // Offset 0.0 is the identity: bit-identical to the hook-free engine.
-  const auto at_zero = engine->measure(request_at(0.0));
+  const auto at_zero = measure_one(*engine, request_at(0.0));
   EXPECT_EQ(at_zero.word, reference.word);
 
   engine->context().set_rail_offset(-0.15);
-  const auto sagged = engine->measure(request_at(20000.0));
+  const auto sagged = measure_one(*engine, request_at(20000.0));
   EXPECT_LT(sagged.word.count_ones(), reference.word.count_ones())
       << "a 150 mV droop must cost timing slack";
 
   engine->context().set_rail_offset(0.0);
-  const auto recovered = engine->measure(request_at(40000.0));
+  const auto recovered = measure_one(*engine, request_at(40000.0));
   EXPECT_EQ(recovered.word.count_ones(), reference.word.count_ones());
 }
 
 TEST_P(MeasureEngineConformance, DecodeBracketsTheSupplyAndEncodeAgrees) {
   const analog::ConstantRail vdd{1.0_V};
   auto engine = GetParam().build({&vdd, nullptr}, {});
-  const auto m = engine->measure(request_at(0.0));
+  const auto m = measure_one(*engine, request_at(0.0));
   ASSERT_TRUE(m.bin.in_range());
   EXPECT_LE(m.bin.lo->value(), 1.0);
   EXPECT_GE(m.bin.hi->value(), 1.0);
-  // decode() must reproduce the measurement's own bin from (word, code).
-  const auto redecoded = engine->decode(m.word, m.code);
-  EXPECT_EQ(redecoded.to_string(), m.bin.to_string());
+  // The ladder's bin for the captured (word, code) is the array's own
+  // decode — the independent reference the drain must agree with.
+  const auto& model = calib::calibrated().model;
+  const auto reference =
+      calib::make_paper_array(model).decode(
+          m.word, PulseGenerator{model.pg_config()}.skew(m.code));
+  EXPECT_EQ(reference.to_string(), m.bin.to_string());
   const auto enc = engine->encode(m.word);
   EXPECT_EQ(enc.count, m.word.count_ones());
 }
@@ -166,7 +184,7 @@ TEST_P(MeasureEngineConformance, CodeWindowResolvesTheCodeOnceAtConstruction) {
   options.code_policy.window = CodeWindow{0.95_V, 1.05_V};
   auto engine = GetParam().build({&vdd, nullptr}, options);
   EXPECT_EQ(engine->context().current_code(), expected.code);
-  const auto m = engine->measure(request_at(0.0));
+  const auto m = measure_one(*engine, request_at(0.0));
   EXPECT_EQ(m.code, expected.code)
       << "measurements must carry the window-resolved code";
 }
@@ -177,13 +195,17 @@ TEST_P(MeasureEngineConformance, BatchMatchesSingleMeasuresOnQuietRails) {
   auto single = GetParam().build({&vdd, nullptr}, {});
   const Picoseconds interval{10000.0};
 
-  std::vector<Measurement> batch;
-  batched->measure_batch(request_at(0.0), interval, 4, batch);
+  std::vector<RawSample> batch;
+  batched->measure_raw_batch(request_at(0.0), interval, 4, batch);
   ASSERT_EQ(batch.size(), 4u);
   for (std::size_t k = 0; k < 4; ++k) {
-    const auto m =
-        single->measure(request_at(static_cast<double>(k) * interval.value()));
-    EXPECT_EQ(batch[k].word, m.word) << "sample " << k;
+    std::vector<RawSample> one;
+    single->measure_raw_batch(
+        request_at(static_cast<double>(k) * interval.value()), interval, 1,
+        one);
+    ASSERT_EQ(one.size(), 1u);
+    EXPECT_EQ(batch[k].word, one.front().word) << "sample " << k;
+    EXPECT_EQ(batch[k].code, one.front().code) << "sample " << k;
   }
 }
 
@@ -194,17 +216,6 @@ TEST(MeasureEngineCapabilities, BehavioralSupportsTrimAndVoting) {
   const analog::ConstantRail vdd{1.0_V};
   auto engine =
       make_behavioral_engine(calib::make_paper_engine(model), {&vdd, nullptr}, {});
-  EXPECT_TRUE(engine->prefers_batch())
-      << "fixed-code behavioral sites take the vectorized SoA batch path";
-  {
-    EngineSiteOptions auto_range_options;
-    auto_range_options.code_policy.auto_range = true;
-    auto auto_engine = make_behavioral_engine(
-        calib::make_paper_engine(model), {&vdd, nullptr}, auto_range_options);
-    EXPECT_FALSE(auto_engine->prefers_batch())
-        << "auto-range must observe every word before the next PREPARE";
-  }
-  EXPECT_TRUE(engine->supports_code_trim());
   EXPECT_TRUE(engine->supports_voting());
   EXPECT_EQ(engine->take_batch_stats().sim_events, 0u)
       << "the behavioral model runs no event simulator";
@@ -212,7 +223,7 @@ TEST(MeasureEngineCapabilities, BehavioralSupportsTrimAndVoting) {
   // Per-request code override (the drift-injection path).
   MeasureRequest req;
   req.code = DelayCode{5};
-  const auto m = engine->measure(req);
+  const auto m = measure_one(*engine, req);
   EXPECT_EQ(m.code, DelayCode{5});
   EXPECT_EQ(engine->context().current_code(), DelayCode{3})
       << "a per-request override must not disturb the policy code";
@@ -224,26 +235,28 @@ TEST(MeasureEngineCapabilities, StructuralIsBatchSingleVoteWithLiveTrim) {
   auto engine = make_structural_engine(
       calib::make_paper_array(model), PulseGenerator{model.pg_config()},
       {&vdd, nullptr}, ThermometerConfig{}.control_period, {});
-  EXPECT_TRUE(engine->prefers_batch());
-  EXPECT_TRUE(engine->supports_code_trim())
-      << "the MUX selects follow the FSM code register live";
   EXPECT_FALSE(engine->supports_voting());
 
-  std::vector<Measurement> batch;
-  engine->measure_batch(MeasureRequest{}, Picoseconds{10000.0}, 2, batch);
+  std::vector<RawSample> batch;
+  engine->measure_raw_batch(MeasureRequest{}, Picoseconds{10000.0}, 2, batch);
   const auto stats = engine->take_batch_stats();
   EXPECT_GT(stats.sim_events, 0u) << "the netlist really simulates";
   EXPECT_EQ(engine->take_batch_stats().sim_events, 0u)
       << "take_batch_stats drains the window";
 
-  // Auto-ranged structural sites stay per-sample so the policy observes
-  // every word before the next PREPARE — same contract as behavioral.
+  // Live trim: a per-request code reloads the MUX selects through the FSM
+  // code register, without disturbing the policy code.
+  MeasureRequest req;
+  req.code = DelayCode{5};
+  const auto m = measure_one(*engine, req);
+  EXPECT_EQ(m.code, DelayCode{5});
+  EXPECT_EQ(engine->context().current_code(), DelayCode{3});
+
   auto auto_engine = make_structural_engine(
       calib::make_paper_array(model), PulseGenerator{model.pg_config()},
       {&vdd, nullptr}, ThermometerConfig{}.control_period,
       EngineSiteOptions{{DelayCode{3}, std::nullopt, true, {}}, false});
   EXPECT_TRUE(auto_engine->context().auto_ranging());
-  EXPECT_FALSE(auto_engine->prefers_batch());
 }
 
 TEST(MeasureEngineCapabilities, BehavioralHandleMatchesNoiseThermometer) {
@@ -257,7 +270,7 @@ TEST(MeasureEngineCapabilities, BehavioralHandleMatchesNoiseThermometer) {
   for (std::size_t k = 0; k < 3; ++k) {
     MeasureRequest req;
     req.start = Picoseconds{static_cast<double>(k) * 10000.0};
-    const auto via_handle = engine->measure(req);
+    const auto via_handle = measure_one(*engine, req);
     const auto direct = thermometer.measure_vdd(
         {&vdd, nullptr}, req.start, DelayCode{3});
     EXPECT_EQ(via_handle.word, direct.word) << "sample " << k;
@@ -310,10 +323,10 @@ TEST(MeasureEngineCapabilities, StructuralAutoRangeConvergesLikeBehavioral) {
   for (std::size_t k = 0; k < 12; ++k) {
     MeasureRequest req;
     req.start = Picoseconds{static_cast<double>(k) * 10000.0};
-    const auto mb = behavioral->measure(req);
+    const auto mb = measure_one(*behavioral, req);
     behavioral->context().observe(behavioral->encode(mb.word),
                                   mb.word.width());
-    const auto ms = structural->measure(req);
+    const auto ms = measure_one(*structural, req);
     structural->context().observe(structural->encode(ms.word),
                                   ms.word.width());
     EXPECT_EQ(ms.code, mb.code) << "trim sequences diverged at sample " << k;

@@ -26,9 +26,13 @@ fleet::FleetConfig small_config() {
   return config;
 }
 
-std::shared_ptr<const core::DecodeLadder> shared_ladder() {
-  return std::make_shared<core::DecodeLadder>(
-      calib::make_paper_decode_ladder(calib::calibrated().model));
+// Count-1 captures through the one engine call, as the grid's per-sample
+// loop issues them.
+core::RawSample capture_one(core::IMeasureEngine& engine,
+                            const core::MeasureRequest& req) {
+  std::vector<core::RawSample> out;
+  engine.measure_raw_batch(req, Picoseconds{0.0}, 1, out);
+  return out.front();
 }
 
 // Serves one connection from a deterministic site engine on a thread; the
@@ -49,7 +53,7 @@ TEST(RemoteEngine, RawBatchIsBitIdenticalToLocalEngine) {
   {
     RemoteEngineConfig rc;
     rc.deadline_ms = 5000;
-    RemoteEngineHandle remote(std::move(client_end), shared_ladder(), rc);
+    RemoteEngineHandle remote(std::move(client_end), rc);
 
     auto local = fleet::FleetCoordinator::make_site_engine(config, 2);
     EXPECT_EQ(remote.word_bits(), local.engine->word_bits());
@@ -77,14 +81,58 @@ TEST(RemoteEngine, RawBatchIsBitIdenticalToLocalEngine) {
   server.join();
 }
 
-TEST(RemoteEngine, MeasureDecodesLocallyLikeTheLocalEngine) {
+TEST(RemoteEngine, BatchBeyondOneReplySpanSplitsAndStaysBitIdentical) {
+  // A batch larger than one reply frame can carry goes out as consecutive
+  // round trips — never as a request the server would reject or a reply
+  // the parser would refuse as kBadLength.
   const auto config = small_config();
+  const std::size_t count = kMaxSpanSamples + 5;
+  auto [client_end, server_end] = socketpair_stream();
+  std::thread server = serve_site(config, 3, std::move(server_end));
+  {
+    RemoteEngineConfig rc;
+    rc.deadline_ms = 20000;
+    RemoteEngineHandle remote(std::move(client_end), rc);
+    auto local = fleet::FleetCoordinator::make_site_engine(config, 3);
+
+    core::MeasureRequest req;
+    req.start = config.start;
+    req.code = config.code;
+    std::vector<core::RawSample> over_wire;
+    std::vector<core::RawSample> in_process;
+    remote.measure_raw_batch(req, config.interval, count, over_wire);
+    local.engine->measure_raw_batch(req, config.interval, count, in_process);
+
+    ASSERT_EQ(over_wire.size(), count);
+    ASSERT_EQ(in_process.size(), count);
+    std::size_t mismatches = 0;
+    for (std::size_t k = 0; k < count; ++k) {
+      mismatches += over_wire[k].word != in_process[k].word ||
+                    over_wire[k].code != in_process[k].code ||
+                    over_wire[k].timestamp.value() !=
+                        in_process[k].timestamp.value();
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(remote.round_trips(), 2u);
+    EXPECT_EQ(remote.transport_faults(), 0u);
+  }
+  server.join();
+}
+
+TEST(RemoteEngine, MeasureDecodesLocallyLikeTheLocalEngine) {
+  // Count-1 captures (the grid's per-sample shape) over the wire match the
+  // local engine, and the consumer-side ladder decodes the remote words to
+  // the bins the behavioral engine's own kernel decode gives the local ones.
+  const auto config = small_config();
+  const auto& model = calib::calibrated().model;
+  const core::DecodeLadder ladder = calib::make_paper_decode_ladder(model);
+  const core::BehavioralEngine reference = calib::make_paper_engine(model);
   auto [client_end, server_end] = socketpair_stream();
   std::thread server = serve_site(config, 1, std::move(server_end));
   {
     RemoteEngineConfig rc;
     rc.deadline_ms = 5000;
-    RemoteEngineHandle remote(std::move(client_end), shared_ladder(), rc);
+    RemoteEngineHandle remote(std::move(client_end), rc);
     auto local = fleet::FleetCoordinator::make_site_engine(config, 1);
 
     for (std::size_t k = 0; k < 4; ++k) {
@@ -93,13 +141,16 @@ TEST(RemoteEngine, MeasureDecodesLocallyLikeTheLocalEngine) {
                               static_cast<double>(k) *
                                   config.interval.value()};
       req.code = config.code;
-      const auto remote_m = remote.measure(req);
-      const auto local_m = local.engine->measure(req);
-      EXPECT_EQ(remote_m.word, local_m.word) << "sample " << k;
-      EXPECT_EQ(remote_m.bin.in_range(), local_m.bin.in_range());
-      EXPECT_EQ(remote_m.bin.estimate().value(),
-                local_m.bin.estimate().value());
+      const auto remote_raw = capture_one(remote, req);
+      const auto local_raw = capture_one(*local.engine, req);
+      EXPECT_EQ(remote_raw.word, local_raw.word) << "sample " << k;
+      EXPECT_EQ(remote_raw.timestamp.value(), local_raw.timestamp.value());
+      const auto remote_bin = ladder.decode(remote_raw.word, remote_raw.code);
+      const auto local_bin = reference.decode(local_raw.word, local_raw.code);
+      EXPECT_EQ(remote_bin.in_range(), local_bin.in_range());
+      EXPECT_EQ(remote_bin.estimate().value(), local_bin.estimate().value());
     }
+    EXPECT_EQ(remote.round_trips(), 4u);
   }
   server.join();
 }
@@ -109,7 +160,7 @@ TEST(RemoteEngine, SilentPeerBlowsTheHandshakeDeadline) {
   RemoteEngineConfig rc;
   rc.deadline_ms = 60;  // nobody will ever send the hello
   try {
-    RemoteEngineHandle remote(std::move(client_end), shared_ladder(), rc);
+    RemoteEngineHandle remote(std::move(client_end), rc);
     FAIL() << "handshake against a silent peer must time out";
   } catch (const TransportError& err) {
     EXPECT_EQ(err.status(), IoStatus::kTimeout);
@@ -128,12 +179,12 @@ TEST(RemoteEngine, DeadPeerSurfacesAsTransportError) {
 
   RemoteEngineConfig rc;
   rc.deadline_ms = 200;
-  RemoteEngineHandle remote(std::move(client_end), shared_ladder(), rc);
+  RemoteEngineHandle remote(std::move(client_end), rc);
   EXPECT_EQ(remote.word_bits(), 31u);
 
   core::MeasureRequest req;
   req.code = config.code;
-  EXPECT_THROW((void)remote.measure(req), TransportError);
+  EXPECT_THROW((void)capture_one(remote, req), TransportError);
   EXPECT_GE(remote.transport_faults(), 1u);
 }
 
@@ -144,7 +195,6 @@ TEST(RemoteEngine, DeadPeerSurfacesAsTransportError) {
 TEST(RemoteEngine, GridMapsTransportLossOntoHungSiteQuarantine) {
   const auto config = small_config();
   const auto fp = scan::Floorplan::grid(2000.0, 1000.0, 2, 1);
-  const auto ladder = shared_ladder();
 
   // Site 0 gets a healthy server; site 1's server hangs up after the hello.
   auto [good_client, good_server] = socketpair_stream();
@@ -168,13 +218,13 @@ TEST(RemoteEngine, GridMapsTransportLossOntoHungSiteQuarantine) {
   gc.resilience.max_retries = 1;
   gc.resilience.quarantine_after = 2;
   gc.resilience.backoff_base_us = 0;
-  gc.engine_factory = [&conns, &ladder](std::uint32_t site_id,
-                                        const analog::RailPair&,
-                                        const core::EngineSiteOptions&) {
+  gc.engine_factory = [&conns](std::uint32_t site_id,
+                               const analog::RailPair&,
+                               const core::EngineSiteOptions&) {
     RemoteEngineConfig rc;
     rc.deadline_ms = 200;
     return core::EngineHandle(std::make_unique<RemoteEngineHandle>(
-        std::move(conns[site_id]), ladder, rc));
+        std::move(conns[site_id]), rc));
   };
 
   grid::RunResult result;

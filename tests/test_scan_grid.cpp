@@ -4,6 +4,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "calib/fit.h"
@@ -30,6 +31,19 @@ ScanGridConfig base_config(std::size_t threads) {
 RailFactory test_rails(const scan::Floorplan& fp) {
   return ScanGrid::ir_gradient_rails(fp, Volt{1.01}, 0.05 / 5657.0,
                                      {0.0, 0.0}, /*sigma_volts=*/0.004);
+}
+
+// Exact-double bin equality (lo/hi), not just the printed string.
+void expect_same_bin(const core::VoltageBin& got, const core::VoltageBin& want,
+                     const std::string& where) {
+  ASSERT_EQ(got.lo.has_value(), want.lo.has_value()) << where;
+  ASSERT_EQ(got.hi.has_value(), want.hi.has_value()) << where;
+  if (want.lo) {
+    EXPECT_EQ(got.lo->value(), want.lo->value()) << where;
+  }
+  if (want.hi) {
+    EXPECT_EQ(got.hi->value(), want.hi->value()) << where;
+  }
 }
 
 TEST(ScanGrid, RunProducesEverySampleOfEverySite) {
@@ -79,8 +93,10 @@ TEST(ScanGrid, DeterministicAcrossThreadCounts) {
 }
 
 TEST(ScanGrid, MatchesSerialScanChainBroadcastSiteForSite) {
-  // The refactor's load-bearing guarantee: the grid's engine-based words are
+  // The refactor's load-bearing guarantee: the grid's words AND bins are
   // bit-identical to the serial PsnScanChain reference at EVERY thread count.
+  // The chain decodes inside each site's engine (its kernel ladder), so it
+  // is an independent reference for the grid's drain-pass DecodeLadder.
   const auto fp = scan::Floorplan::grid(4000.0, 4000.0, 4, 4);
 
   // Serial reference: a PsnScanChain over the *same* rails (reconstructed
@@ -98,14 +114,14 @@ TEST(ScanGrid, MatchesSerialScanChainBroadcastSiteForSite) {
         site.id, analog::RailPair{rails.back().get(), nullptr},
         calib::make_paper_thermometer(model, reference_config.thermometer));
   }
-  std::vector<std::vector<core::ThermoWord>> reference;
+  std::vector<std::vector<core::Measurement>> reference;
   for (std::size_t k = 0; k < reference_config.samples_per_site; ++k) {
     const auto snapshot = chain.broadcast_measure(
         Picoseconds{static_cast<double>(k) *
                     reference_config.interval.value()},
         reference_config.code);
     auto& row = reference.emplace_back();
-    for (const auto& sm : snapshot) row.push_back(sm.measurement.word);
+    for (const auto& sm : snapshot) row.push_back(sm.measurement);
   }
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
@@ -116,9 +132,16 @@ TEST(ScanGrid, MatchesSerialScanChainBroadcastSiteForSite) {
     ASSERT_EQ(result.sites.size(), reference.front().size());
     for (std::size_t k = 0; k < config.samples_per_site; ++k) {
       for (std::size_t i = 0; i < result.sites.size(); ++i) {
-        EXPECT_EQ(result.sites[i].samples[k].word, reference[k][i])
+        const auto& got = result.sites[i].samples[k];
+        const auto& want = reference[k][i];
+        EXPECT_EQ(got.word, want.word)
             << "threads=" << threads << " site " << i << " sample " << k
             << ": grid diverged from the serial broadcast reference";
+        EXPECT_EQ(got.timestamp.value(), want.timestamp.value());
+        expect_same_bin(got.bin, want.bin,
+                        "threads=" + std::to_string(threads) + " site " +
+                            std::to_string(i) + " sample " +
+                            std::to_string(k));
       }
     }
   }
@@ -164,6 +187,36 @@ TEST(ScanGrid, AutoRangePolicyTrimsPerSiteAndStaysDeterministic) {
       EXPECT_EQ(a.sites[i].samples[k].word, b.sites[i].samples[k].word);
       EXPECT_EQ(a.sites[i].samples[k].code, b.sites[i].samples[k].code);
     }
+  }
+
+  // Serial reference: one behavioral engine per site running the same
+  // closed loop (measure with in-engine kernel decode, then observe), so the
+  // grid's words, codes and exact bins are checked against an independent
+  // decode along the whole trim sequence.
+  const auto& model = calib::calibrated().model;
+  const analog::ConstantRail vdd{Volt{0.85}};
+  for (std::size_t i = 0; i < a.sites.size(); ++i) {
+    core::BehavioralEngine engine =
+        calib::make_paper_engine(model, config.thermometer);
+    core::CodePolicyConfig policy;
+    policy.initial = config.code;
+    policy.auto_range = true;
+    engine.configure_code_policy(policy);
+    for (std::size_t k = 0; k < config.samples_per_site; ++k) {
+      core::MeasureRequest req;
+      req.start = first.sample_time(k);
+      const core::Measurement want = engine.measure(req, {&vdd, nullptr});
+      engine.context().observe(engine.encode(want.word), want.word.width());
+      const auto& got = a.sites[i].samples[k];
+      EXPECT_EQ(got.word, want.word) << "site " << i << " sample " << k;
+      EXPECT_EQ(got.code, want.code) << "site " << i << " sample " << k;
+      EXPECT_EQ(got.timestamp.value(), want.timestamp.value());
+      expect_same_bin(got.bin, want.bin,
+                      "site " + std::to_string(i) + " sample " +
+                          std::to_string(k));
+    }
+    EXPECT_EQ(a.sites[i].final_code, engine.context().current_code());
+    EXPECT_EQ(a.sites[i].code_steps, engine.context().code_steps());
   }
 }
 

@@ -1,7 +1,7 @@
 // StreamingEncoder / DecodeLadder: the drain-pass half of the streaming
 // raw-word pipeline. The load-bearing property is bit-identity: every
 // encoded field must match core::Encoder::encode, and every ladder decode
-// must match the engine/kernel decode the legacy per-site path used.
+// must match the engine/kernel decode the serial scan chain uses.
 #include "core/streaming_encoder.h"
 
 #include <gtest/gtest.h>
@@ -221,33 +221,6 @@ TEST(RawPath, BehavioralMeasureRawPlusLadderReassemblesMeasure) {
     ASSERT_EQ(rebuilt.bin.hi.has_value(), m.bin.hi.has_value());
     if (m.bin.lo) EXPECT_EQ(rebuilt.bin.lo->value(), m.bin.lo->value());
     if (m.bin.hi) EXPECT_EQ(rebuilt.bin.hi->value(), m.bin.hi->value());
-  }
-}
-
-// Type-erased handles advertise and honor the raw capability; the default
-// IMeasureEngine fallback (derive from measure()) matches too.
-TEST(RawPath, EngineHandleRawBatchMatchesMeasureBatch) {
-  const auto& model = calib::calibrated().model;
-  const analog::ConstantRail rail{Volt{0.95}};
-  const analog::RailPair rails{&rail, nullptr};
-  EngineSiteOptions options;
-  EngineHandle a = make_behavioral_engine(calib::make_paper_engine(model),
-                                          rails, options);
-  EngineHandle b = make_behavioral_engine(calib::make_paper_engine(model),
-                                          rails, options);
-  ASSERT_TRUE(a->supports_raw_samples());
-
-  MeasureRequest first;
-  first.start = Picoseconds{0.0};
-  std::vector<Measurement> ms;
-  a->measure_batch(first, Picoseconds{10000.0}, 5, ms);
-  std::vector<RawSample> raws;
-  b->measure_raw_batch(first, Picoseconds{10000.0}, 5, raws);
-  ASSERT_EQ(ms.size(), raws.size());
-  for (std::size_t k = 0; k < ms.size(); ++k) {
-    EXPECT_EQ(raws[k].word, ms[k].word) << "sample " << k;
-    EXPECT_EQ(raws[k].code, ms[k].code);
-    EXPECT_EQ(raws[k].timestamp.value(), ms[k].timestamp.value());
   }
 }
 

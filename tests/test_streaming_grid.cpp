@@ -1,7 +1,6 @@
-// Conformance tests for the streaming raw-word pipeline: the grid's
-// drain-pass ENC + shared-ladder decode must publish the same words and bins
-// as the legacy per-site decode, at every thread count, for every backend
-// and code policy. This is the ISSUE-5 acceptance gate.
+// Conformance tests for the grid's one capture path: workers ship raw words
+// through the rings and the drain pass owns ENC + voltage conversion, for
+// every backend, code policy and resilience setting.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,7 +15,7 @@ namespace {
 
 using namespace psnt::literals;
 
-ScanGridConfig base_config(std::size_t threads, DecodePath path) {
+ScanGridConfig base_config(std::size_t threads) {
   ScanGridConfig config;
   config.threads = threads;
   config.samples_per_site = 6;
@@ -24,7 +23,6 @@ ScanGridConfig base_config(std::size_t threads, DecodePath path) {
   config.interval = Picoseconds{10000.0};
   config.code = core::DelayCode{3};
   config.seed = 7;
-  config.decode_path = path;
   return config;
 }
 
@@ -33,13 +31,28 @@ RailFactory test_rails(const scan::Floorplan& fp) {
                                      {0.0, 0.0}, /*sigma_volts=*/0.004);
 }
 
-void expect_runs_identical(const RunResult& streaming,
-                           const RunResult& per_site,
+void expect_bins_equal(const core::VoltageBin& a, const core::VoltageBin& b,
+                       const char* label, std::size_t site,
+                       std::size_t sample) {
+  // Bins must agree to the exact double, not just the printed string.
+  ASSERT_EQ(a.lo.has_value(), b.lo.has_value())
+      << label << " site " << site << " sample " << sample;
+  ASSERT_EQ(a.hi.has_value(), b.hi.has_value())
+      << label << " site " << site << " sample " << sample;
+  if (a.lo) {
+    EXPECT_EQ(a.lo->value(), b.lo->value());
+  }
+  if (a.hi) {
+    EXPECT_EQ(a.hi->value(), b.hi->value());
+  }
+}
+
+void expect_runs_identical(const RunResult& a_run, const RunResult& b_run,
                            std::size_t samples_per_site, const char* label) {
-  ASSERT_EQ(streaming.sites.size(), per_site.sites.size());
-  for (std::size_t i = 0; i < streaming.sites.size(); ++i) {
-    const auto& a = streaming.sites[i];
-    const auto& b = per_site.sites[i];
+  ASSERT_EQ(a_run.sites.size(), b_run.sites.size());
+  for (std::size_t i = 0; i < a_run.sites.size(); ++i) {
+    const auto& a = a_run.sites[i];
+    const auto& b = b_run.sites[i];
     EXPECT_EQ(a.final_code, b.final_code) << label << " site " << i;
     EXPECT_EQ(a.code_steps, b.code_steps) << label << " site " << i;
     for (std::size_t k = 0; k < samples_per_site; ++k) {
@@ -51,82 +64,55 @@ void expect_runs_identical(const RunResult& streaming,
       EXPECT_EQ(sa.code, sb.code) << label << " site " << i << " sample " << k;
       EXPECT_EQ(sa.timestamp.value(), sb.timestamp.value())
           << label << " site " << i << " sample " << k;
-      // Bins must agree to the exact double, not just the printed string:
-      // the drain ladder mirrors the kernel ladder operand-for-operand.
-      ASSERT_EQ(sa.bin.lo.has_value(), sb.bin.lo.has_value());
-      ASSERT_EQ(sa.bin.hi.has_value(), sb.bin.hi.has_value());
-      if (sa.bin.lo) {
-        EXPECT_EQ(sa.bin.lo->value(), sb.bin.lo->value());
-      }
-      if (sa.bin.hi) {
-        EXPECT_EQ(sa.bin.hi->value(), sb.bin.hi->value());
-      }
+      expect_bins_equal(sa.bin, sb.bin, label, i, k);
     }
   }
 }
 
-TEST(StreamingGrid, BitIdenticalToPerSiteDecodeAt1_2_8Threads) {
-  const auto fp = scan::Floorplan::grid(4000.0, 4000.0, 4, 4);
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    ScanGrid streaming{fp, base_config(threads, DecodePath::kStreaming),
-                       test_rails(fp)};
-    ScanGrid per_site{fp, base_config(threads, DecodePath::kPerSite),
-                      test_rails(fp)};
-    const auto a = streaming.run();
-    const auto b = per_site.run();
-    expect_runs_identical(a, b, 6, "behavioral");
-    EXPECT_EQ(a.produced, b.produced) << "threads=" << threads;
-  }
-}
-
-TEST(StreamingGrid, AutoRangeTrimsIdenticallyOnBothPaths) {
-  // Auto-range feedback stays capture-side in streaming mode precisely so
-  // the trim sequence (and therefore every word and code) matches the
-  // legacy path sample-for-sample.
-  const auto fp = scan::Floorplan::grid(1000.0, 1000.0, 1, 2);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    auto streaming_config = base_config(threads, DecodePath::kStreaming);
-    streaming_config.samples_per_site = 10;
-    streaming_config.code_policy = CodePolicy::kAutoRange;
-    auto per_site_config = streaming_config;
-    per_site_config.decode_path = DecodePath::kPerSite;
-    // 0.85 V sits outside code 011's window: the controller must walk.
-    ScanGrid streaming{fp, streaming_config,
-                       ScanGrid::constant_rails(Volt{0.85})};
-    ScanGrid per_site{fp, per_site_config,
-                      ScanGrid::constant_rails(Volt{0.85})};
-    const auto a = streaming.run();
-    const auto b = per_site.run();
-    expect_runs_identical(a, b, 10, "auto-range");
-    for (const auto& site : a.sites) EXPECT_GT(site.code_steps, 0u);
-  }
-}
-
 TEST(StreamingGrid, StructuralSitesStreamRawWords) {
+  // Structural sites capture a whole batch in one netlist run and ship raw
+  // words; the drain's ladder decodes them to the bins the behavioral
+  // kernel decode gives the same (word, code).
   const auto fp = scan::Floorplan::grid(1000.0, 1000.0, 1, 2);
-  auto config = base_config(1, DecodePath::kStreaming);
+  auto config = base_config(1);
   config.samples_per_site = 2;
   config.fidelity = SiteFidelity::kStructural;
-  auto per_site_config = config;
-  per_site_config.decode_path = DecodePath::kPerSite;
-  ScanGrid streaming{fp, config, ScanGrid::constant_rails(1.0_V)};
-  ScanGrid per_site{fp, per_site_config, ScanGrid::constant_rails(1.0_V)};
-  const auto a = streaming.run();
-  const auto b = per_site.run();
-  expect_runs_identical(a, b, 2, "structural");
+  ScanGrid grid{fp, config, ScanGrid::constant_rails(1.0_V)};
+  const auto result = grid.run();
+
+  const auto& model = calib::calibrated().model;
+  const core::BehavioralEngine decoder = calib::make_paper_engine(model);
+  const analog::ConstantRail vdd{1.0_V};
+  for (std::size_t i = 0; i < result.sites.size(); ++i) {
+    // Each site is an independent netlist over the same constant rail.
+    auto engine = core::make_structural_engine(
+        calib::make_paper_array(model), core::PulseGenerator{model.pg_config()},
+        {&vdd, nullptr}, config.thermometer.control_period, {});
+    std::vector<core::RawSample> expected;
+    core::MeasureRequest req;
+    req.start = config.start;
+    engine->measure_raw_batch(req, config.interval, 2, expected);
+    for (std::size_t k = 0; k < 2; ++k) {
+      const auto& got = result.sites[i].samples[k];
+      ASSERT_TRUE(result.sites[i].valid[k]);
+      EXPECT_EQ(got.word, expected[k].word) << "site " << i << " sample " << k;
+      EXPECT_EQ(got.code, expected[k].code);
+      EXPECT_EQ(got.timestamp.value(), expected[k].timestamp.value());
+      expect_bins_equal(got.bin, decoder.decode(got.word, got.code),
+                        "structural", i, k);
+    }
+  }
   // The netlist batch really took the raw path: drain-pass ENC saw every
   // word, and the sim telemetry still flowed.
-  EXPECT_EQ(streaming.telemetry().counter("grid.enc.words").value(), 2u * 2u);
-  EXPECT_GT(streaming.telemetry().counter("grid.sim_events").value(), 0u);
+  EXPECT_EQ(grid.telemetry().counter("grid.enc.words").value(), 2u * 2u);
+  EXPECT_GT(grid.telemetry().counter("grid.sim_events").value(), 0u);
 }
 
 TEST(StreamingGrid, DrainPassEncTelemetry) {
   const auto fp = scan::Floorplan::grid(4000.0, 4000.0, 4, 4);
-  ScanGrid streaming{fp, base_config(4, DecodePath::kStreaming),
-                     test_rails(fp)};
-  const auto result = streaming.run();
-  auto& t = streaming.telemetry();
+  ScanGrid grid{fp, base_config(4), test_rails(fp)};
+  const auto result = grid.run();
+  auto& t = grid.telemetry();
   // Every drained sample went through the drain-pass encoder exactly once.
   EXPECT_EQ(t.counter("grid.enc.words").value(), result.produced);
   EXPECT_LE(t.counter("grid.enc.underflows").value(),
@@ -134,96 +120,46 @@ TEST(StreamingGrid, DrainPassEncTelemetry) {
   EXPECT_LE(t.counter("grid.enc.overflows").value(),
             t.counter("grid.enc.words").value());
 
-  // The legacy path never touches the streaming encoder.
-  ScanGrid per_site{fp, base_config(4, DecodePath::kPerSite), test_rails(fp)};
-  (void)per_site.run();
-  EXPECT_EQ(per_site.telemetry().counter("grid.enc.words").value(), 0u);
-}
-
-TEST(StreamingGrid, ChaosPathForcesPerSiteDecode) {
-  // Attaching an injector (even an all-zero-probability one) activates the
-  // chaos loop, which must fall back to per-site decode: recovery decisions
-  // consume decoded bins. The words still match a plain per-site run.
-  const auto fp = scan::Floorplan::grid(1000.0, 1000.0, 1, 2);
-  auto chaos_config = base_config(2, DecodePath::kStreaming);
+  // The resilient per-sample loop ships raw words through the same drain.
+  auto chaos_config = base_config(2);
   chaos_config.injector =
       std::make_shared<fault::FaultInjector>(2026, fault::FaultStormConfig{});
   ScanGrid chaos{fp, chaos_config, test_rails(fp)};
-  ScanGrid plain{fp, base_config(2, DecodePath::kPerSite), test_rails(fp)};
-  const auto a = chaos.run();
-  const auto b = plain.run();
-  expect_runs_identical(a, b, 6, "chaos-fallback");
-  EXPECT_EQ(chaos.telemetry().counter("grid.enc.words").value(), 0u);
+  const auto chaos_result = chaos.run();
+  EXPECT_EQ(chaos.telemetry().counter("grid.enc.words").value(),
+            chaos_result.produced);
 }
 
-TEST(StreamingGrid, BatchCaptureBitIdenticalToBothLegacyPipelines) {
-  // The ISSUE-7 acceptance gate: the vectorized SoA batch capture
-  // (batch_capture=true, the default) must publish the same words, bins and
-  // codes as the PR-5 per-sample streaming pipeline AND the legacy per-site
-  // decode, at every thread count.
-  const auto fp = scan::Floorplan::grid(4000.0, 4000.0, 4, 4);
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    auto batch_config = base_config(threads, DecodePath::kStreaming);
-    ASSERT_TRUE(batch_config.batch_capture);
-    auto legacy_config = batch_config;
-    legacy_config.batch_capture = false;
-    auto per_site_config = legacy_config;
-    per_site_config.decode_path = DecodePath::kPerSite;
-    ScanGrid batch{fp, batch_config, test_rails(fp)};
-    ScanGrid legacy{fp, legacy_config, test_rails(fp)};
-    ScanGrid per_site{fp, per_site_config, test_rails(fp)};
-    const auto a = batch.run();
-    const auto b = legacy.run();
-    const auto c = per_site.run();
-    expect_runs_identical(a, b, 6, "batch-vs-streaming");
-    expect_runs_identical(a, c, 6, "batch-vs-per-site");
+TEST(StreamingGrid, ChaosAutoRangeTrimsOncePerPublishedSample) {
+  // Votes and retries capture the same sample several times, but the code
+  // policy observes only the published (majority) word: a zero-probability
+  // injector with 3 votes must walk exactly the trim sequence of a plain
+  // auto-range run.
+  const auto fp = scan::Floorplan::grid(1000.0, 1000.0, 1, 2);
+  auto plain_config = base_config(2);
+  plain_config.samples_per_site = 12;
+  plain_config.code_policy = CodePolicy::kAutoRange;
+  auto chaos_config = plain_config;
+  chaos_config.injector =
+      std::make_shared<fault::FaultInjector>(99, fault::FaultStormConfig{});
+  chaos_config.resilience.votes = 3;
+  chaos_config.resilience.max_retries = 1;
+  // 0.85 V sits outside code 011's window: the controller must walk.
+  ScanGrid plain{fp, plain_config, ScanGrid::constant_rails(Volt{0.85})};
+  ScanGrid chaos{fp, chaos_config, ScanGrid::constant_rails(Volt{0.85})};
+  const auto a = plain.run();
+  const auto b = chaos.run();
+  expect_runs_identical(a, b, 12, "chaos-vs-plain auto-range");
+  for (const auto& site : b.sites) {
+    EXPECT_GT(site.code_steps, 0u);
+    EXPECT_TRUE(site.fault_events.empty());
   }
 }
 
-TEST(StreamingGrid, ChaosGridUnaffectedByBatchCapture) {
-  // An injector forces the chaos loop (per-sample measures, per-site
-  // decode); the batch_capture knob must be a strict no-op there.
-  const auto fp = scan::Floorplan::grid(2000.0, 2000.0, 2, 2);
-  auto on_config = base_config(2, DecodePath::kStreaming);
-  on_config.injector = std::make_shared<fault::FaultInjector>(
-      414, fault::FaultStormConfig{});
-  auto off_config = on_config;
-  off_config.batch_capture = false;
-  ScanGrid on{fp, on_config, test_rails(fp)};
-  ScanGrid off{fp, off_config, test_rails(fp)};
-  const auto a = on.run();
-  const auto b = off.run();
-  expect_runs_identical(a, b, 6, "chaos-batch-knob");
-}
-
-TEST(StreamingGrid, AutoRangeKeepsPerSampleCaptureUnderBatchConfig) {
-  // Auto-ranging sites must never take the batch capture (the controller
-  // needs every word before the next PREPARE), so batch_capture on/off are
-  // bit-identical — and identical to the per-site auto-range reference.
-  const auto fp = scan::Floorplan::grid(1000.0, 1000.0, 1, 2);
-  auto on_config = base_config(2, DecodePath::kStreaming);
-  on_config.samples_per_site = 10;
-  on_config.code_policy = CodePolicy::kAutoRange;
-  auto off_config = on_config;
-  off_config.batch_capture = false;
-  auto per_site_config = on_config;
-  per_site_config.decode_path = DecodePath::kPerSite;
-  ScanGrid on{fp, on_config, ScanGrid::constant_rails(Volt{0.85})};
-  ScanGrid off{fp, off_config, ScanGrid::constant_rails(Volt{0.85})};
-  ScanGrid per_site{fp, per_site_config, ScanGrid::constant_rails(Volt{0.85})};
-  const auto a = on.run();
-  const auto b = off.run();
-  const auto c = per_site.run();
-  expect_runs_identical(a, b, 10, "auto-range-batch-knob");
-  expect_runs_identical(a, c, 10, "auto-range-vs-per-site");
-  for (const auto& site : a.sites) EXPECT_GT(site.code_steps, 0u);
-}
-
 TEST(StreamingGrid, DropNewestStillAccountsForEverySample) {
-  // Backpressure semantics are unchanged by the smaller ring payload.
+  // Backpressure semantics hold for the raw ring payload.
   const auto fp = scan::Floorplan::grid(2000.0, 2000.0, 2, 2);
-  auto config = base_config(2, DecodePath::kStreaming);
+  auto config = base_config(2);
   config.backpressure = BackpressurePolicy::kDropNewest;
   config.ring_capacity = 2;
   ScanGrid grid{fp, config, test_rails(fp)};

@@ -172,6 +172,34 @@ TEST(WireFormat, ControlPayloadsRoundTrip) {
   EXPECT_EQ(f3->payload_size, 0u);
 }
 
+TEST(WireFormat, MeasureReqCountIsBoundedByOneReplySpan) {
+  // The largest count whose reply span still fits one frame decodes; one
+  // more, or a wild u32, is a CRC-clean payload the server must not honour
+  // (it would size the capture and produce an unframeable reply).
+  const std::size_t span_payload =
+      kSpanHeaderBytes + kMaxSpanSamples * kSampleWireBytes;
+  EXPECT_LE(span_payload, kMaxPayloadBytes);
+  EXPECT_GT(span_payload + kSampleWireBytes, kMaxPayloadBytes);
+
+  const auto decode_count = [](std::uint32_t count, MeasureReqPayload& out) {
+    MeasureReqPayload req;
+    req.count = count;
+    std::vector<std::uint8_t> bytes;
+    FrameWriter::append_measure_req(bytes, req);
+    FrameParser parser;
+    parser.feed(bytes.data(), bytes.size());
+    auto frame = parser.next();
+    EXPECT_TRUE(frame.has_value());
+    return decode_measure_req(*frame, out);
+  };
+  MeasureReqPayload back;
+  const auto max = static_cast<std::uint32_t>(kMaxSpanSamples);
+  ASSERT_FALSE(decode_count(max, back).has_value());
+  EXPECT_EQ(back.count, max);
+  EXPECT_EQ(decode_count(max + 1, back), WireError::kBadPayload);
+  EXPECT_EQ(decode_count(0xFFFFFFFFu, back), WireError::kBadPayload);
+}
+
 // --- robustness: every corruption is a clean error -------------------------
 
 std::vector<std::uint8_t> one_span_frame() {
