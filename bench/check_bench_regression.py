@@ -66,7 +66,6 @@ ABS_DELTA_METRICS = ("allocs_per_measure", "rss_growth_mb")
 IDENTITY_METRICS = (
     "bit_identical",
     "bit_identical_to_serial",
-    "bit_identical_to_per_site",
     "bit_identical_to_in_process",
     "thread_invariant",
 )

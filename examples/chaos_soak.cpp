@@ -6,7 +6,8 @@
 // hung sites, ring-overflow storms — plus one scheduled kill of a chosen
 // site, against the retry / majority-vote / quarantine ResiliencePolicy.
 // The soak prints the degradation scoreboard (injected faults by kind,
-// retries, recoveries, losses, quarantines), the delivered fraction, and the
+// retries, recoveries, losses, quarantines), the delivered fraction, the
+// serving store's latency/voltage summary of the delivered samples, and the
 // full telemetry registry. Because the injector is a pure counter-hash of
 // (seed, site, sample, attempt), rerunning this binary reproduces the same
 // storm, the same traces, and the same words at any thread count.
@@ -23,6 +24,8 @@
 
 #include "fault/fault_injector.h"
 #include "grid/scan_grid.h"
+#include "serve/query.h"
+#include "serve/store.h"
 
 int main() {
   using namespace psnt;
@@ -63,6 +66,13 @@ int main() {
   config.resilience.backoff_base_us = 2;
   config.resilience.backoff_cap_us = 64;
   config.snapshot_csv_path = "chaos_soak_telemetry.csv";
+
+  serve::StoreConfig store_config;
+  store_config.site_count = fp.site_count();
+  store_config.shards = 1;  // the drain is the single writer
+  store_config.v_nominal = 1.0;
+  auto store = std::make_shared<serve::TelemetryStore>(store_config);
+  config.store = store;
 
   grid::ScanGrid grid{fp, config,
                       grid::ScanGrid::ir_gradient_rails(
@@ -123,7 +133,10 @@ int main() {
                 static_cast<unsigned long long>(site.vote_overrides));
   }
 
-  std::printf("\ntelemetry:\n");
+  serve::QueryEngine query(*store);
+  std::printf("\n%s\n", query.render_summary(5).c_str());
+
+  std::printf("telemetry:\n");
   grid.telemetry().write_text(std::cout);
   std::printf("\ntelemetry snapshot exported to %s\n",
               config.snapshot_csv_path.c_str());

@@ -542,12 +542,9 @@ void ScanGrid::worker_run_shard(Shard& shard) {
 
 void ScanGrid::aggregate(RunResult& result) {
   auto& drained_counter = telemetry_.counter("grid.samples_drained");
-  auto& latency = telemetry_.histogram("grid.measure_latency_us", 0.0, 500.0, 50);
-  auto& volts = telemetry_.histogram("grid.vdd_volts", 0.7, 1.3, 60);
   auto& vdd_rollup = telemetry_.site_rollup("site_vdd_volts", sites_.size());
   auto& ones_rollup = telemetry_.site_rollup("site_word_ones", sites_.size());
   auto& depth = telemetry_.gauge("grid.ring_depth_last");
-  auto& snapshots = telemetry_.counter("grid.snapshots_exported");
 
   // The ENC block lives here: every ring sample goes through this encoder
   // (running under/overflow + bubble tallies) and the shared immutable
@@ -602,14 +599,7 @@ void ScanGrid::aggregate(RunResult& result) {
   chunk.reserve(kDrainChunk);
   word_scratch.reserve(kDrainChunk);
   code_scratch.reserve(kDrainChunk);
-  // Histogram feeds buffered per chunk: ValueHistogram locks per call, so
-  // the publish loop collects values and takes the mutex once per span.
-  std::vector<double> latency_vals;
-  std::vector<double> volt_vals;
-  latency_vals.reserve(kDrainChunk);
-  volt_vals.reserve(kDrainChunk);
 
-  std::uint64_t drained = 0;
   for (;;) {
     // Read the done flags BEFORE the drain pass: if every worker had
     // finished before we drained and the rings still came up empty, no new
@@ -645,11 +635,8 @@ void ScanGrid::aggregate(RunResult& result) {
         ladder_.decode_span(word_scratch.data(), code_scratch.data(),
                             word_scratch.size(), bin_scratch.data());
 
-        latency_vals.clear();
-        volt_vals.clear();
         for (std::size_t i = 0; i < chunk.size(); ++i) {
           const GridSample& s = chunk[i];
-          ++drained;
           const core::VoltageBin& bin = bin_scratch[i];
           auto& sr = result.sites[s.raw.site_id];
           sr.samples[s.raw.sample_index] =
@@ -665,23 +652,12 @@ void ScanGrid::aggregate(RunResult& result) {
             store->ingest(rec);
             serve_ingested->increment();
           }
-          latency_vals.push_back(s.wall_us);
-          if (bin.in_range()) volt_vals.push_back(bin.estimate().value());
           if (!bin.below_range() || !bin.above_range()) {
             vdd_rollup.add(s.raw.site_id, bin.estimate().value());
           }
           ones_rollup.add(s.raw.site_id,
                           static_cast<double>(s.raw.word.count_ones()));
-          if (config_.snapshot_every > 0 &&
-              !config_.snapshot_csv_path.empty() &&
-              drained % config_.snapshot_every == 0) {
-            if (telemetry_.export_csv(config_.snapshot_csv_path)) {
-              snapshots.increment();
-            }
-          }
         }
-        latency.observe_span(latency_vals.data(), latency_vals.size());
-        volts.observe_span(volt_vals.data(), volt_vals.size());
       }
       depth.set(static_cast<double>(shard->ring.size()));
     }

@@ -3,11 +3,13 @@
 // The paper's scan-chain usage model at datacenter scale: many independent
 // per-site sensor simulations run on a fixed-size thread pool, each site's
 // captures stream through a bounded SPSC ring into a central aggregator
-// that maintains telemetry (counters, latency/value histograms, per-site
-// OnlineStats rollups) and assembles the ordered result matrix. The ring
-// carries wire-sized capture-only core::RawSamples, and the aggregator's
-// drain pass owns ENC + voltage conversion — the paper's capture/encode
-// split (Fig. 6: FF array → ENC → OUTE) applied to the runtime.
+// that maintains telemetry (counters, gauges, per-site OnlineStats rollups),
+// publishes every sample into an attached serve::TelemetryStore (the one
+// home of latency/voltage distributions) and assembles the ordered result
+// matrix. The ring carries wire-sized capture-only core::RawSamples, and
+// the aggregator's drain pass owns ENC + voltage conversion — the paper's
+// capture/encode split (Fig. 6: FF array → ENC → OUTE) applied to the
+// runtime.
 //
 // One capture path
 //   Workers capture through the one engine entry point,
@@ -161,10 +163,9 @@ struct ScanGridConfig {
   // scratch inside L1 while amortizing the per-batch dispatch (see
   // DESIGN.md §14).
   std::size_t batch = 96;
-  // When non-empty, the aggregator exports the telemetry snapshot to this
-  // CSV path every `snapshot_every` drained samples (and once at the end).
+  // When non-empty, run() exports the telemetry snapshot to this CSV path
+  // once, after the scan completes.
   std::string snapshot_csv_path;
-  std::size_t snapshot_every = 0;  // 0 = final snapshot only
   // Always-on serving layer (null = off). When set, the aggregator's drain
   // publishes every sample into the store — latest/windowed per-site
   // rollups, global voltage/latency sketches, top-K droop — keyed by the

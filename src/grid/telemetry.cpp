@@ -6,39 +6,6 @@
 
 namespace psnt::grid {
 
-ValueHistogram::ValueHistogram(double lo, double hi, std::size_t bins)
-    : histogram_(lo, hi, bins) {}
-
-void ValueHistogram::observe(double x) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  histogram_.add(x);
-  stats_.add(x);
-}
-
-void ValueHistogram::observe_span(const double* xs, std::size_t n) {
-  if (n == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (std::size_t i = 0; i < n; ++i) {
-    histogram_.add(xs[i]);
-    stats_.add(xs[i]);
-  }
-}
-
-stats::OnlineStats ValueHistogram::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-stats::Histogram ValueHistogram::histogram() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return histogram_;
-}
-
-double ValueHistogram::quantile(double q) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return histogram_.quantile(q);
-}
-
 stats::OnlineStats SiteRollup::merged() const {
   stats::OnlineStats all;
   for (const auto& s : sites_) all.merge(s);
@@ -56,15 +23,6 @@ Gauge& TelemetryRegistry::gauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = gauges_[name];
   if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-ValueHistogram& TelemetryRegistry::histogram(const std::string& name,
-                                             double lo, double hi,
-                                             std::size_t bins) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<ValueHistogram>(lo, hi, bins);
   return *slot;
 }
 
@@ -87,26 +45,6 @@ util::CsvTable TelemetryRegistry::counters_table() const {
   }
   for (const auto& [name, g] : gauges_) {
     table.new_row().add(name).add(g->value(), 6);
-  }
-  return table;
-}
-
-util::CsvTable TelemetryRegistry::histograms_table() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  util::CsvTable table({"histogram", "count", "mean", "stddev", "min", "max",
-                        "p50", "p95", "p99"});
-  for (const auto& [name, h] : histograms_) {
-    const auto s = h->stats();
-    table.new_row()
-        .add(name)
-        .add(static_cast<long long>(s.count()))
-        .add(s.mean(), 6)
-        .add(s.stddev(), 6)
-        .add(s.count() ? s.min() : 0.0, 6)
-        .add(s.count() ? s.max() : 0.0, 6)
-        .add(h->quantile(0.50), 6)
-        .add(h->quantile(0.95), 6)
-        .add(h->quantile(0.99), 6);
   }
   return table;
 }
@@ -134,8 +72,6 @@ util::CsvTable TelemetryRegistry::site_rollups_table() const {
 void TelemetryRegistry::write_text(std::ostream& os) const {
   os << "== counters/gauges ==\n";
   counters_table().write_pretty(os);
-  os << "== histograms ==\n";
-  histograms_table().write_pretty(os);
   const auto rollups = site_rollups_table();
   if (rollups.row_count() > 0) {
     os << "== per-site rollups ==\n";
@@ -145,8 +81,6 @@ void TelemetryRegistry::write_text(std::ostream& os) const {
 
 void TelemetryRegistry::write_csv(std::ostream& os) const {
   counters_table().write_csv(os);
-  os << "\n";
-  histograms_table().write_csv(os);
   os << "\n";
   site_rollups_table().write_csv(os);
 }

@@ -1,22 +1,22 @@
 // Telemetry registry for the scan-grid runtime.
 //
-// Three instrument kinds, mirroring what a production metrics endpoint would
+// Two instrument kinds, mirroring what a production metrics endpoint would
 // export:
 //
-//   Counter       — monotonic event count, lock-free (atomic increments from
-//                   any thread: samples produced, ring stalls, drops...).
-//   Gauge         — latest value of a quantity (queue depth, active workers).
-//   ValueHistogram— fixed-bin histogram + Welford rollup of an observed
-//                   value (per-measure latency, decoded voltage). Mutexed:
-//                   observation is a handful of arithmetic ops, contention
-//                   is negligible next to a site simulation.
+//   Counter — monotonic event count, lock-free (atomic increments from any
+//             thread: samples produced, ring stalls, drops...).
+//   Gauge   — latest value of a quantity (queue depth, active workers).
 //
 // Plus per-site OnlineStats rollups (SiteRollup), owned by the single
 // aggregator thread and therefore unlocked.
 //
+// Distributions (latency, voltage quantiles) are not kept here: the serving
+// layer's serve::HistogramSketch is the one histogram type, fed by the same
+// drain when a grid attaches a serve::TelemetryStore.
+//
 // The registry is the naming/ownership layer: instruments are created on
 // first use, live as long as the registry, and snapshot together into text
-// or CSV (util::CsvTable) for periodic export.
+// or CSV (util::CsvTable) for export.
 #pragma once
 
 #include <atomic>
@@ -57,26 +57,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-class ValueHistogram {
- public:
-  ValueHistogram(double lo, double hi, std::size_t bins);
-
-  void observe(double x);
-  // Batched observe: one lock for the whole span. The grid drain publishes
-  // per chunk (hundreds of samples), where a lock per value is measurable.
-  void observe_span(const double* xs, std::size_t n);
-
-  // Consistent copies taken under the lock.
-  [[nodiscard]] stats::OnlineStats stats() const;
-  [[nodiscard]] stats::Histogram histogram() const;
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  mutable std::mutex mutex_;
-  stats::Histogram histogram_;
-  stats::OnlineStats stats_;
-};
-
 // Per-site Welford rollups. NOT thread-safe: owned and written by the single
 // aggregator thread, read after the run completes.
 class SiteRollup {
@@ -101,20 +81,16 @@ class TelemetryRegistry {
   // lifetime; concurrent lookups are safe.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  ValueHistogram& histogram(const std::string& name, double lo, double hi,
-                            std::size_t bins);
   SiteRollup& site_rollup(const std::string& name, std::size_t site_count);
 
-  // Snapshot exports. Counters/gauges: name,value. Histograms:
-  // name,count,mean,stddev,min,max,p50,p95,p99. Site rollups: one row per
-  // (rollup, site): name,site,count,mean,stddev,min,max.
+  // Snapshot exports. Counters/gauges: name,value. Site rollups: one row
+  // per (rollup, site): name,site,count,mean,stddev,min,max.
   [[nodiscard]] util::CsvTable counters_table() const;
-  [[nodiscard]] util::CsvTable histograms_table() const;
   [[nodiscard]] util::CsvTable site_rollups_table() const;
 
   // Human-readable dump of every instrument.
   void write_text(std::ostream& os) const;
-  // All three tables concatenated (blank-line separated) as CSV.
+  // Both tables concatenated (blank-line separated) as CSV.
   void write_csv(std::ostream& os) const;
   // Convenience: write_csv to a file path; returns false on I/O failure.
   bool export_csv(const std::string& path) const;
@@ -123,7 +99,6 @@ class TelemetryRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<ValueHistogram>> histograms_;
   std::map<std::string, std::unique_ptr<SiteRollup>> rollups_;
 };
 

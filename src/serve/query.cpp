@@ -59,9 +59,7 @@ std::optional<WindowedStats> QueryEngine::windowed(std::uint32_t site_id,
 }
 
 HistogramSketch QueryEngine::merged_sketch(bool voltage) const {
-  const auto& config = store_.config();
-  HistogramSketch merged{voltage ? config.voltage_sketch
-                                 : config.latency_sketch};
+  HistogramSketch merged{voltage ? kVoltageSketch : kLatencySketch};
   for (const auto& shard : view_.shards) {
     if (shard) merged.merge(voltage ? shard->voltage : shard->latency);
   }

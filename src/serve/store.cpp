@@ -175,8 +175,8 @@ struct alignas(kCacheLine) TelemetryStore::Shard {
   std::mutex ingest_mutex;
 
   Shard(const StoreConfig& config, std::size_t shard_index)
-      : voltage(config.voltage_sketch),
-        latency(config.latency_sketch),
+      : voltage(kVoltageSketch),
+        latency(kLatencySketch),
         top_droop(config.site_count, config.top_k),
         until_publish(config.publish_every) {
     for (std::uint32_t site = static_cast<std::uint32_t>(shard_index);

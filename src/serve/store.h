@@ -69,6 +69,11 @@
 
 namespace psnt::serve {
 
+// Global (per-shard, merged at query time) distribution sketches: decoded
+// volts over ~0.5–2.4 V and per-measure latency in µs over ~10 ns–1.3 s.
+inline constexpr SketchConfig kVoltageSketch{0.005, 0.5, 160};
+inline constexpr SketchConfig kLatencySketch{0.025, 0.01, 288};
+
 struct StoreConfig {
   // Number of monitored sites; per-site state is allocated up front.
   std::size_t site_count = 1;
@@ -79,9 +84,6 @@ struct StoreConfig {
   // Per-site windowed rollups (width, ring depth, per-window sketch).
   WindowConfig window{Picoseconds{50000.0}, 8,
                       SketchConfig{0.005, 0.5, 160}};
-  // Global (per-shard, merged at query time) distribution sketches.
-  SketchConfig voltage_sketch{0.005, 0.5, 160};  // volts, ~0.5–2.4 V
-  SketchConfig latency_sketch{0.025, 0.01, 288};  // µs, ~10 ns–1.3 s
   // Worst-droop leaderboard size.
   std::size_t top_k = 8;
   // Ingests per shard between automatic snapshot publications.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/error.h"
-
 namespace psnt::stats {
 
 void OnlineStats::add(double x) {
@@ -38,57 +36,6 @@ void OnlineStats::merge(const OnlineStats& other) {
   n_ += other.n_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  PSNT_CHECK(hi > lo, "histogram range must be non-empty");
-  PSNT_CHECK(bins > 0, "histogram needs at least one bin");
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto bin = static_cast<std::size_t>((x - lo_) / width);
-  if (bin >= counts_.size()) bin = counts_.size() - 1;  // fp edge
-  ++counts_[bin];
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const {
-  return bin_lo(bin) + (hi_ - lo_) / static_cast<double>(counts_.size());
-}
-
-double Histogram::quantile(double q) const {
-  PSNT_CHECK(q >= 0.0 && q <= 1.0, "quantile q must be in [0,1]");
-  const std::size_t in_range = total_ - underflow_ - overflow_;
-  if (in_range == 0) return lo_;
-  const double target = q * static_cast<double>(in_range);
-  double cumulative = 0.0;
-  for (std::size_t bin = 0; bin < counts_.size(); ++bin) {
-    const double next = cumulative + static_cast<double>(counts_[bin]);
-    if (next >= target) {
-      const double frac =
-          counts_[bin] == 0
-              ? 0.0
-              : (target - cumulative) / static_cast<double>(counts_[bin]);
-      return bin_lo(bin) + frac * (bin_hi(bin) - bin_lo(bin));
-    }
-    cumulative = next;
-  }
-  return hi_;
 }
 
 }  // namespace psnt::stats

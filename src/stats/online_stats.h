@@ -1,12 +1,13 @@
-// Streaming statistics (Welford) and fixed-bin histograms.
+// Streaming statistics (Welford): count, mean, variance and extremes of a
+// series without storing it, mergeable across accumulators.
 //
-// Used by the PDN solver to characterise droop waveforms and by benches to
-// summarise sweep series without storing them.
+// Used for the grid's per-site rollups and the serving store's per-site,
+// windowed and global stats. Distributions (quantiles) live in
+// serve::HistogramSketch.
 #pragma once
 
 #include <cstddef>
 #include <limits>
-#include <vector>
 
 namespace psnt::stats {
 
@@ -32,34 +33,6 @@ class OnlineStats {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-class Histogram {
- public:
-  // [lo, hi) split into `bins` equal bins; out-of-range samples are counted
-  // in underflow/overflow.
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  [[nodiscard]] std::size_t underflow() const { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const { return overflow_; }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t bin) const;
-  [[nodiscard]] double bin_hi(std::size_t bin) const;
-
-  // Linear-interpolated quantile over the in-range mass, q in [0,1].
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
 };
 
 }  // namespace psnt::stats

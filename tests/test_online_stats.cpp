@@ -64,48 +64,5 @@ TEST(OnlineStats, MergeWithEmptyIsIdentity) {
   EXPECT_DOUBLE_EQ(b.mean(), 3.0);
 }
 
-TEST(Histogram, BinsAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bin_count(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-}
-
-TEST(Histogram, CountsInRangeAndOverflow) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(0.1);   // bin 0
-  h.add(0.3);   // bin 1
-  h.add(0.99);  // bin 3
-  h.add(-0.5);  // underflow
-  h.add(2.0);   // overflow
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(3), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, QuantileInterpolates) {
-  Histogram h(0.0, 1.0, 10);
-  for (int i = 0; i < 1000; ++i) {
-    h.add((i + 0.5) / 1000.0);  // uniform fill
-  }
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.06);
-  EXPECT_NEAR(h.quantile(0.9), 0.9, 0.06);
-  EXPECT_NEAR(h.quantile(0.1), 0.1, 0.06);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::logic_error);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::logic_error);
-}
-
-TEST(Histogram, QuantileValidatesInput) {
-  Histogram h(0.0, 1.0, 4);
-  EXPECT_THROW((void)h.quantile(1.5), std::logic_error);
-}
-
 }  // namespace
 }  // namespace psnt::stats

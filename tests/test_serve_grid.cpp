@@ -54,6 +54,10 @@ TEST(ServeGrid, DrainPublishesEverySampleIntoStore) {
   // The final publish_all() makes the whole run queryable.
   serve::QueryEngine query(*store);
   EXPECT_EQ(query.published_seq(), drained);
+  // The store is the one home of the run's distributions: every drained
+  // sample lands in both the latency and the voltage summary.
+  EXPECT_EQ(query.latency_stats().count(), drained);
+  EXPECT_EQ(query.voltage_stats().count(), drained);
   for (std::uint32_t site = 0; site < fp.site_count(); ++site) {
     const auto* snap = query.site(site);
     ASSERT_NE(snap, nullptr) << "site " << site;

@@ -31,8 +31,6 @@ StoreConfig small_config(std::size_t shards, std::size_t publish_every) {
   config.v_nominal = 1.0;
   config.window = WindowConfig{Picoseconds{1000.0}, 4,
                                SketchConfig{0.01, 0.5, 48}};
-  config.voltage_sketch = SketchConfig{0.01, 0.5, 48};
-  config.latency_sketch = SketchConfig{0.05, 0.01, 64};
   config.top_k = 3;
   config.publish_every = publish_every;
   return config;
