@@ -136,5 +136,27 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(840, 900, 950, 1000, 1050, 1120,
                                          1200)));
 
+TEST(FullSystem, WordsMatchBehavioralAcrossEveryCodeAndSupply) {
+  // Oracle for the gate-level netlist: every Delay Code, supply swept across
+  // 780–1220 mV in 2 mV steps, one live system per code stepping its rail
+  // between measures. Each word must equal the behavioral array's exactly.
+  const auto& model = calib::calibrated().model;
+  for (int c = 0; c < 8; ++c) {
+    const DelayCode code{static_cast<std::uint8_t>(c)};
+    SystemRig rig(0.780, code);
+    bool first = true;
+    for (int mv = 780; mv <= 1220; mv += 2) {
+      const double volts = mv / 1000.0;
+      rig.vdd.set(Volt{volts});
+      const auto words = rig.system.run_measures(1, first);
+      first = false;
+      ASSERT_EQ(words.size(), 1u);
+      EXPECT_EQ(words[0].to_string(),
+                rig.array.measure(Volt{volts}, model.skew(code)).to_string())
+          << "code=" << code.to_string() << " mV=" << mv;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace psnt::core
