@@ -1,6 +1,8 @@
 #include "sim/synth.h"
 
 #include <algorithm>
+#include <bit>
+#include <compare>
 
 #include "util/error.h"
 
@@ -33,6 +35,106 @@ Net& reduce_tree(Simulator& sim, const std::string& name,
     ++level;
   }
   return *nets.front();
+}
+
+// A product term over the synthesizer's inputs: input i is a literal iff bit
+// i of `care` is set, positive iff bit i of `value` is; `value` has no bits
+// outside `care`.
+struct Cube {
+  std::uint32_t value;
+  std::uint32_t care;
+
+  [[nodiscard]] bool covers(std::uint32_t minterm) const {
+    return (minterm & care) == value;
+  }
+  friend auto operator<=>(const Cube&, const Cube&) = default;
+};
+
+// Quine–McCluskey: repeatedly merge cube pairs that differ in one cared-for
+// bit; a cube that merges with nothing is a prime implicant. `on_set` is
+// sorted and unique. Returns the primes sorted by (value, care).
+std::vector<Cube> prime_implicants(const std::vector<std::uint32_t>& on_set,
+                                   std::uint32_t full_care) {
+  std::vector<Cube> level;
+  level.reserve(on_set.size());
+  for (const std::uint32_t m : on_set) level.push_back({m, full_care});
+  std::vector<Cube> primes;
+  while (!level.empty()) {
+    std::vector<bool> merged(level.size(), false);
+    std::vector<Cube> next;
+    for (std::size_t i = 0; i < level.size(); ++i) {
+      const Cube c = level[i];
+      // Partner: same care mask, one more cared-for bit set to 1.
+      for (std::uint32_t zeros = c.care & ~c.value; zeros != 0;
+           zeros &= zeros - 1) {
+        const std::uint32_t bit = zeros & (0u - zeros);
+        const Cube partner{c.value | bit, c.care};
+        const auto it = std::lower_bound(level.begin(), level.end(), partner);
+        if (it == level.end() || *it != partner) continue;
+        merged[i] = true;
+        merged[static_cast<std::size_t>(it - level.begin())] = true;
+        next.push_back({c.value, c.care & ~bit});
+      }
+    }
+    for (std::size_t i = 0; i < level.size(); ++i) {
+      if (!merged[i]) primes.push_back(level[i]);
+    }
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    level = std::move(next);
+  }
+  std::sort(primes.begin(), primes.end());
+  return primes;
+}
+
+// Deterministic cover: every essential prime (the sole cover of some
+// minterm), then greedily the prime covering the most uncovered minterms;
+// ties go to fewer literals, then to the lower (value, care).
+std::vector<Cube> select_cover(const std::vector<Cube>& primes,
+                               const std::vector<std::uint32_t>& on_set) {
+  std::vector<bool> covered(on_set.size(), false);
+  std::vector<bool> chosen(primes.size(), false);
+  std::vector<Cube> cover;
+  const auto take = [&](std::size_t p) {
+    chosen[p] = true;
+    cover.push_back(primes[p]);
+    for (std::size_t k = 0; k < on_set.size(); ++k) {
+      if (primes[p].covers(on_set[k])) covered[k] = true;
+    }
+  };
+  for (std::size_t k = 0; k < on_set.size(); ++k) {
+    if (covered[k]) continue;
+    std::size_t coverers = 0;
+    std::size_t sole = 0;
+    for (std::size_t p = 0; p < primes.size(); ++p) {
+      if (primes[p].covers(on_set[k])) {
+        ++coverers;
+        sole = p;
+      }
+    }
+    if (coverers == 1) take(sole);
+  }
+  for (;;) {
+    std::size_t best = primes.size();
+    std::size_t best_gain = 0;
+    for (std::size_t p = 0; p < primes.size(); ++p) {
+      if (chosen[p]) continue;
+      std::size_t gain = 0;
+      for (std::size_t k = 0; k < on_set.size(); ++k) {
+        if (!covered[k] && primes[p].covers(on_set[k])) ++gain;
+      }
+      if (gain > best_gain ||
+          (gain == best_gain && gain > 0 &&
+           std::popcount(primes[p].care) <
+               std::popcount(primes[best].care))) {
+        best = p;
+        best_gain = gain;
+      }
+    }
+    if (best == primes.size()) break;
+    take(best);
+  }
+  return cover;
 }
 
 }  // namespace
@@ -76,38 +178,44 @@ Net& SopSynthesizer::synthesize(const std::string& name,
   const std::string scoped = scope_ + "." + name;
   const auto domain = 1u << inputs_.size();
 
+  std::vector<std::uint32_t> on_set = minterms;
+  std::sort(on_set.begin(), on_set.end());
+  PSNT_CHECK(on_set.empty() || on_set.back() < domain,
+             "minterm outside the input domain");
+  PSNT_CHECK(std::adjacent_find(on_set.begin(), on_set.end()) == on_set.end(),
+             "duplicate minterm");
+
   // Constant cases: tie nets driven at elaboration.
-  if (minterms.empty()) {
+  if (on_set.empty()) {
     Net& lo = sim_.net(scoped + ".tie0");
     sim_.drive(lo, Picoseconds{0.0}, Logic::L0);
     return lo;
   }
-  if (minterms.size() == domain) {
+  if (on_set.size() == domain) {
     Net& hi = sim_.net(scoped + ".tie1");
     sim_.drive(hi, Picoseconds{0.0}, Logic::L1);
     return hi;
   }
 
   std::vector<Net*> products;
-  products.reserve(minterms.size());
-  for (const std::uint32_t m : minterms) {
-    PSNT_CHECK(m < domain, "minterm outside the input domain");
+  for (const Cube& cube :
+       select_cover(prime_implicants(on_set, domain - 1), on_set)) {
     std::vector<Net*> lits;
-    lits.reserve(inputs_.size());
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
-      lits.push_back(&literal(i, (m >> i) & 1u));
+      if ((cube.care >> i) & 1u) {
+        lits.push_back(&literal(i, (cube.value >> i) & 1u));
+      }
     }
-    Net& product =
-        reduce_and(sim_, scoped + ".m" + std::to_string(m), std::move(lits),
-                   options_.and_delay);
-    gates_built_ += inputs_.size() - 1;
-    products.push_back(&product);
+    gates_built_ += lits.size() - 1;
+    products.push_back(&reduce_and(
+        sim_,
+        scoped + ".p" + std::to_string(cube.value) + "_" +
+            std::to_string(cube.care),
+        std::move(lits), options_.and_delay));
   }
-  Net& out = reduce_or(sim_, scoped + ".sum", std::move(products),
-                       options_.or_delay);
-  gates_built_ += minterms.size() - 1;
-  ++next_id_;
-  return out;
+  gates_built_ += products.size() - 1;
+  return reduce_or(sim_, scoped + ".sum", std::move(products),
+                   options_.or_delay);
 }
 
 }  // namespace psnt::sim

@@ -1,9 +1,15 @@
-// Tiny two-level synthesis: truth table → sum-of-products gate network.
+// Two-level logic synthesis: truth table → minimized sum-of-products gates.
 //
 // Used to elaborate small combinational functions (the control FSM's
 // next-state and output logic) into real INV/AND2/OR2 primitives inside the
 // event simulator, the way a synthesis tool would — no behavioural LUTs, so
 // the gate-level model's timing and X-propagation are honest.
+//
+// The on-set is minimized before any gate is built: Quine–McCluskey merges
+// minterms into prime implicants (cubes), and a deterministic cover keeps
+// the essential primes, then greedily adds the prime covering the most
+// still-uncovered minterms (ties: fewer literals, then lowest cube). Each
+// cube becomes one AND tree over its care literals; the products are ORed.
 #pragma once
 
 #include <cstdint>
@@ -30,17 +36,18 @@ Net& reduce_or(Simulator& sim, const std::string& name, std::vector<Net*> nets,
 // Synthesizes f(inputs) given its on-set minterms. Bit i of a minterm index
 // corresponds to inputs[i] (LSB-first). Minterm indices must be unique and
 // < 2^inputs.size(). Constant functions are realised with tie nets driven at
-// elaboration time.
+// elaboration time; a function equal to one input returns that input's net.
 //
-// Shared literal inverters are created once per call (name-scoped); callers
-// synthesising several functions of the same inputs should use
-// SopSynthesizer to share them.
+// Literal inverters are created once per synthesizer (name-scoped), so
+// callers synthesising several functions of the same inputs should share
+// one SopSynthesizer.
 class SopSynthesizer {
  public:
   SopSynthesizer(Simulator& sim, std::string scope, std::vector<Net*> inputs,
                  SynthOptions options = {});
 
-  // Builds one output function. `name` scopes the generated gates.
+  // Builds one output function. `name` scopes the generated gates; product
+  // nets are named `<scope>.<name>.p<value>_<care-mask>` after their cube.
   Net& synthesize(const std::string& name,
                   const std::vector<std::uint32_t>& minterms);
 
@@ -56,7 +63,6 @@ class SopSynthesizer {
   std::vector<Net*> inverted_;  // lazily built
   SynthOptions options_;
   std::size_t gates_built_ = 0;
-  std::size_t next_id_ = 0;
 };
 
 }  // namespace psnt::sim

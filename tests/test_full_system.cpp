@@ -103,6 +103,20 @@ TEST(FullSystem, RetargetsCodeThroughLiveSelects) {
   }
 }
 
+TEST(FullSystem, SteadyStateEventBudget) {
+  // Event counts are deterministic: after warm-up, a code-011 measure costs
+  // at most 300 scheduler events and the scheduler allocates nothing.
+  SystemRig rig(1.0, DelayCode{3});
+  (void)rig.system.run_measures(16);
+  const sim::Scheduler& sched = rig.sim.scheduler();
+  const std::uint64_t events = sched.executed_events();
+  const std::uint64_t allocs = sched.allocation_count();
+  constexpr std::size_t kMeasures = 128;
+  (void)rig.system.run_measures(kMeasures, /*configure_first=*/false);
+  EXPECT_LE(sched.executed_events() - events, 300u * kMeasures);
+  EXPECT_EQ(sched.allocation_count(), allocs);
+}
+
 TEST(FullSystem, LowSensePolarityMeasuresGroundBounce) {
   // 100 mV bounce → effective 0.9 V → the Fig. 9 second word.
   SystemRig rig(0.10, DelayCode{3}, SensePolarity::kLowSense);

@@ -1,7 +1,9 @@
 // Corner-path coverage for the simulator utilities: SOP synthesis constants,
-// reduction trees, VCD identifier encoding at scale, initial settling.
+// minimized covers, reduction trees, VCD identifier encoding at scale,
+// initial settling.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -9,6 +11,7 @@
 #include "sim/probe.h"
 #include "sim/synth.h"
 #include "sim/vcd.h"
+#include "stats/rng.h"
 
 namespace psnt::sim {
 namespace {
@@ -95,33 +98,80 @@ TEST(Synth, SopRejectsBadMinterm) {
   Net& a = sim.net("a");
   SopSynthesizer synth(sim, "s", {&a});
   EXPECT_THROW((void)synth.synthesize("bad", {5}), std::logic_error);
+  EXPECT_THROW((void)synth.synthesize("dup", {1, 1}), std::logic_error);
+}
+
+// Synthesizes the n-input function whose truth table is `truth` (bit v is
+// f(v)) and checks the built netlist on every input vector.
+void expect_realises(std::size_t n, std::uint64_t truth) {
+  Simulator sim;
+  std::vector<Net*> ins;
+  for (std::size_t i = 0; i < n; ++i) {
+    ins.push_back(&sim.net("in" + std::to_string(i)));
+  }
+  SopSynthesizer synth(sim, "s", ins);
+  std::vector<std::uint32_t> minterms;
+  for (std::uint32_t m = 0; m < (1u << n); ++m) {
+    if ((truth >> m) & 1u) minterms.push_back(m);
+  }
+  Net& y = synth.synthesize("f", minterms);
+  double t = 10.0;
+  for (std::uint32_t v = 0; v < (1u << n); ++v) {
+    for (std::size_t i = 0; i < n; ++i) {
+      sim.drive(*ins[i], Picoseconds{t}, from_bool((v >> i) & 1u));
+    }
+    sim.run_until(Picoseconds{t + 600.0});
+    EXPECT_EQ(y.value(), from_bool((truth >> v) & 1u))
+        << "truth=0x" << std::hex << truth << " vector=" << v;
+    t += 1000.0;
+  }
 }
 
 TEST(Synth, ExhaustiveThreeInputFunctions) {
   // Property: SOP synthesis realises every 3-input function correctly on
-  // every input vector. (256 functions × 8 vectors would be slow with one
-  // simulator each; sample a spread of nontrivial functions.)
-  for (std::uint32_t truth : {0x96u, 0xE8u, 0x01u, 0xFEu, 0x3Cu, 0xA5u}) {
-    Simulator sim;
-    Net& a = sim.net("a");
-    Net& b = sim.net("b");
-    Net& c = sim.net("c");
-    SopSynthesizer synth(sim, "s", {&a, &b, &c});
-    std::vector<std::uint32_t> minterms;
-    for (std::uint32_t m = 0; m < 8; ++m) {
-      if ((truth >> m) & 1u) minterms.push_back(m);
-    }
-    Net& y = synth.synthesize("f", minterms);
-    double t = 10.0;
-    for (std::uint32_t v = 0; v < 8; ++v) {
-      sim.drive(a, Picoseconds{t}, from_bool(v & 1u));
-      sim.drive(b, Picoseconds{t}, from_bool((v >> 1) & 1u));
-      sim.drive(c, Picoseconds{t}, from_bool((v >> 2) & 1u));
-      sim.run_until(Picoseconds{t + 600.0});
-      EXPECT_EQ(y.value(), from_bool((truth >> v) & 1u))
-          << "truth=0x" << std::hex << truth << " vector=" << v;
-      t += 1000.0;
-    }
+  // every input vector.
+  for (std::uint64_t truth = 0; truth < 256; ++truth) {
+    expect_realises(3, truth);
+  }
+}
+
+TEST(Synth, MinimizedSopMatchesRandomSixInputFunctions) {
+  stats::Xoshiro256 rng(0x5a17);
+  for (int k = 0; k < 32; ++k) expect_realises(6, rng.next());
+}
+
+TEST(Synth, CoverSizeOnKnownFunctions) {
+  Simulator sim;
+  std::vector<Net*> ins;
+  for (int i = 0; i < 6; ++i) {
+    ins.push_back(&sim.net("in" + std::to_string(i)));
+  }
+
+  // 6-input parity: no two on-set minterms are adjacent, so nothing merges:
+  // 32 six-literal products (5 AND2 each), a 32-way OR (31 OR2), and all 6
+  // literal inverters.
+  SopSynthesizer parity_synth(sim, "par", ins);
+  std::vector<std::uint32_t> odd;
+  std::vector<std::uint32_t> a_set;
+  for (std::uint32_t m = 0; m < 64; ++m) {
+    if (std::popcount(m) % 2 == 1) odd.push_back(m);
+    if (m & 1u) a_set.push_back(m);
+  }
+  (void)parity_synth.synthesize("f", odd);
+  EXPECT_EQ(parity_synth.gates_built(), 6u + 32u * 5u + 31u);
+
+  // f = a, given as its 32 minterms, collapses to the input itself.
+  SopSynthesizer a_synth(sim, "a", ins);
+  EXPECT_EQ(&a_synth.synthesize("f", a_set), ins[0]);
+  EXPECT_EQ(a_synth.gates_built(), 0u);
+
+  // 3-input majority: ab + ac + bc, three AND2 products and two OR2.
+  SopSynthesizer maj_synth(sim, "maj", {ins[0], ins[1], ins[2]});
+  (void)maj_synth.synthesize("f", {3, 5, 6, 7});
+  EXPECT_EQ(maj_synth.gates_built(), 5u);
+  for (const char* cube : {"p3_3", "p5_5", "p6_6"}) {
+    EXPECT_NE(sim.find_net(std::string("maj.f.") + cube + ".l0_0"), nullptr)
+        << cube;
   }
 }
 
