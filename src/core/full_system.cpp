@@ -96,10 +96,12 @@ std::vector<ThermoWord> FullStructuralSystem::run_measures(
     const Picoseconds t_cfg{t_ + period * 0.3};  // just past the read-out
     drive_code(t_cfg);
     sim_.drive(fsm_.configure(), t_cfg, sim::Logic::L1);
-    // The next-state SOP cone is deeper than the T/4 left between the
-    // read-out point and the realign edge, so the drive above cannot make
-    // setup at T/2. Hold the clock low for one extra period — the FSM sits
-    // in READY, the cones settle — and realign on the following edge.
+    // Hold the clock low for one extra period — the FSM sits in READY, the
+    // cones settle — and realign on the following edge. The minimized
+    // next-state cone is at most 220 ps deep (INV + 2 AND2 + 3 OR2 levels
+    // at the SynthOptions delays) and configure's path out of READY 166 ps,
+    // so this drive would now make setup at T/2 with ~49 ps to spare; the
+    // stretch stays because removing it shifts every later sample time.
     t_ += period;
   }
   if (realign) clock_one_cycle();
