@@ -77,7 +77,7 @@ void write_calibration_report(std::ostream& os, const FitResult& fit);
 // The 7-bit paper-calibrated HIGH-SENSE / LOW-SENSE array.
 [[nodiscard]] core::SensorArray make_paper_array(const CalibratedModel& model);
 
-// Behavioral MeasureEngine wired with the calibrated arrays and PG — the
+// core::BehavioralEngine wired with the calibrated arrays and PG — the
 // backend every calibrated consumer (thermometer facade, scan chain, grid
 // sites) is ultimately built on.
 [[nodiscard]] core::BehavioralEngine make_paper_engine(

@@ -9,9 +9,6 @@
 
 namespace psnt::core {
 
-static_assert(MeasureEngine<BehavioralEngine>,
-              "BehavioralEngine must satisfy the MeasureEngine concept");
-
 // ---------------------------------------------------------------------------
 // EngineContext
 // ---------------------------------------------------------------------------

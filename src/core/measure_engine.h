@@ -13,16 +13,12 @@
 // downstream through a StreamingEncoder and one shared DecodeLadder — the
 // scan grid in its drain pass.
 //
-// Two polymorphism styles, matching the two consumer shapes:
-//
-//  * `MeasureEngine` (a C++20 concept) is the static-polymorphic contract for
-//    code specialized at compile time: the serial scan chain, which still
-//    decodes inside the engine and is therefore the grid's independent
-//    reference. `BehavioralEngine` satisfies it directly.
-//  * `IMeasureEngine` / `EngineHandle` is a thin type-erased handle for the
-//    grid, where behavioral, gate-level and remote sites coexist at runtime.
-//    Site fidelity and fault-hook installation are *construction parameters*
-//    of the handle factories, never branches in the consumer.
+// One engine contract, `IMeasureEngine` / `EngineHandle`: a thin type-erased
+// handle for the grid, where behavioral, gate-level and remote sites coexist
+// at runtime. Site fidelity and fault-hook installation are *construction
+// parameters* of the handle factories, never branches in the consumer. The
+// serial scan chain calls `BehavioralEngine` directly; it still decodes
+// inside the engine and is therefore the grid's independent reference.
 //
 // Hook surface (the ONLY one in the codebase)
 //   `EngineContext` carries exactly three cross-cutting concerns:
@@ -38,7 +34,6 @@
 //   context; nothing else installs hooks.
 #pragma once
 
-#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -144,22 +139,6 @@ struct MeasureRequest {
   SenseTarget target = SenseTarget::kVdd;
   std::optional<DelayCode> code;
 };
-
-// The static-polymorphic engine contract.
-template <typename E>
-concept MeasureEngine =
-    requires(E e, const E& ce, const MeasureRequest& req,
-             const analog::RailPair& rails, const ThermoWord& word,
-             DelayCode code) {
-      { e.context() } -> std::same_as<EngineContext&>;
-      { ce.word_bits() } -> std::convertible_to<std::size_t>;
-      { e.prepare(req) } -> std::same_as<Picoseconds>;
-      { e.sense(rails, code) } -> std::same_as<ThermoWord>;
-      { e.decode(word, code) } -> std::same_as<VoltageBin>;
-      { ce.encode(word) } -> std::same_as<EncodedWord>;
-      { e.measure(req, rails) } -> std::same_as<Measurement>;
-      { e.measure_raw(req, rails) } -> std::same_as<RawSample>;
-    };
 
 // Behavioral backend: the paper's sensor as closed-form models (alpha-power
 // inverter delays, FF timing checks) stepped by the control FSM. Absorbs the

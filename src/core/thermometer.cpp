@@ -35,17 +35,4 @@ std::vector<Measurement> NoiseThermometer::iterate_vdd(
   return out;
 }
 
-std::vector<Measurement> NoiseThermometer::iterate_gnd(
-    const analog::RailSource& gnd, Picoseconds start, Picoseconds interval,
-    std::size_t count, DelayCode code) {
-  PSNT_CHECK(interval.value() > 0.0, "iteration interval must be positive");
-  std::vector<Measurement> out;
-  out.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) {
-    out.push_back(
-        measure_gnd(gnd, start + interval * static_cast<double>(k), code));
-  }
-  return out;
-}
-
 }  // namespace psnt::core

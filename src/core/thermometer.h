@@ -1,5 +1,5 @@
 // NoiseThermometer: the complete sensor system of Fig. 6, as a thin facade
-// over the behavioral MeasureEngine backend.
+// over the behavioral engine (core::BehavioralEngine).
 //
 // All measurement mechanics — FSM stepping, PREPARE/SENSE, the batched sense
 // kernel, encode/decode — live in core::BehavioralEngine (measure_engine.h);
@@ -11,7 +11,7 @@
 //    sense launch instant (behavioral approximation of the analog transient;
 //    the structural simulator in core/system_builder removes even that
 //    approximation and is cross-validated against this path).
-//  * `iterate_*`            — repeats measures across a time window, the
+//  * `iterate_vdd`          — repeats measures across a time window, the
 //    paper's method for capturing the CUT transient (Sec. III-B), returning
 //    the sampled noise trajectory.
 //
@@ -37,8 +37,8 @@ class NoiseThermometer {
   explicit NoiseThermometer(BehavioralEngine engine)
       : engine_(std::move(engine)) {}
 
-  // The backing measurement engine (the MeasureEngine-concept object every
-  // consumer layer ultimately speaks to).
+  // The backing behavioral engine; the scan chain measures and decodes
+  // through it directly.
   [[nodiscard]] BehavioralEngine& engine() { return engine_; }
   [[nodiscard]] const BehavioralEngine& engine() const { return engine_; }
 
@@ -71,12 +71,9 @@ class NoiseThermometer {
   [[nodiscard]] Measurement measure_gnd(const analog::RailSource& gnd,
                                         Picoseconds start, DelayCode code);
 
-  // Iterated measures every `interval` starting at `start`.
+  // Iterated VDD-n measures every `interval` starting at `start`.
   [[nodiscard]] std::vector<Measurement> iterate_vdd(
       const analog::RailPair& rails, Picoseconds start, Picoseconds interval,
-      std::size_t count, DelayCode code);
-  [[nodiscard]] std::vector<Measurement> iterate_gnd(
-      const analog::RailSource& gnd, Picoseconds start, Picoseconds interval,
       std::size_t count, DelayCode code);
 
   // Dynamic range of the HIGH-SENSE array at a code (Fig. 5's x-extent).
@@ -91,14 +88,6 @@ class NoiseThermometer {
   // Encoder output for an arbitrary word (exposed for the scan chain).
   [[nodiscard]] EncodedWord encode(const ThermoWord& word) const {
     return engine_.encode(word);
-  }
-
-  // Decodes an externally supplied word against the HIGH-SENSE ladder for
-  // `code` — used by resilience voting when the published (majority) word
-  // matches none of the individual vote words.
-  [[nodiscard]] VoltageBin decode_vdd_word(const ThermoWord& word,
-                                           DelayCode code) const {
-    return engine_.decode(word, code);
   }
 
  private:

@@ -101,8 +101,8 @@ namespace psnt::grid {
 
 enum class BackpressurePolicy { kBlockProducer, kDropNewest };
 
-// Per-site engine backend. kBehavioral uses the behavioral MeasureEngine
-// (the scan-chain reference path). kStructural builds a gate-level engine —
+// Per-site engine backend. kBehavioral uses core::BehavioralEngine (the
+// scan-chain reference path). kStructural builds a gate-level engine —
 // a private sim::Simulator + core::FullStructuralSystem netlist — per site
 // on its worker thread and runs real PREPARE/SENSE transactions (≈1000×
 // slower per sample). Fidelity is purely an engine construction parameter.

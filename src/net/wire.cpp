@@ -1,6 +1,7 @@
 #include "net/wire.h"
 
 #include <array>
+#include <cmath>
 #include <cstring>
 
 namespace psnt::net {
@@ -361,9 +362,13 @@ std::optional<WireError> decode_measure_req(const Frame& frame,
   out.target = frame.payload[20];
   out.has_code = frame.payload[21];
   out.code = frame.payload[22];
+  // The times drive the server's rail reads: a NaN/inf start or a
+  // non-advancing interval would reach SampledRail's index cast.
   if (out.target > static_cast<std::uint8_t>(core::SenseTarget::kGnd) ||
       (out.has_code != 0 && out.code >= core::DelayCode::kCount) ||
-      out.count == 0 || out.count > kMaxSpanSamples) {
+      out.count == 0 || out.count > kMaxSpanSamples ||
+      !std::isfinite(out.start_ps) || !std::isfinite(out.interval_ps) ||
+      out.interval_ps <= 0.0) {
     return WireError::kBadPayload;
   }
   return std::nullopt;

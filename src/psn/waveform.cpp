@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <numeric>
-#include <ostream>
-#include <sstream>
-#include <string>
 
 #include "util/error.h"
 
@@ -76,46 +72,6 @@ Waveform Waveform::add(const Waveform& other) const {
 
 analog::SampledRail Waveform::to_rail() const {
   return analog::SampledRail{start_, period_, samples_};
-}
-
-void Waveform::write_csv(std::ostream& os) const {
-  // Full round-trip precision: a re-imported waveform must reproduce the
-  // original samples bit-for-bit within 1e-9.
-  os.precision(17);
-  os << "time_ps,value\n";
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    os << start_.value() + period_.value() * static_cast<double>(i) << ','
-       << samples_[i] << '\n';
-  }
-}
-
-Waveform Waveform::read_csv(std::istream& is) {
-  std::string line;
-  std::vector<double> times;
-  std::vector<double> values;
-  bool first = true;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    if (first) {  // header
-      first = false;
-      continue;
-    }
-    const auto comma = line.find(',');
-    PSNT_CHECK(comma != std::string::npos, "malformed waveform CSV row");
-    times.push_back(std::stod(line.substr(0, comma)));
-    values.push_back(std::stod(line.substr(comma + 1)));
-  }
-  PSNT_CHECK(times.size() >= 2, "waveform CSV needs at least two samples");
-  const double period = times[1] - times[0];
-  PSNT_CHECK(period > 0.0, "waveform CSV times must ascend");
-  // Verify uniform sampling within float tolerance.
-  for (std::size_t i = 2; i < times.size(); ++i) {
-    PSNT_CHECK(std::fabs(times[i] - times[i - 1] - period) < 1e-6 * period +
-                   1e-9,
-               "waveform CSV must be uniformly sampled");
-  }
-  return Waveform{Picoseconds{times.front()}, Picoseconds{period},
-                  std::move(values)};
 }
 
 Waveform Waveform::constant(Picoseconds start, Picoseconds period,

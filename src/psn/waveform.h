@@ -7,7 +7,6 @@
 #pragma once
 
 #include <functional>
-#include <iosfwd>
 #include <vector>
 
 #include "analog/rail.h"
@@ -47,11 +46,6 @@ class Waveform {
 
   // Renders to a rail source the simulator can sample.
   [[nodiscard]] analog::SampledRail to_rail() const;
-
-  // CSV round trip ("time_ps,value" rows) for offline plotting and for
-  // importing measured waveforms as sensor stimuli.
-  void write_csv(std::ostream& os) const;
-  static Waveform read_csv(std::istream& is);
 
   // --- constructors for synthetic shapes -----------------------------------
   static Waveform constant(Picoseconds start, Picoseconds period,

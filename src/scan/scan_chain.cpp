@@ -5,11 +5,10 @@
 
 namespace psnt::scan {
 
-// The chain is the serial reference consumer of the MeasureEngine contract:
+// The chain is the serial reference consumer of core::BehavioralEngine:
 // every site measurement below goes through the engine's prepare/sense
 // transaction, so chain words define the bit-identity baseline the parallel
 // grid is checked against.
-static_assert(core::MeasureEngine<core::BehavioralEngine>);
 
 PsnScanChain::PsnScanChain(const Floorplan& floorplan,
                            core::ThermometerConfig config)

@@ -43,13 +43,6 @@ class DFlipFlop : public Component {
 
   void clear_history() { history_.clear(); }
 
-  // When disabled, per-edge EdgeRecords are not retained (the violation /
-  // metastability counters keep counting). Batch runs over long sample
-  // streams disable this so steady state allocates nothing. Defaults to the
-  // owning Simulator's instrumentation setting at construction time.
-  void set_history_enabled(bool enabled) { history_enabled_ = enabled; }
-  [[nodiscard]] bool history_enabled() const { return history_enabled_; }
-
  private:
   void on_clock(Logic old_value, Logic new_value, SimTime at);
   void on_data(SimTime at);
@@ -60,7 +53,11 @@ class DFlipFlop : public Component {
   SimTime d_last_change_;
   SimTime last_edge_;
   bool has_edge_ = false;
-  bool history_enabled_ = true;
+  // Per-edge EdgeRecords are retained only when the owning Simulator had
+  // instrumentation on at construction (the violation / metastability
+  // counters always count). The structural engine turns instrumentation off
+  // so its steady state allocates nothing.
+  bool history_enabled_;
   std::vector<EdgeRecord> history_;
   std::size_t setup_violations_ = 0;
   std::size_t metastable_samples_ = 0;

@@ -35,15 +35,6 @@ class SupplyInverter : public Component {
   [[nodiscard]] const std::vector<Transition>& transitions() const {
     return transitions_;
   }
-  void clear_transitions() { transitions_.clear(); }
-
-  // When disabled, the per-transition log is not retained; batch runs use
-  // this to keep the SENSE hot path allocation-free. Defaults to the owning
-  // Simulator's instrumentation setting at construction time.
-  void set_transitions_enabled(bool enabled) { record_transitions_ = enabled; }
-  [[nodiscard]] bool transitions_enabled() const {
-    return record_transitions_;
-  }
 
  private:
   void on_input(SimTime at);
@@ -54,7 +45,10 @@ class SupplyInverter : public Component {
   analog::RailPair rails_;
   Picofarad c_load_;
   std::vector<Transition> transitions_;
-  bool record_transitions_ = true;
+  // The per-transition log is kept only when the owning Simulator had
+  // instrumentation on at construction; the structural engine turns it off
+  // to keep the SENSE hot path allocation-free.
+  bool record_transitions_;
 };
 
 }  // namespace psnt::sim

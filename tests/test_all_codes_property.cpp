@@ -2,8 +2,9 @@
 // invariants with the paper-calibrated array.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "calib/fit.h"
-#include "core/resolution.h"
 #include "core/sensor_array.h"
 
 namespace psnt::core {
@@ -60,12 +61,19 @@ TEST_P(EveryCode, ThresholdsAscendWithLoad) {
 }
 
 TEST_P(EveryCode, ResolutionReportConsistent) {
-  const auto rep = analyze_resolution(array, pg, code);
-  EXPECT_GT(rep.best_lsb_mv, 0.0);
-  EXPECT_GE(rep.worst_lsb_mv, rep.best_lsb_mv);
+  // LSB = the gap between adjacent firing thresholds, in mV.
+  const auto thr = array.thresholds(pg.skew(code));
+  std::vector<double> lsb_mv;
+  for (std::size_t i = 1; i < thr.size(); ++i) {
+    lsb_mv.push_back((thr[i] - thr[i - 1]).value() * 1000.0);
+  }
+  const double best = *std::min_element(lsb_mv.begin(), lsb_mv.end());
+  const double worst = *std::max_element(lsb_mv.begin(), lsb_mv.end());
+  EXPECT_GT(best, 0.0);
+  EXPECT_GE(worst, best);
   double sum = 0.0;
-  for (double g : rep.lsb_mv) sum += g;
-  EXPECT_NEAR(sum / 1000.0, rep.range.span().value(), 1e-9);
+  for (double g : lsb_mv) sum += g;
+  EXPECT_NEAR(sum / 1000.0, (thr.back() - thr.front()).value(), 1e-9);
 }
 
 TEST_P(EveryCode, GndViewMirrorsVddView) {

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "util/csv.h"
-#include "util/logging.h"
 
 namespace psnt::util {
 namespace {
@@ -56,43 +55,6 @@ TEST(Csv, PrettyAlignsColumns) {
   t.write_pretty(os);
   EXPECT_NE(os.str().find("id"), std::string::npos);
   EXPECT_NE(os.str().find("value"), std::string::npos);
-}
-
-TEST(Logging, SinkReceivesEnabledMessages) {
-  Logger logger;
-  std::string captured;
-  logger.set_sink([&captured](LogLevel, std::string_view msg) {
-    captured.assign(msg);
-  });
-  logger.set_level(LogLevel::kInfo);
-  logger.log(LogLevel::kInfo, "hello");
-  EXPECT_EQ(captured, "hello");
-}
-
-TEST(Logging, LevelFiltersBelowThreshold) {
-  Logger logger;
-  int calls = 0;
-  logger.set_sink([&calls](LogLevel, std::string_view) { ++calls; });
-  logger.set_level(LogLevel::kWarn);
-  logger.log(LogLevel::kDebug, "dropped");
-  logger.log(LogLevel::kInfo, "dropped");
-  logger.log(LogLevel::kError, "kept");
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(Logging, CountsWarningsAndErrors) {
-  Logger logger;
-  logger.set_sink([](LogLevel, std::string_view) {});
-  logger.set_level(LogLevel::kTrace);
-  logger.log(LogLevel::kInfo, "fine");
-  logger.log(LogLevel::kWarn, "warn");
-  logger.log(LogLevel::kError, "err");
-  EXPECT_EQ(logger.warning_count(), 2);
-}
-
-TEST(Logging, LevelNames) {
-  EXPECT_EQ(to_string(LogLevel::kWarn), "WARN");
-  EXPECT_EQ(to_string(LogLevel::kTrace), "TRACE");
 }
 
 }  // namespace

@@ -27,11 +27,11 @@ fleet::FleetConfig small_config() {
 }
 
 // Count-1 captures through the one engine call, as the grid's per-sample
-// loop issues them.
+// loop issues them (with the configured, positive sample interval).
 core::RawSample capture_one(core::IMeasureEngine& engine,
                             const core::MeasureRequest& req) {
   std::vector<core::RawSample> out;
-  engine.measure_raw_batch(req, Picoseconds{0.0}, 1, out);
+  engine.measure_raw_batch(req, small_config().interval, 1, out);
   return out.front();
 }
 

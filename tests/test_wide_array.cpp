@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "calib/fit.h"
-#include "core/resolution.h"
 #include "core/sensor_array.h"
 
 namespace psnt::core {
@@ -84,9 +83,13 @@ TEST(ArrayWidthScaling, MeanLsbShrinksWithBits) {
     }
     const auto array =
         SensorArray::with_loads(model.inverter, model.flipflop, loads);
-    const auto report = analyze_resolution(array, pg, DelayCode{3});
-    EXPECT_LT(report.mean_lsb_mv, prev_lsb);
-    prev_lsb = report.mean_lsb_mv;
+    // Mean gap between adjacent firing thresholds, in mV (the gaps
+    // telescope to the window span over bits - 1).
+    const auto thr = array.thresholds(pg.skew(DelayCode{3}));
+    const double mean_lsb_mv = (thr.back() - thr.front()).value() * 1000.0 /
+                               static_cast<double>(thr.size() - 1);
+    EXPECT_LT(mean_lsb_mv, prev_lsb);
+    prev_lsb = mean_lsb_mv;
   }
   // 31 bits over a 226 mV window → ~7.5 mV LSB.
   EXPECT_LT(prev_lsb, 8.0);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "net/wire.h"
@@ -175,15 +176,16 @@ TEST(WireFormat, ControlPayloadsRoundTrip) {
 TEST(WireFormat, MeasureReqCountIsBoundedByOneReplySpan) {
   // The largest count whose reply span still fits one frame decodes; one
   // more, or a wild u32, is a CRC-clean payload the server must not honour
-  // (it would size the capture and produce an unframeable reply).
+  // (it would size the capture and produce an unframeable reply). The same
+  // holds for sample times the server cannot read a rail at: a NaN/inf
+  // start, or a NaN/inf/non-positive interval.
   const std::size_t span_payload =
       kSpanHeaderBytes + kMaxSpanSamples * kSampleWireBytes;
   EXPECT_LE(span_payload, kMaxPayloadBytes);
   EXPECT_GT(span_payload + kSampleWireBytes, kMaxPayloadBytes);
 
-  const auto decode_count = [](std::uint32_t count, MeasureReqPayload& out) {
-    MeasureReqPayload req;
-    req.count = count;
+  const auto decode = [](const MeasureReqPayload& req,
+                         MeasureReqPayload& out) {
     std::vector<std::uint8_t> bytes;
     FrameWriter::append_measure_req(bytes, req);
     FrameParser parser;
@@ -192,12 +194,32 @@ TEST(WireFormat, MeasureReqCountIsBoundedByOneReplySpan) {
     EXPECT_TRUE(frame.has_value());
     return decode_measure_req(*frame, out);
   };
+  MeasureReqPayload valid;
+  valid.interval_ps = 10000.0;
+  const auto with_count = [&valid](std::uint32_t count) {
+    MeasureReqPayload req = valid;
+    req.count = count;
+    return req;
+  };
   MeasureReqPayload back;
   const auto max = static_cast<std::uint32_t>(kMaxSpanSamples);
-  ASSERT_FALSE(decode_count(max, back).has_value());
+  ASSERT_FALSE(decode(with_count(max), back).has_value());
   EXPECT_EQ(back.count, max);
-  EXPECT_EQ(decode_count(max + 1, back), WireError::kBadPayload);
-  EXPECT_EQ(decode_count(0xFFFFFFFFu, back), WireError::kBadPayload);
+  EXPECT_EQ(decode(with_count(max + 1), back), WireError::kBadPayload);
+  EXPECT_EQ(decode(with_count(0xFFFFFFFFu), back), WireError::kBadPayload);
+
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double start : {kNaN, kInf, -kInf}) {
+    MeasureReqPayload req = valid;
+    req.start_ps = start;
+    EXPECT_EQ(decode(req, back), WireError::kBadPayload) << start;
+  }
+  for (double interval : {kNaN, kInf, -kInf, 0.0, -0.0, -10000.0}) {
+    MeasureReqPayload req = valid;
+    req.interval_ps = interval;
+    EXPECT_EQ(decode(req, back), WireError::kBadPayload) << interval;
+  }
 }
 
 // --- robustness: every corruption is a clean error -------------------------
