@@ -2,9 +2,8 @@
 //
 // The paper's system (Fig. 6) is one pipeline — PG skew, PREPARE/SENSE, FF
 // array sample, then one ENC — and this layer makes the codebase mirror
-// that. Every backend (the behavioral NoiseThermometer model, the gate-level
-// structural netlist, a remote site behind a socket) implements one capture
-// call,
+// that. Every backend (the behavioral NoiseThermometer model and the
+// gate-level structural netlist) implements one capture call,
 //
 //     measure_raw_batch(first, interval, count) -> RawSamples
 //
@@ -14,8 +13,8 @@
 // scan grid in its drain pass.
 //
 // One engine contract, `IMeasureEngine` / `EngineHandle`: a thin type-erased
-// handle for the grid, where behavioral, gate-level and remote sites coexist
-// at runtime. Site fidelity and fault-hook installation are *construction
+// handle for the grid, where behavioral and gate-level sites coexist at
+// runtime. Site fidelity and fault-hook installation are *construction
 // parameters* of the handle factories, never branches in the consumer. The
 // serial scan chain calls `BehavioralEngine` directly; it still decodes
 // inside the engine and is therefore the grid's independent reference.

@@ -202,7 +202,7 @@ void FaultInjector::append_events(const MeasureFaults& faults,
   if (faults.dead) {
     push(FaultKind::kDeadSite, static_cast<std::int32_t>(faults.dead_onset));
   }
-  if (faults.hung) push(FaultKind::kHungSite, faults.hung_detail);
+  if (faults.hung) push(FaultKind::kHungSite, 0);
   if (faults.stuck_bit >= 0) push(FaultKind::kStuckDsNode, faults.stuck_bit);
   if (faults.flip_bit >= 0) push(FaultKind::kMetastableFlip, faults.flip_bit);
   if (faults.code_delta != 0) push(FaultKind::kCodeDrift, faults.code_delta);

@@ -67,8 +67,7 @@ struct FaultEvent {
   FaultKind kind = FaultKind::kStuckDsNode;
   // Kind-specific payload: bit index (stuck/flip), code delta (drift),
   // negative millivolts (droop), onset sample (dead), stalled pushes
-  // (ring overflow), transport status (hung; 0 for an injected hang,
-  // net::IoStatus for a remote engine's transport failure).
+  // (ring overflow); always 0 for a hung measure.
   std::int32_t detail = 0;
 
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
@@ -113,11 +112,6 @@ struct ScheduledFault {
 struct MeasureFaults {
   bool dead = false;
   bool hung = false;
-  // Trace detail for a hung measure: 0 for injected hangs; the grid stuffs
-  // the net::IoStatus here when a remote engine's transport failure is
-  // mapped onto the hung lane (same retry/quarantine path, distinguishable
-  // trace).
-  std::int32_t hung_detail = 0;
   std::int32_t code_delta = 0;    // applied to the site's DelayCode, clamped
   double droop_volts = 0.0;       // subtracted from the site rail
   std::int32_t stuck_bit = -1;    // word bit forced to stuck_value

@@ -260,6 +260,10 @@ FleetCoordinator::FleetCoordinator(FleetConfig config)
   PSNT_CHECK(config_.workers > 0, "fleet needs at least one worker");
   PSNT_CHECK(config_.aggregator_threads > 0, "fleet needs an aggregator");
   PSNT_CHECK(config_.span_samples > 0, "span_samples must be positive");
+  // A larger span frame would exceed the parser's payload ceiling, and the
+  // aggregator would drop the worker's stream as kBadLength.
+  PSNT_CHECK(config_.span_samples <= net::kMaxSpanSamples,
+             "span_samples exceeds one frame's capacity");
   logical_done_ = std::make_unique<std::atomic<bool>[]>(config_.workers);
   for (std::size_t w = 0; w < config_.workers; ++w) {
     logical_done_[w].store(false, std::memory_order_relaxed);

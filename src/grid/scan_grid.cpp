@@ -9,7 +9,6 @@
 #include "calib/fit.h"
 #include "fault/fault_session.h"
 #include "grid/spsc_ring.h"
-#include "net/remote_engine.h"
 #include "grid/thread_pool.h"
 #include "serve/store.h"
 #include "util/error.h"
@@ -202,10 +201,7 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
     site->vdd = vdd_factory(record, rng);
     PSNT_CHECK(site->vdd != nullptr, "RailFactory returned null vdd rail");
     if (gnd_factory) site->gnd = gnd_factory(record, rng);
-    if (config_.fidelity == SiteFidelity::kBehavioral &&
-        !config_.engine_factory) {
-      ensure_engine(*site);
-    }
+    if (config_.fidelity == SiteFidelity::kBehavioral) ensure_engine(*site);
     sites_.push_back(std::move(site));
   }
 
@@ -217,8 +213,7 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
   // and copies nothing if they differ, so this is amortization only, never a
   // behavior change. Auto-ranged grids walk codes at runtime; their first
   // step per code still solves lazily (and correctly) as before.
-  if (config_.fidelity == SiteFidelity::kBehavioral &&
-      !config_.engine_factory && sites_.size() > 1) {
+  if (config_.fidelity == SiteFidelity::kBehavioral && sites_.size() > 1) {
     core::IMeasureEngine& first = *sites_.front()->engine;
     if (core::prewarm_sense_ladders(first,
                                     first.context().current_code())) {
@@ -273,10 +268,7 @@ void ScanGrid::ensure_engine(Site& site) {
   const auto& model = calib::calibrated().model;
   // The only fidelity branch in the grid: everything past construction
   // speaks the EngineHandle contract.
-  if (config_.engine_factory) {
-    site.engine = config_.engine_factory(site.id, rails, options);
-    PSNT_CHECK(site.engine != nullptr, "engine_factory returned null engine");
-  } else if (config_.fidelity == SiteFidelity::kBehavioral) {
+  if (config_.fidelity == SiteFidelity::kBehavioral) {
     site.engine = core::make_behavioral_engine(
         calib::make_paper_engine(model, config_.thermometer), rails, options);
   } else {
@@ -302,8 +294,7 @@ void ScanGrid::run_site_batch(Site& site, std::size_t first, std::size_t count,
   const double t0 = now_seconds();
   if (!chaos_ && !ctx.auto_ranging()) {
     // Nothing to do between two captures: one engine call for the whole
-    // batch — the vectorized behavioral SoA capture, one netlist run, one
-    // remote round trip.
+    // batch — the vectorized behavioral SoA capture or one netlist run.
     req.start = sample_time(first);
     engine.measure_raw_batch(req, config_.interval, count, shard.scratch);
     for (std::size_t k = 0; k < count; ++k) {
@@ -464,25 +455,7 @@ bool ScanGrid::resilient_capture(Site& site, std::size_t sample,
       req.start = sample_time(sample);
       req.code = drifted_code(engine.context().current_code(), f.code_delta);
       if (site.fault_session) site.fault_session->arm(f);
-      const std::size_t before = vote_raws.size();
-      try {
-        engine.measure_raw_batch(req, config_.interval, 1, vote_raws);
-      } catch (const net::TransportError& err) {
-        // A remote engine's transport failure (deadline blown, short read,
-        // connection lost) IS a hung capture: record it on the hung lane
-        // with the IoStatus as the trace detail and fall through to the
-        // same retry/backoff path. Quarantine streaks and degradation
-        // telemetry follow for free.
-        if (site.fault_session) site.fault_session->disarm();
-        vote_raws.resize(before);
-        fault::MeasureFaults tf;
-        tf.hung = true;
-        tf.hung_detail = static_cast<std::int32_t>(err.status());
-        record_fault_events(site, tf, sample, attempt);
-        counters.timeouts.increment();
-        retry_after_failure(a);
-        continue;
-      }
+      engine.measure_raw_batch(req, config_.interval, 1, vote_raws);
       if (site.fault_session) site.fault_session->disarm();
       if (a > 0) needed_retry = true;
       forced_full_pushes = std::max(forced_full_pushes, f.ring_stall_pushes);

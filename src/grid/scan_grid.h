@@ -15,9 +15,9 @@
 //   Workers capture through the one engine entry point,
 //   IMeasureEngine::measure_raw_batch, and never decode. A site batch is
 //   either one engine call for the whole batch (the vectorized behavioral
-//   SoA capture, the structural netlist run, one remote round trip) or a
-//   per-sample loop of count-1 calls. The loop runs when the grid must act
-//   between two captures of a site:
+//   SoA capture, the structural netlist run) or a per-sample loop of count-1
+//   calls. The loop runs when the grid must act between two captures of a
+//   site:
 //     * auto-range: the site's code policy observes every published word
 //       before the next PREPARE. Feedback stays capture-side, once per
 //       published sample: the paper's CNTR trims the delay code on-die, and
@@ -122,18 +122,6 @@ enum class CodePolicy { kFixed, kAutoRange };
 using RailFactory = std::function<std::unique_ptr<analog::RailSource>(
     const scan::SensorSite&, stats::Xoshiro256&)>;
 
-// Builds one site's measurement engine, overriding the fidelity branch —
-// the injection point for engines the grid cannot construct itself, most
-// notably net::RemoteEngineHandle (a socket to a fleet worker). Invoked
-// lazily on the site's worker thread, once per site, with the site's rails
-// and the grid-resolved site options; must return non-null. Transport
-// failures thrown by a remote engine (net::TransportError) are mapped by
-// the resilient capture onto the hung-fault lane — retry/backoff, then
-// quarantine.
-using EngineFactory = std::function<core::EngineHandle(
-    std::uint32_t site_id, const analog::RailPair&,
-    const core::EngineSiteOptions&)>;
-
 struct ScanGridConfig {
   std::size_t threads = 1;
   std::size_t samples_per_site = 16;
@@ -144,10 +132,6 @@ struct ScanGridConfig {
   core::ThermometerConfig thermometer;
   SiteFidelity fidelity = SiteFidelity::kBehavioral;
   CodePolicy code_policy = CodePolicy::kFixed;
-  // When set, every site engine comes from this factory and `fidelity` is
-  // ignored (see EngineFactory). Factory engines are built lazily on the
-  // worker thread — a remote engine's connect happens off the constructor.
-  EngineFactory engine_factory;
   // When set, each site's starting Delay Code is resolved once at engine
   // construction by core::tune_for_window over this window (Sec. III-A),
   // instead of taking `code` as-is. Works for both fidelities (the

@@ -1,12 +1,10 @@
 // Minimal POSIX stream-socket transport for the fleet layer.
 //
 // Everything the wire format needs to cross a process boundary, and nothing
-// more: RAII fds, socketpair/Unix-path/TCP-loopback construction, and
-// deadline-bounded send/recv built on poll(). All fds are non-blocking; a
-// blocking wait is always an explicit poll with a deadline, so a dead or
-// wedged peer surfaces as IoStatus::kTimeout instead of a hung thread —
-// which is exactly the shape the resilience layer already knows how to
-// recover from (fault::FaultKind::kHungSite).
+// more: RAII fds, socketpair construction, and deadline-bounded send/recv
+// built on poll(). All fds are non-blocking; a blocking wait is always an
+// explicit poll with a deadline, so a dead or wedged peer surfaces as
+// IoStatus::kTimeout or kClosed instead of a hung thread.
 //
 // BufferedWriter is the ring→socket bridge's send half: frames accumulate in
 // a user-space buffer and go to the kernel in batches, either when the
@@ -16,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -65,18 +62,6 @@ class Fd {
 // before fork, parent keeps [0], child keeps [1]). Throws on failure.
 [[nodiscard]] std::pair<Fd, Fd> socketpair_stream();
 
-// Unix-path and TCP-loopback endpoints for non-forked deployments (the
-// RemoteEngineHandle's "remote site" shape). listen_* throw on failure;
-// accept/connect report via validity + errno semantics of IoStatus.
-[[nodiscard]] Fd listen_unix(const std::string& path);
-[[nodiscard]] Fd connect_unix(const std::string& path, int deadline_ms);
-// Binds 127.0.0.1:port (0 = ephemeral); returns the fd and the bound port.
-[[nodiscard]] std::pair<Fd, std::uint16_t> listen_tcp(std::uint16_t port = 0);
-[[nodiscard]] Fd connect_tcp(const std::string& host, std::uint16_t port,
-                             int deadline_ms);
-// Accepts one pending connection within the deadline (invalid Fd on timeout).
-[[nodiscard]] Fd accept_one(const Fd& listener, int deadline_ms);
-
 // Writes all `size` bytes before `deadline_ms` elapses (SIGPIPE suppressed).
 [[nodiscard]] IoStatus send_all(const Fd& fd, const std::uint8_t* data,
                                 std::size_t size, int deadline_ms);
@@ -85,8 +70,6 @@ class Fd {
 [[nodiscard]] IoStatus recv_some(const Fd& fd, std::uint8_t* data,
                                  std::size_t size, int deadline_ms,
                                  std::size_t& out_read);
-// Blocks until the fd is readable or the deadline expires.
-[[nodiscard]] IoStatus wait_readable(const Fd& fd, int deadline_ms);
 
 // Batched, explicit-flush socket writer (see file comment). Not
 // thread-safe; one writer per connection.

@@ -35,10 +35,6 @@ void put_f64(std::uint8_t* out, double v) {
   put_u64(out, bits);
 }
 
-std::uint16_t get_u16(const std::uint8_t* in) {
-  return static_cast<std::uint16_t>(in[0] | (in[1] << 8));
-}
-
 std::uint32_t get_u32(const std::uint8_t* in) {
   return static_cast<std::uint32_t>(in[0]) |
          (static_cast<std::uint32_t>(in[1]) << 8) |
@@ -97,8 +93,14 @@ void append_frame(std::vector<std::uint8_t>& out, FrameType type,
 }
 
 bool known_frame_type(std::uint8_t raw) {
-  return raw >= static_cast<std::uint8_t>(FrameType::kHello) &&
-         raw <= static_cast<std::uint8_t>(FrameType::kShutdown);
+  switch (static_cast<FrameType>(raw)) {
+    case FrameType::kAssign:
+    case FrameType::kSampleSpan:
+    case FrameType::kDone:
+    case FrameType::kShutdown:
+      return true;
+  }
+  return false;
 }
 
 std::optional<WireError> check_payload_size(const Frame& frame,
@@ -111,11 +113,9 @@ std::optional<WireError> check_payload_size(const Frame& frame,
 
 const char* to_string(FrameType type) {
   switch (type) {
-    case FrameType::kHello: return "hello";
     case FrameType::kAssign: return "assign";
     case FrameType::kSampleSpan: return "sample_span";
     case FrameType::kDone: return "done";
-    case FrameType::kMeasureReq: return "measure_req";
     case FrameType::kShutdown: return "shutdown";
   }
   return "unknown";
@@ -169,9 +169,13 @@ std::optional<WireError> decode_sample(const std::uint8_t* in,
   // Bits above the declared width would survive a ThermoWord round-trip as
   // phantom cells; reject rather than silently mask.
   if (width < 32 && (bits >> width) != 0) return WireError::kBadPayload;
+  // The timestamp keys the store's rollup windows (WindowRing::epoch_of);
+  // NaN or inf there has no window to land in.
+  const double timestamp = get_f64(in + 8);
+  if (!std::isfinite(timestamp)) return WireError::kBadPayload;
   out.site_id = get_u32(in);
   out.sample_index = get_u32(in + 4);
-  out.timestamp = Picoseconds{get_f64(in + 8)};
+  out.timestamp = Picoseconds{timestamp};
   out.target = static_cast<core::SenseTarget>(target);
   out.code = core::DelayCode{code};
   out.word = core::ThermoWord{bits, width};
@@ -197,14 +201,6 @@ void FrameWriter::append_sample_span(std::vector<std::uint8_t>& out,
                });
 }
 
-void FrameWriter::append_hello(std::vector<std::uint8_t>& out,
-                               const HelloPayload& payload) {
-  append_frame(out, FrameType::kHello, 5, [&](std::uint8_t* p) {
-    put_u32(p, payload.worker);
-    p[4] = payload.word_bits;
-  });
-}
-
 void FrameWriter::append_assign(std::vector<std::uint8_t>& out,
                                 const AssignPayload& payload) {
   append_frame(out, FrameType::kAssign, 12, [&](std::uint8_t* p) {
@@ -219,18 +215,6 @@ void FrameWriter::append_done(std::vector<std::uint8_t>& out,
   append_frame(out, FrameType::kDone, 12, [&](std::uint8_t* p) {
     put_u32(p, payload.worker);
     put_u64(p + 4, payload.produced);
-  });
-}
-
-void FrameWriter::append_measure_req(std::vector<std::uint8_t>& out,
-                                     const MeasureReqPayload& payload) {
-  append_frame(out, FrameType::kMeasureReq, 23, [&](std::uint8_t* p) {
-    put_f64(p, payload.start_ps);
-    put_f64(p + 8, payload.interval_ps);
-    put_u32(p + 16, payload.count);
-    p[20] = payload.target;
-    p[21] = payload.has_code;
-    p[22] = payload.code;
   });
 }
 
@@ -326,14 +310,6 @@ std::optional<WireError> decode_span_sample(const Frame& frame,
       frame.payload + kSpanHeaderBytes + index * kSampleWireBytes, out);
 }
 
-std::optional<WireError> decode_hello(const Frame& frame, HelloPayload& out) {
-  if (frame.type != FrameType::kHello) return WireError::kBadPayload;
-  if (auto err = check_payload_size(frame, 5)) return err;
-  out.worker = get_u32(frame.payload);
-  out.word_bits = frame.payload[4];
-  return std::nullopt;
-}
-
 std::optional<WireError> decode_assign(const Frame& frame,
                                        AssignPayload& out) {
   if (frame.type != FrameType::kAssign) return WireError::kBadPayload;
@@ -349,28 +325,6 @@ std::optional<WireError> decode_done(const Frame& frame, DonePayload& out) {
   if (auto err = check_payload_size(frame, 12)) return err;
   out.worker = get_u32(frame.payload);
   out.produced = get_u64(frame.payload + 4);
-  return std::nullopt;
-}
-
-std::optional<WireError> decode_measure_req(const Frame& frame,
-                                            MeasureReqPayload& out) {
-  if (frame.type != FrameType::kMeasureReq) return WireError::kBadPayload;
-  if (auto err = check_payload_size(frame, 23)) return err;
-  out.start_ps = get_f64(frame.payload);
-  out.interval_ps = get_f64(frame.payload + 8);
-  out.count = get_u32(frame.payload + 16);
-  out.target = frame.payload[20];
-  out.has_code = frame.payload[21];
-  out.code = frame.payload[22];
-  // The times drive the server's rail reads: a NaN/inf start or a
-  // non-advancing interval would reach SampledRail's index cast.
-  if (out.target > static_cast<std::uint8_t>(core::SenseTarget::kGnd) ||
-      (out.has_code != 0 && out.code >= core::DelayCode::kCount) ||
-      out.count == 0 || out.count > kMaxSpanSamples ||
-      !std::isfinite(out.start_ps) || !std::isfinite(out.interval_ps) ||
-      out.interval_ps <= 0.0) {
-    return WireError::kBadPayload;
-  }
   return std::nullopt;
 }
 

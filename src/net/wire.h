@@ -46,12 +46,11 @@ inline constexpr std::uint32_t kWireMagic = 0x50534E54u;  // "PSNT"
 
 // Frame vocabulary. Data frames carry RawSample spans; control frames carry
 // the tiny fixed payloads defined below.
+// Values 1 and 5 are unassigned and parse as kBadType.
 enum class FrameType : std::uint8_t {
-  kHello = 1,       // server → client: word width + capabilities
   kAssign = 2,      // coordinator → worker: run this assignment
   kSampleSpan = 3,  // worker → aggregator: SpanHeader + K samples
   kDone = 4,        // worker → aggregator: assignment complete
-  kMeasureReq = 5,  // client → server: run K measure transactions
   kShutdown = 6,    // coordinator → worker: exit cleanly
 };
 [[nodiscard]] const char* to_string(FrameType type);
@@ -94,8 +93,9 @@ void encode_sample(const core::RawSample& sample, std::uint8_t* out);
 
 // Decodes one sample from exactly kSampleWireBytes at `in`. Validates the
 // layout invariants (target ∈ {vdd,gnd}, code < 8, width ≤ 32, no word bits
-// above the width) and returns kBadPayload on violation — a corrupted record
-// can be *rejected*, never published as a plausible-looking sample.
+// above the width, finite timestamp) and returns kBadPayload on violation —
+// a corrupted record can be *rejected*, never published as a
+// plausible-looking sample.
 [[nodiscard]] std::optional<WireError> decode_sample(const std::uint8_t* in,
                                                      core::RawSample& out);
 
@@ -112,15 +112,10 @@ struct SpanHeader {
 };
 inline constexpr std::size_t kSpanHeaderBytes = 16;
 // Most samples one kSampleSpan frame can carry under kMaxPayloadBytes
-// (45,589). A MeasureReq asking for more is rejected (kBadPayload): its
-// reply could not be framed, and the count sizes the server's capture.
+// (45,589). A larger span would exceed the parser's length ceiling
+// (kBadLength), so senders must flush at or below this bound.
 inline constexpr std::size_t kMaxSpanSamples =
     (kMaxPayloadBytes - kSpanHeaderBytes) / kSampleWireBytes;
-
-struct HelloPayload {
-  std::uint32_t worker = 0;
-  std::uint8_t word_bits = 0;
-};
 
 struct AssignPayload {
   std::uint32_t worker = 0;        // logical worker index to impersonate
@@ -131,15 +126,6 @@ struct AssignPayload {
 struct DonePayload {
   std::uint32_t worker = 0;
   std::uint64_t produced = 0;
-};
-
-struct MeasureReqPayload {
-  double start_ps = 0.0;
-  double interval_ps = 0.0;
-  std::uint32_t count = 1;
-  std::uint8_t target = 0;    // core::SenseTarget
-  std::uint8_t has_code = 0;  // 1: `code` overrides the server's policy
-  std::uint8_t code = 0;
 };
 
 // --- frame writer ---------------------------------------------------------
@@ -154,14 +140,10 @@ class FrameWriter {
                                  const SpanHeader& span,
                                  const core::RawSample* samples,
                                  std::size_t count);
-  static void append_hello(std::vector<std::uint8_t>& out,
-                           const HelloPayload& payload);
   static void append_assign(std::vector<std::uint8_t>& out,
                             const AssignPayload& payload);
   static void append_done(std::vector<std::uint8_t>& out,
                           const DonePayload& payload);
-  static void append_measure_req(std::vector<std::uint8_t>& out,
-                                 const MeasureReqPayload& payload);
   static void append_shutdown(std::vector<std::uint8_t>& out);
 };
 
@@ -215,13 +197,9 @@ class FrameParser {
 [[nodiscard]] std::optional<WireError> decode_span_sample(
     const Frame& frame, std::size_t index, core::RawSample& out);
 
-[[nodiscard]] std::optional<WireError> decode_hello(const Frame& frame,
-                                                    HelloPayload& out);
 [[nodiscard]] std::optional<WireError> decode_assign(const Frame& frame,
                                                      AssignPayload& out);
 [[nodiscard]] std::optional<WireError> decode_done(const Frame& frame,
                                                    DonePayload& out);
-[[nodiscard]] std::optional<WireError> decode_measure_req(
-    const Frame& frame, MeasureReqPayload& out);
 
 }  // namespace psnt::net

@@ -19,7 +19,9 @@ WindowRing::WindowRing(const WindowConfig& config) : config_(config) {
 
 std::uint64_t WindowRing::epoch_of(Picoseconds t) const {
   const double e = std::floor(t.value() * inv_width_);
-  return e <= 0.0 ? 0 : static_cast<std::uint64_t>(e);
+  if (!(e > 0.0)) return 0;  // also NaN
+  if (e >= static_cast<double>(kMaxEpoch)) return kMaxEpoch;
+  return static_cast<std::uint64_t>(e);
 }
 
 void WindowRing::add(Picoseconds t, double v) {

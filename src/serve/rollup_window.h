@@ -55,6 +55,11 @@ class WindowRing {
   // late_drops() and otherwise ignored.
   void add(Picoseconds t, double v);
 
+  // Largest epoch epoch_of() returns: times past it (up to +inf) saturate
+  // here, so `epoch + windows` cannot overflow. NaN and times at or below
+  // zero map to epoch 0.
+  static constexpr std::uint64_t kMaxEpoch = std::uint64_t{1} << 62;
+
   [[nodiscard]] std::uint64_t epoch_of(Picoseconds t) const;
   [[nodiscard]] std::uint64_t latest_epoch() const { return latest_epoch_; }
   [[nodiscard]] bool empty() const { return latest_epoch_ == WindowSlot::kNoEpoch; }

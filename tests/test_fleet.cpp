@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "fleet/fleet.h"
 #include "fleet/partition.h"
+#include "net/wire.h"
 #include "serve/store.h"
 
 namespace psnt::fleet {
@@ -171,6 +173,14 @@ TEST(Fleet, KillWithoutSpareCountsLossAndDegradation) {
   EXPECT_EQ(config.store->degradation().samples_lost, degradation);
   EXPECT_EQ(config.store->degradation().sites_quarantined, 1u);
   EXPECT_EQ(config.store->total_ingested(), result.samples_valid);
+}
+
+TEST(Fleet, RejectsSpansLargerThanOneFrame) {
+  FleetConfig config = small_config();
+  config.span_samples = net::kMaxSpanSamples;
+  EXPECT_NO_THROW(FleetCoordinator{config});
+  config.span_samples = net::kMaxSpanSamples + 1;
+  EXPECT_THROW(FleetCoordinator{config}, std::logic_error);
 }
 
 // --- matrix predicate ------------------------------------------------------

@@ -2,6 +2,8 @@
 // wraparound reuse of slots, late-sample drops, and last(n) filtering.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "serve/rollup_window.h"
 
 namespace psnt::serve {
@@ -23,6 +25,18 @@ TEST(WindowRing, EpochQuantisation) {
   EXPECT_EQ(ring.epoch_of(Picoseconds{450.0}), 4u);
   // Negative time clamps to epoch 0 rather than underflowing.
   EXPECT_EQ(ring.epoch_of(Picoseconds{-50.0}), 0u);
+  // Times past the uint64 range saturate instead of reaching an
+  // out-of-range float-to-integer cast; NaN and -inf map to epoch 0.
+  EXPECT_EQ(ring.epoch_of(Picoseconds{1e300}), WindowRing::kMaxEpoch);
+  EXPECT_EQ(ring.epoch_of(Picoseconds{
+                std::numeric_limits<double>::infinity()}),
+            WindowRing::kMaxEpoch);
+  EXPECT_EQ(ring.epoch_of(Picoseconds{
+                -std::numeric_limits<double>::infinity()}),
+            0u);
+  EXPECT_EQ(ring.epoch_of(Picoseconds{
+                std::numeric_limits<double>::quiet_NaN()}),
+            0u);
 }
 
 TEST(WindowRing, SamplesWithinOneEpochShareASlot) {

@@ -7,8 +7,11 @@
 // across all 8 DelayCodes and both sense targets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "net/wire.h"
@@ -107,13 +110,19 @@ TEST(WireFormat, SpanFrameRoundTripsWithHeader) {
   for (std::size_t i = 0; i < samples.size(); ++i) {
     expect_samples_equal(samples[i], back[i]);
   }
+
+  // kMaxSpanSamples is the largest span that fits one frame.
+  const std::size_t span_payload =
+      kSpanHeaderBytes + kMaxSpanSamples * kSampleWireBytes;
+  EXPECT_LE(span_payload, kMaxPayloadBytes);
+  EXPECT_GT(span_payload + kSampleWireBytes, kMaxPayloadBytes);
 }
 
 TEST(WireFormat, ParserReassemblesByteAtATimeFeeds) {
   // Stream fragmentation is arbitrary; framing must not care. Feed three
   // batched frames one byte at a time.
   std::vector<std::uint8_t> bytes;
-  FrameWriter::append_hello(bytes, HelloPayload{3, 31});
+  FrameWriter::append_shutdown(bytes);
   const auto sample = make_sample(1, 2, 3.0, core::SenseTarget::kGnd, 5,
                                   0x7fu, 8);
   FrameWriter::append_sample_span(bytes, SpanHeader{1, 0, 99}, &sample, 1);
@@ -127,7 +136,7 @@ TEST(WireFormat, ParserReassemblesByteAtATimeFeeds) {
     ASSERT_FALSE(parser.failed());
   }
   ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], FrameType::kHello);
+  EXPECT_EQ(seen[0], FrameType::kShutdown);
   EXPECT_EQ(seen[1], FrameType::kSampleSpan);
   EXPECT_EQ(seen[2], FrameType::kDone);
   EXPECT_EQ(parser.bytes_pending(), 0u);
@@ -136,14 +145,7 @@ TEST(WireFormat, ParserReassemblesByteAtATimeFeeds) {
 TEST(WireFormat, ControlPayloadsRoundTrip) {
   std::vector<std::uint8_t> bytes;
   FrameWriter::append_assign(bytes, AssignPayload{2, 128, 512});
-  MeasureReqPayload req;
-  req.start_ps = 1.5e6;
-  req.interval_ps = 10000.0;
-  req.count = 96;
-  req.target = 1;
-  req.has_code = 1;
-  req.code = 6;
-  FrameWriter::append_measure_req(bytes, req);
+  FrameWriter::append_done(bytes, DonePayload{5, 0x1'0000'0007ull});
   FrameWriter::append_shutdown(bytes);
 
   FrameParser parser;
@@ -158,68 +160,15 @@ TEST(WireFormat, ControlPayloadsRoundTrip) {
   EXPECT_EQ(assign.sample_count, 512u);
 
   auto f2 = parser.next();
-  ASSERT_TRUE(f2 && f2->type == FrameType::kMeasureReq);
-  MeasureReqPayload back;
-  ASSERT_FALSE(decode_measure_req(*f2, back).has_value());
-  EXPECT_EQ(back.start_ps, req.start_ps);
-  EXPECT_EQ(back.interval_ps, req.interval_ps);
-  EXPECT_EQ(back.count, req.count);
-  EXPECT_EQ(back.target, req.target);
-  EXPECT_EQ(back.has_code, 1);
-  EXPECT_EQ(back.code, 6);
+  ASSERT_TRUE(f2 && f2->type == FrameType::kDone);
+  DonePayload done;
+  ASSERT_FALSE(decode_done(*f2, done).has_value());
+  EXPECT_EQ(done.worker, 5u);
+  EXPECT_EQ(done.produced, 0x1'0000'0007ull);  // all 64 bits survive
 
   auto f3 = parser.next();
   ASSERT_TRUE(f3 && f3->type == FrameType::kShutdown);
   EXPECT_EQ(f3->payload_size, 0u);
-}
-
-TEST(WireFormat, MeasureReqCountIsBoundedByOneReplySpan) {
-  // The largest count whose reply span still fits one frame decodes; one
-  // more, or a wild u32, is a CRC-clean payload the server must not honour
-  // (it would size the capture and produce an unframeable reply). The same
-  // holds for sample times the server cannot read a rail at: a NaN/inf
-  // start, or a NaN/inf/non-positive interval.
-  const std::size_t span_payload =
-      kSpanHeaderBytes + kMaxSpanSamples * kSampleWireBytes;
-  EXPECT_LE(span_payload, kMaxPayloadBytes);
-  EXPECT_GT(span_payload + kSampleWireBytes, kMaxPayloadBytes);
-
-  const auto decode = [](const MeasureReqPayload& req,
-                         MeasureReqPayload& out) {
-    std::vector<std::uint8_t> bytes;
-    FrameWriter::append_measure_req(bytes, req);
-    FrameParser parser;
-    parser.feed(bytes.data(), bytes.size());
-    auto frame = parser.next();
-    EXPECT_TRUE(frame.has_value());
-    return decode_measure_req(*frame, out);
-  };
-  MeasureReqPayload valid;
-  valid.interval_ps = 10000.0;
-  const auto with_count = [&valid](std::uint32_t count) {
-    MeasureReqPayload req = valid;
-    req.count = count;
-    return req;
-  };
-  MeasureReqPayload back;
-  const auto max = static_cast<std::uint32_t>(kMaxSpanSamples);
-  ASSERT_FALSE(decode(with_count(max), back).has_value());
-  EXPECT_EQ(back.count, max);
-  EXPECT_EQ(decode(with_count(max + 1), back), WireError::kBadPayload);
-  EXPECT_EQ(decode(with_count(0xFFFFFFFFu), back), WireError::kBadPayload);
-
-  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (double start : {kNaN, kInf, -kInf}) {
-    MeasureReqPayload req = valid;
-    req.start_ps = start;
-    EXPECT_EQ(decode(req, back), WireError::kBadPayload) << start;
-  }
-  for (double interval : {kNaN, kInf, -kInf, 0.0, -0.0, -10000.0}) {
-    MeasureReqPayload req = valid;
-    req.interval_ps = interval;
-    EXPECT_EQ(decode(req, back), WireError::kBadPayload) << interval;
-  }
 }
 
 // --- robustness: every corruption is a clean error -------------------------
@@ -266,13 +215,17 @@ TEST(WireFormat, ForeignVersionIsRejected) {
 }
 
 TEST(WireFormat, UnknownFrameTypeIsRejected) {
-  auto bytes = one_span_frame();
-  bytes[5] = 0xee;  // type byte
-  FrameParser parser;
-  parser.feed(bytes.data(), bytes.size());
-  EXPECT_FALSE(parser.next().has_value());
-  ASSERT_TRUE(parser.failed());
-  EXPECT_EQ(*parser.error(), WireError::kBadType);
+  // 1 and 5 sit between assigned values and belong to no frame type.
+  for (const std::uint8_t type : {std::uint8_t{1}, std::uint8_t{5},
+                                  std::uint8_t{0xee}}) {
+    auto bytes = one_span_frame();
+    bytes[5] = type;  // type byte
+    FrameParser parser;
+    parser.feed(bytes.data(), bytes.size());
+    EXPECT_FALSE(parser.next().has_value()) << int(type);
+    ASSERT_TRUE(parser.failed()) << int(type);
+    EXPECT_EQ(*parser.error(), WireError::kBadType) << int(type);
+  }
 }
 
 TEST(WireFormat, GarbageBytesAreRejectedAtTheMagic) {
@@ -311,28 +264,47 @@ TEST(WireFormat, OversizedLengthIsBoundedNotAllocated) {
   EXPECT_EQ(*parser.error(), WireError::kBadLength);
 }
 
-TEST(WireFormat, CrcCleanButMalformedSampleIsBadPayload) {
-  // A frame whose CRC is valid but whose record violates the RawSample
-  // layout (target byte = 7): the codec must reject it, not publish it.
-  auto bytes = one_span_frame();
-  const std::size_t target_off = kFrameHeaderBytes + kSpanHeaderBytes + 16;
-  bytes[target_off] = 7;
-  // Recompute the CRC so the corruption survives the frame check.
-  const std::uint32_t crc =
-      crc32(bytes.data() + kFrameHeaderBytes, bytes.size() - kFrameHeaderBytes);
-  bytes[12] = static_cast<std::uint8_t>(crc);
-  bytes[13] = static_cast<std::uint8_t>(crc >> 8);
-  bytes[14] = static_cast<std::uint8_t>(crc >> 16);
-  bytes[15] = static_cast<std::uint8_t>(crc >> 24);
+// Rewrites the length and CRC fields of the frame starting at `bytes[at]`
+// for a payload of `payload_size` bytes, so a corrupted payload passes the
+// frame check and reaches the typed decoders.
+void reseal_frame(std::vector<std::uint8_t>& bytes, std::size_t at,
+                  std::size_t payload_size) {
+  const auto put_u32 = [&](std::size_t off, std::uint32_t v) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      bytes[at + off + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  put_u32(8, static_cast<std::uint32_t>(payload_size));
+  put_u32(12, crc32(bytes.data() + at + kFrameHeaderBytes, payload_size));
+}
 
-  FrameParser parser;
-  parser.feed(bytes.data(), bytes.size());
-  auto frame = parser.next();
-  ASSERT_TRUE(frame.has_value());  // framing is fine; the record is not
-  core::RawSample out;
-  const auto err = decode_span_sample(*frame, 0, out);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(*err, WireError::kBadPayload);
+TEST(WireFormat, CrcCleanButMalformedSampleIsBadPayload) {
+  // Frames whose CRC is valid but whose record violates the RawSample
+  // layout: the codec must reject them, not publish them.
+  const auto first_sample_error = [](const std::vector<std::uint8_t>& bytes) {
+    FrameParser parser;
+    parser.feed(bytes.data(), bytes.size());
+    auto frame = parser.next();
+    EXPECT_TRUE(frame.has_value());  // framing is fine; the record is not
+    core::RawSample out;
+    return frame ? decode_span_sample(*frame, 0, out) : std::nullopt;
+  };
+  // Target byte 7, re-sealed so the corruption survives the frame check.
+  auto bytes = one_span_frame();
+  bytes[kFrameHeaderBytes + kSpanHeaderBytes + 16] = 7;
+  reseal_frame(bytes, 0, bytes.size() - kFrameHeaderBytes);
+  EXPECT_EQ(first_sample_error(bytes), WireError::kBadPayload);
+  // Timestamps the store has no time window for; the writer seals them as
+  // they are.
+  for (const double t : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    std::vector<std::uint8_t> span;
+    const auto sample =
+        make_sample(3, 9, t, core::SenseTarget::kVdd, 4, 0x1fu, 12);
+    FrameWriter::append_sample_span(span, SpanHeader{0, 0, 7}, &sample, 1);
+    EXPECT_EQ(first_sample_error(span), WireError::kBadPayload) << t;
+  }
 }
 
 TEST(WireFormat, PhantomWordBitsAboveWidthAreRejected) {
@@ -370,10 +342,10 @@ TEST(WireFormat, ErrorsAreStickyUntilReset) {
 }
 
 TEST(WireFormat, TypedDecodersRejectWrongSizes) {
-  // A kHello payload handed to every other typed decoder: all must answer
-  // kBadPayload (no reinterpretation of undersized buffers).
+  // An empty kShutdown payload handed to every typed decoder: all must
+  // answer kBadPayload (no reinterpretation of undersized buffers).
   std::vector<std::uint8_t> bytes;
-  FrameWriter::append_hello(bytes, HelloPayload{1, 16});
+  FrameWriter::append_shutdown(bytes);
   FrameParser parser;
   parser.feed(bytes.data(), bytes.size());
   auto frame = parser.next();
@@ -381,14 +353,179 @@ TEST(WireFormat, TypedDecodersRejectWrongSizes) {
 
   AssignPayload assign;
   DonePayload done;
-  MeasureReqPayload req;
   SpanHeader span;
   std::size_t n = 0;
   EXPECT_EQ(decode_assign(*frame, assign), WireError::kBadPayload);
   EXPECT_EQ(decode_done(*frame, done), WireError::kBadPayload);
-  EXPECT_EQ(decode_measure_req(*frame, req), WireError::kBadPayload);
   EXPECT_EQ(decode_span_header(*frame, span), WireError::kBadPayload);
   EXPECT_EQ(span_sample_count(*frame, n), WireError::kBadPayload);
+}
+
+// --- mutation: no corrupted stream yields an invalid sample ----------------
+
+// A well-formed stream of 1-6 frames drawn from the four frame types, with
+// random field values; `starts` receives each frame's byte offset.
+std::vector<std::uint8_t> random_stream(stats::Xoshiro256& rng,
+                                        std::vector<std::size_t>& starts) {
+  const auto u32 = [&rng] { return static_cast<std::uint32_t>(rng.next()); };
+  std::vector<std::uint8_t> bytes;
+  const std::size_t frames = 1 + rng.uniform_index(6);
+  for (std::size_t f = 0; f < frames; ++f) {
+    starts.push_back(bytes.size());
+    switch (rng.uniform_index(4)) {
+      case 0:
+        FrameWriter::append_assign(bytes, AssignPayload{u32(), u32(), u32()});
+        break;
+      case 1:
+        FrameWriter::append_done(bytes, DonePayload{u32(), rng.next()});
+        break;
+      case 2:
+        FrameWriter::append_shutdown(bytes);
+        break;
+      default: {
+        std::vector<core::RawSample> samples(rng.uniform_index(5));
+        for (auto& sample : samples) {
+          const std::size_t width = 1 + rng.uniform_index(32);
+          const std::uint32_t mask =
+              width >= 32 ? 0xffffffffu : ((1u << width) - 1u);
+          sample = make_sample(
+              u32(), u32(), rng.uniform(0.0, 1e9),
+              rng.bernoulli(0.5) ? core::SenseTarget::kGnd
+                                 : core::SenseTarget::kVdd,
+              static_cast<std::uint8_t>(rng.uniform_index(8)), u32() & mask,
+              width);
+        }
+        FrameWriter::append_sample_span(bytes, SpanHeader{u32(), u32(), 0},
+                                        samples.data(), samples.size());
+      }
+    }
+  }
+  return bytes;
+}
+
+// Applies one random mutation inside bytes[lo, hi) and returns the new end of
+// that range: a few bit flips, a byte insert, a byte delete, a truncation, or
+// a run of 0xff bytes (the pattern that turns a timestamp into NaN/inf).
+std::size_t mutate(stats::Xoshiro256& rng, std::vector<std::uint8_t>& bytes,
+                   std::size_t lo, std::size_t hi) {
+  const auto at = [&](std::size_t span) {
+    return lo + rng.uniform_index(span);
+  };
+  const auto begin = bytes.begin();
+  switch (rng.uniform_index(5)) {
+    case 0:
+      if (hi == lo) break;
+      for (std::size_t n = 1 + rng.uniform_index(3); n > 0; --n) {
+        bytes[at(hi - lo)] ^=
+            static_cast<std::uint8_t>(1u << rng.uniform_index(8));
+      }
+      break;
+    case 1:
+      bytes.insert(begin + static_cast<std::ptrdiff_t>(at(hi - lo + 1)),
+                   static_cast<std::uint8_t>(rng.next()));
+      return hi + 1;
+    case 2:
+      if (hi == lo) break;
+      bytes.erase(begin + static_cast<std::ptrdiff_t>(at(hi - lo)));
+      return hi - 1;
+    case 3: {
+      if (hi == lo) break;
+      const std::size_t cut = at(hi - lo);
+      bytes.erase(begin + static_cast<std::ptrdiff_t>(cut),
+                  begin + static_cast<std::ptrdiff_t>(hi));
+      return cut;
+    }
+    default: {
+      if (hi == lo) break;
+      const std::size_t first = at(hi - lo);
+      const std::size_t last = std::min(hi, first + 1 + rng.uniform_index(8));
+      for (std::size_t i = first; i < last; ++i) bytes[i] = 0xff;
+    }
+  }
+  return hi;
+}
+
+bool valid_sample(const core::RawSample& s) {
+  const std::size_t width = s.word.width();
+  return s.target <= core::SenseTarget::kGnd &&
+         s.code.value() < core::DelayCode::kCount && width >= 1 &&
+         width <= core::ThermoWord::kMaxBits &&
+         (width == 32 || (s.word.raw() >> width) == 0) &&
+         std::isfinite(s.timestamp.value());
+}
+
+TEST(WireFormat, MutatedStreamsNeverYieldInvalidSamples) {
+  // Deterministic mutation sweep over the parser and the span decoders.
+  // Each stream takes one mutation and is fed in random chunks. Half of the
+  // mutations land inside one frame's payload and re-seal that frame's
+  // length and CRC, so they get past the frame check to the decoders.
+  stats::Xoshiro256 rng(0x5eed'0008);
+  std::size_t errored = 0;
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (int stream = 0; stream < 10000; ++stream) {
+    std::vector<std::size_t> starts;
+    auto bytes = random_stream(rng, starts);
+    if (rng.bernoulli(0.5)) {
+      const std::size_t f = rng.uniform_index(starts.size());
+      const std::size_t lo = starts[f] + kFrameHeaderBytes;
+      const std::size_t hi =
+          f + 1 < starts.size() ? starts[f + 1] : bytes.size();
+      reseal_frame(bytes, starts[f], mutate(rng, bytes, lo, hi) - lo);
+    } else {
+      (void)mutate(rng, bytes, 0, bytes.size());
+    }
+
+    FrameParser parser;
+    std::optional<WireError> latched;
+    for (std::size_t pos = 0; pos < bytes.size();) {
+      const std::size_t chunk =
+          std::min(bytes.size() - pos, 1 + rng.uniform_index(64));
+      parser.feed(bytes.data() + pos, chunk);
+      pos += chunk;
+      while (const auto frame = parser.next()) {
+        ASSERT_FALSE(latched.has_value())
+            << "frame after error, stream " << stream;
+        if (frame->type != FrameType::kSampleSpan) continue;
+        std::size_t n = 0;
+        if (span_sample_count(*frame, n).has_value()) {
+          ++rejected;
+          continue;
+        }
+        ASSERT_LE(n, kMaxSpanSamples) << "stream " << stream;
+        for (std::size_t i = 0; i < n; ++i) {
+          core::RawSample sample;
+          if (decode_span_sample(*frame, i, sample).has_value()) {
+            ++rejected;
+            continue;
+          }
+          ASSERT_TRUE(valid_sample(sample)) << "stream " << stream;
+          // Nothing was masked on the way in: the sample re-encodes to the
+          // exact record bytes it came from.
+          std::uint8_t wire[kSampleWireBytes];
+          encode_sample(sample, wire);
+          ASSERT_EQ(std::memcmp(wire,
+                                frame->payload + kSpanHeaderBytes +
+                                    i * kSampleWireBytes,
+                                kSampleWireBytes),
+                    0)
+              << "stream " << stream;
+          ++decoded;
+        }
+      }
+      if (latched) {
+        ASSERT_EQ(parser.error(), latched) << "stream " << stream;
+      } else if (parser.failed()) {
+        latched = parser.error();
+        ++errored;
+      }
+    }
+  }
+  // The sweep reaches every outcome: framing errors, rejected records and
+  // clean samples.
+  EXPECT_GT(errored, 0u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(decoded, 0u);
 }
 
 }  // namespace
