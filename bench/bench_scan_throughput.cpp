@@ -5,9 +5,6 @@
 // thought for PSN as scan chains are for data faults." We sweep the site
 // count and report the snapshot cost in control cycles and microseconds at
 // the 800 MHz control clock, plus the simulated broadcast wall time.
-#include <chrono>
-
-#include "bench/alloc_probe.h"
 #include "bench/bench_util.h"
 #include "calib/fit.h"
 #include "scan/die_map.h"
@@ -39,8 +36,6 @@ struct ChainSetup {
   }
 };
 
-void report_simcore();
-
 void report() {
   bench::section("A3 — scan-chain snapshot cost vs site count");
   util::CsvTable table({"sites", "chain_bits", "snapshot_cycles",
@@ -64,61 +59,6 @@ void report() {
   bench::print_table(table);
   bench::note("cost is linear in sites x bits, exactly like test scan; a "
               "256-site snapshot still reads out in under 3 us at 800 MHz");
-  report_simcore();
-}
-
-// Simulation-core perf baseline: behavioral measure cost into
-// BENCH_simcore.json. The seed_* keys are the pre-overhaul numbers measured
-// on the same 64-site broadcast workload (PR 2 baseline run); speedup_vs_seed
-// compares this binary's run against them.
-void report_simcore() {
-  bench::section("simcore — behavioral SENSE kernel → BENCH_simcore.json");
-  constexpr double kSeedNsPerMeasure = 5680.0;
-  constexpr double kSeedAllocsPerMeasure = 8.0;
-
-  ChainSetup setup(8, 8);
-  // Warm up: faults in the per-code threshold ladders and the FSM state.
-  (void)setup.chain.broadcast_measure(0.0_ps, core::DelayCode{3});
-
-  constexpr std::size_t kRounds = 256;
-  const std::size_t measures = kRounds * 64;
-  double t = 100000.0;
-  const std::uint64_t allocs_before = bench::alloc_count();
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t r = 0; r < kRounds; ++r) {
-    benchmark::DoNotOptimize(
-        setup.chain.broadcast_measure(Picoseconds{t}, core::DelayCode{3}));
-    t += 100000.0;
-  }
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  const std::uint64_t allocs =
-      bench::alloc_count() - allocs_before;
-
-  const double ns_per_measure = seconds * 1e9 / static_cast<double>(measures);
-  const double allocs_per_measure =
-      static_cast<double>(allocs) / static_cast<double>(measures);
-
-  bench::JsonReport json;
-  json.set("scan_throughput", "measures_per_sec",
-           static_cast<double>(measures) / seconds);
-  json.set("scan_throughput", "ns_per_measure", ns_per_measure);
-  json.set("scan_throughput", "allocs_per_measure", allocs_per_measure);
-  json.set("scan_throughput", "seed_ns_per_measure", kSeedNsPerMeasure);
-  json.set("scan_throughput", "seed_allocs_per_measure",
-           kSeedAllocsPerMeasure);
-  json.set("scan_throughput", "speedup_vs_seed",
-           kSeedNsPerMeasure / ns_per_measure);
-  json.write();
-
-  char line[160];
-  std::snprintf(line, sizeof(line),
-                "%.0f ns/measure, %.2f allocs/measure (seed: %.0f ns, %.1f "
-                "allocs) — %.1fx",
-                ns_per_measure, allocs_per_measure, kSeedNsPerMeasure,
-                kSeedAllocsPerMeasure, kSeedNsPerMeasure / ns_per_measure);
-  bench::note(line);
 }
 
 void BM_BroadcastMeasure(benchmark::State& state) {

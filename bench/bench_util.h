@@ -8,19 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <map>
-#include <sstream>
 #include <string>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#include <unistd.h>
-#endif
 
 #include "util/csv.h"
 
@@ -37,168 +27,6 @@ inline void note(const std::string& text) {
 inline void print_table(const util::CsvTable& table) {
   table.write_pretty(std::cout);
 }
-
-// Peak resident set size of this process in megabytes (getrusage ru_maxrss,
-// which is KiB on Linux and bytes on macOS). 0 where unsupported. Monotone:
-// this is the high-water mark, so "peak after warmup == peak at exit" is the
-// fixed-memory signal the serve soak bench gates on.
-inline double peak_rss_mb() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage ru{};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0.0;
-#if defined(__APPLE__)
-  return static_cast<double>(ru.ru_maxrss) / (1024.0 * 1024.0);
-#else
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;
-#endif
-#else
-  return 0.0;
-#endif
-}
-
-// Current resident set size in megabytes via /proc/self/statm (Linux);
-// falls back to peak_rss_mb() elsewhere. Pairs taken before/after a soak
-// window measure RSS *growth*, which peak alone cannot.
-inline double current_rss_mb() {
-#if defined(__linux__)
-  std::ifstream statm("/proc/self/statm");
-  long long pages_total = 0;
-  long long pages_resident = 0;
-  if (statm >> pages_total >> pages_resident) {
-    const long page_size = sysconf(_SC_PAGESIZE);
-    return static_cast<double>(pages_resident) *
-           static_cast<double>(page_size) / (1024.0 * 1024.0);
-  }
-  return peak_rss_mb();
-#else
-  return peak_rss_mb();
-#endif
-}
-
-// Machine-readable perf baseline: a flat {"section": {"key": number}} JSON
-// document. Several bench binaries contribute sections to the same file
-// (BENCH_simcore.json), so the reporter loads whatever is already there and
-// merges its own sections over it — last writer wins per key, sections from
-// other binaries survive. The parser accepts exactly the two-level shape the
-// writer emits; an unreadable or foreign file is simply overwritten.
-class JsonReport {
- public:
-  static constexpr const char* kDefaultPath = "BENCH_simcore.json";
-
-  explicit JsonReport(std::string path = kDefaultPath)
-      : path_(std::move(path)) {
-    load();
-  }
-
-  void set(const std::string& section, const std::string& key, double value) {
-    data_[section][key] = value;
-  }
-
-  bool write() const {
-    std::ofstream out(path_);
-    if (!out) return false;
-    out << "{\n";
-    bool first_section = true;
-    for (const auto& [section, entries] : data_) {
-      if (!first_section) out << ",\n";
-      first_section = false;
-      out << "  \"" << section << "\": {\n";
-      bool first_key = true;
-      for (const auto& [key, value] : entries) {
-        if (!first_key) out << ",\n";
-        first_key = false;
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.9g", value);
-        out << "    \"" << key << "\": " << buf;
-      }
-      out << "\n  }";
-    }
-    out << "\n}\n";
-    return out.good();
-  }
-
-  // Field helper: stamp the process's memory footprint into `section` so
-  // any bench can add an RSS ceiling to its baseline with one call.
-  void set_rss(const std::string& section) {
-    set(section, "rss_peak_mb", peak_rss_mb());
-  }
-
- private:
-  void load() {
-    std::ifstream in(path_);
-    if (!in) return;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-    std::map<std::string, std::map<std::string, double>> parsed;
-    if (parse(text, parsed)) data_ = std::move(parsed);
-  }
-
-  static void skip_ws(const std::string& s, std::size_t& i) {
-    while (i < s.size() &&
-           std::isspace(static_cast<unsigned char>(s[i])) != 0) {
-      ++i;
-    }
-  }
-
-  static bool parse_string(const std::string& s, std::size_t& i,
-                           std::string& out) {
-    skip_ws(s, i);
-    if (i >= s.size() || s[i] != '"') return false;
-    const std::size_t end = s.find('"', ++i);
-    if (end == std::string::npos) return false;
-    out = s.substr(i, end - i);
-    i = end + 1;
-    return true;
-  }
-
-  static bool parse(const std::string& s,
-                    std::map<std::string, std::map<std::string, double>>& out) {
-    std::size_t i = 0;
-    skip_ws(s, i);
-    if (i >= s.size() || s[i++] != '{') return false;
-    skip_ws(s, i);
-    if (i < s.size() && s[i] == '}') return true;  // empty document
-    for (;;) {
-      std::string section;
-      if (!parse_string(s, i, section)) return false;
-      skip_ws(s, i);
-      if (i >= s.size() || s[i++] != ':') return false;
-      skip_ws(s, i);
-      if (i >= s.size() || s[i++] != '{') return false;
-      skip_ws(s, i);
-      if (i < s.size() && s[i] == '}') {
-        ++i;
-      } else {
-        for (;;) {
-          std::string key;
-          if (!parse_string(s, i, key)) return false;
-          skip_ws(s, i);
-          if (i >= s.size() || s[i++] != ':') return false;
-          skip_ws(s, i);
-          char* end = nullptr;
-          const double value = std::strtod(s.c_str() + i, &end);
-          if (end == s.c_str() + i) return false;
-          i = static_cast<std::size_t>(end - s.c_str());
-          out[section][key] = value;
-          skip_ws(s, i);
-          if (i >= s.size()) return false;
-          if (s[i] == ',') { ++i; continue; }
-          if (s[i] == '}') { ++i; break; }
-          return false;
-        }
-      }
-      skip_ws(s, i);
-      if (i >= s.size()) return false;
-      if (s[i] == ',') { ++i; continue; }
-      if (s[i] == '}') return true;
-      return false;
-    }
-  }
-
-  std::string path_;
-  std::map<std::string, std::map<std::string, double>> data_;
-};
 
 // Standard main: report first, then microbenchmarks.
 #define PSNT_BENCH_MAIN(report_fn)                     \

@@ -81,11 +81,10 @@ int main(int argc, char** argv) {
   const auto result = grid.run();
 
   std::printf("scan complete: %llu samples in %.1f ms (%.0f samples/sec, "
-              "%llu ring stalls, %llu dropped)\n\n",
+              "%llu ring stalls)\n\n",
               static_cast<unsigned long long>(result.produced),
               result.wall_seconds * 1e3, result.samples_per_second,
-              static_cast<unsigned long long>(result.ring_stalls),
-              static_cast<unsigned long long>(result.dropped));
+              static_cast<unsigned long long>(result.ring_stalls));
 
   std::printf("drain-pass ENC: %llu words (%llu underflow, %llu overflow, "
               "%llu bubbled)\n\n",

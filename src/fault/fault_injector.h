@@ -51,7 +51,7 @@ enum class FaultKind : std::uint8_t {
   kRailDroop,       // PDN droop spike: the site rail sags for one sample
   kDeadSite,        // site produces nothing from an onset sample onwards
   kHungSite,        // measure blows its deadline (transient hang/timeout)
-  kRingOverflow,    // telemetry ring overflow storm: pushes stall/drop
+  kRingOverflow,    // telemetry ring overflow storm: pushes stall
 };
 inline constexpr std::size_t kFaultKindCount = 7;
 

@@ -51,7 +51,7 @@ void run_worker_assignment(const FleetConfig& config,
         const std::size_t n = ring.try_push_span(scratch.data() + pushed,
                                                  scratch.size() - pushed);
         if (n == 0) {
-          std::this_thread::yield();  // kBlockProducer: lossless backpressure
+          std::this_thread::yield();  // lossless backpressure
           continue;
         }
         pushed += n;
@@ -257,6 +257,7 @@ FleetCoordinator::FleetCoordinator(FleetConfig config)
       ladder_(calib::make_paper_decode_ladder(calib::calibrated().model)) {
   PSNT_CHECK(config_.sites > 0, "fleet needs at least one site");
   PSNT_CHECK(config_.samples_per_site > 0, "fleet needs samples");
+  grid::check_schedule(config_.start, config_.interval);
   PSNT_CHECK(config_.workers > 0, "fleet needs at least one worker");
   PSNT_CHECK(config_.aggregator_threads > 0, "fleet needs an aggregator");
   PSNT_CHECK(config_.span_samples > 0, "span_samples must be positive");

@@ -76,46 +76,28 @@ struct ScanGrid::Shard {
 namespace {
 
 // Ring-overflow-storm hook: `forced_full_pushes` pushes are treated as
-// having hit a full ring before the sample's real push — counted stalls
-// under kBlockProducer (lossless: returns true, the sample still ships), a
-// counted drop under kDropNewest (returns false: the sample is produced but
-// never enters the ring).
-bool absorb_forced_full(BackpressurePolicy policy,
-                        std::uint32_t forced_full_pushes, Counter& stalls,
-                        Counter& drops, Counter& produced) {
-  if (policy == BackpressurePolicy::kDropNewest) {
-    produced.increment();
-    drops.increment();
-    return false;
-  }
+// having hit a full ring before the sample's real push — counted stalls;
+// the sample still ships.
+void absorb_forced_full(std::uint32_t forced_full_pushes, Counter& stalls) {
   for (std::uint32_t i = 0; i < forced_full_pushes; ++i) {
     stalls.increment();
     std::this_thread::yield();
   }
-  return true;
 }
 
 // Producer-side backpressure for one site batch: one try_push_span call
 // moves the whole batch through two atomics when the ring has room; the
-// remainder (a full ring) blocks and yields with stalls counted
-// (kBlockProducer, lossless) or is dropped with every lost sample counted
-// (kDropNewest). `produced` counts every sample offered.
-void push_span_with_backpressure(BackpressurePolicy policy,
-                                 SpscRing<GridSample>& ring,
+// remainder (a full ring) blocks and yields with stalls counted. Lossless:
+// `produced` counts every sample, and every sample is pushed.
+void push_span_with_backpressure(SpscRing<GridSample>& ring,
                                  GridSample* samples, std::size_t n,
-                                 Counter& stalls, Counter& drops,
-                                 Counter& produced) {
+                                 Counter& stalls, Counter& produced) {
   produced.increment(n);
   std::size_t done = ring.try_push_span(samples, n);
   while (done < n) {
-    if (policy == BackpressurePolicy::kBlockProducer) {
-      stalls.increment();
-      std::this_thread::yield();
-      done += ring.try_push_span(samples + done, n - done);
-    } else {
-      drops.increment(n - done);
-      return;
-    }
+    stalls.increment();
+    std::this_thread::yield();
+    done += ring.try_push_span(samples + done, n - done);
   }
 }
 
@@ -150,12 +132,18 @@ struct ScanGrid::ChaosCounters {
   std::array<Counter*, fault::kFaultKindCount> by_kind{};
 };
 
+void check_schedule(Picoseconds start, Picoseconds interval) {
+  PSNT_CHECK(std::isfinite(start.value()), "schedule start must be finite");
+  PSNT_CHECK(std::isfinite(interval.value()) && interval.value() > 0.0,
+             "sample interval must be finite and positive");
+}
+
 ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
                    RailFactory vdd_factory, RailFactory gnd_factory)
     : floorplan_(floorplan), config_(config) {
   PSNT_CHECK(floorplan.site_count() > 0, "grid needs at least one site");
   PSNT_CHECK(config_.samples_per_site > 0, "need at least one sample");
-  PSNT_CHECK(config_.interval.value() > 0.0, "sample interval must advance");
+  check_schedule(config_.start, config_.interval);
   PSNT_CHECK(vdd_factory != nullptr, "a vdd RailFactory is required");
   PSNT_CHECK(config_.resilience.votes >= 1 &&
                  config_.resilience.votes % 2 == 1,
@@ -179,7 +167,6 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
   // and these names overflow SSO, so looking them up per site batch was the
   // measure loop's residual allocation source.
   hot_.stalls = &telemetry_.counter("grid.ring_stalls");
-  hot_.drops = &telemetry_.counter("grid.samples_dropped");
   hot_.produced = &telemetry_.counter("grid.samples_produced");
   hot_.sim_events = &telemetry_.counter("grid.sim_events");
   hot_.sim_allocs = &telemetry_.counter("grid.sim_allocs");
@@ -338,11 +325,7 @@ void ScanGrid::run_site_batch(Site& site, std::size_t first, std::size_t count,
       if (ctx.auto_ranging()) {
         ctx.observe(engine.encode(raw.word), raw.word.width());
       }
-      if (forced_full_pushes > 0 &&
-          !absorb_forced_full(config_.backpressure, forced_full_pushes,
-                              *hot_.stalls, *hot_.drops, *hot_.produced)) {
-        shard.scratch.pop_back();
-      }
+      absorb_forced_full(forced_full_pushes, *hot_.stalls);
     }
   }
   const double batch_seconds = now_seconds() - t0;
@@ -368,10 +351,9 @@ void ScanGrid::run_site_batch(Site& site, std::size_t first, std::size_t count,
     s.wall_us = per_sample_us;
     shard.sample_scratch.push_back(s);
   }
-  push_span_with_backpressure(config_.backpressure, shard.ring,
-                              shard.sample_scratch.data(),
+  push_span_with_backpressure(shard.ring, shard.sample_scratch.data(),
                               shard.sample_scratch.size(), *hot_.stalls,
-                              *hot_.drops, *hot_.produced);
+                              *hot_.produced);
 }
 
 void ScanGrid::record_fault_events(Site& site,
@@ -537,7 +519,6 @@ void ScanGrid::aggregate(RunResult& result) {
   Counter* deg_retries = nullptr;
   Counter* deg_recovered = nullptr;
   Counter* deg_lost = nullptr;
-  Counter* deg_dropped = nullptr;
   Counter* deg_quarantined = nullptr;
   if (store != nullptr) {
     serve_ingested = &telemetry_.counter("grid.serve.ingested");
@@ -545,7 +526,6 @@ void ScanGrid::aggregate(RunResult& result) {
     deg_retries = &telemetry_.counter("grid.retries");
     deg_recovered = &telemetry_.counter("grid.samples_recovered");
     deg_lost = &telemetry_.counter("grid.samples_lost");
-    deg_dropped = &telemetry_.counter("grid.samples_dropped");
     deg_quarantined = &telemetry_.counter("grid.sites_quarantined");
   }
   const auto mirror_degradation = [&] {
@@ -554,7 +534,6 @@ void ScanGrid::aggregate(RunResult& result) {
     status.retries = deg_retries->value();
     status.samples_recovered = deg_recovered->value();
     status.samples_lost = deg_lost->value();
-    status.samples_dropped = deg_dropped->value();
     status.sites_quarantined = deg_quarantined->value();
     store->set_degradation(status);
   };
@@ -712,7 +691,6 @@ RunResult ScanGrid::run() {
     result.quarantined_sites += sr.quarantined ? 1 : 0;
   }
   result.produced = telemetry_.counter("grid.samples_produced").value();
-  result.dropped = telemetry_.counter("grid.samples_dropped").value();
   result.ring_stalls = telemetry_.counter("grid.ring_stalls").value();
   result.samples_per_second =
       result.wall_seconds > 0.0

@@ -48,12 +48,10 @@
 //   site-for-site).
 //
 // Backpressure
-//   kBlockProducer (default): a full ring stalls the producing worker
-//   (yield loop; stalls counted in telemetry) — lossless, the mode every
-//   determinism guarantee above assumes for result completeness.
-//   kDropNewest: a full ring drops the sample (drop counted, the result
-//   slot stays invalid) — for telemetry-only monitoring where the consumer
-//   may fall behind.
+//   A full ring stalls the producing worker (yield loop; stalls counted in
+//   telemetry). The ring is lossless, so every scheduled sample reaches the
+//   result matrix — the completeness every determinism guarantee above
+//   assumes.
 //
 // Measurement backends
 //   Every site measures through a core::EngineHandle (measure_engine.h).
@@ -99,8 +97,6 @@ class TelemetryStore;
 
 namespace psnt::grid {
 
-enum class BackpressurePolicy { kBlockProducer, kDropNewest };
-
 // Per-site engine backend. kBehavioral uses core::BehavioralEngine (the
 // scan-chain reference path). kStructural builds a gate-level engine —
 // a private sim::Simulator + core::FullStructuralSystem netlist — per site
@@ -137,7 +133,6 @@ struct ScanGridConfig {
   // instead of taking `code` as-is. Works for both fidelities (the
   // structural netlist loads the tuned tap through its live code register).
   std::optional<core::CodeWindow> code_window;
-  BackpressurePolicy backpressure = BackpressurePolicy::kBlockProducer;
   // Per-shard ring capacity (rounded up to a power of two).
   std::size_t ring_capacity = 256;
   // Samples a worker runs per site before moving to the next site of its
@@ -168,10 +163,17 @@ struct ScanGridConfig {
   ResiliencePolicy resilience;
 };
 
+// Sample k of a schedule lands at start + k × interval. Throws
+// std::logic_error unless `start` is finite and `interval` is finite and
+// positive: otherwise sample 0 can land at 0 × inf = NaN, a time no rail
+// can be read at and the wire rejects. ScanGrid and fleet::FleetCoordinator
+// both validate their schedule through this one check.
+void check_schedule(Picoseconds start, Picoseconds interval);
+
 struct SiteResult {
   std::uint32_t site_id = 0;
-  // Indexed by sample number; `valid[k]` is false for samples dropped under
-  // kDropNewest, lost to faults, or skipped after quarantine.
+  // Indexed by sample number; `valid[k]` is false for samples lost to
+  // faults or skipped after quarantine.
   std::vector<core::Measurement> samples;
   std::vector<bool> valid;
   core::DelayCode final_code;
@@ -191,7 +193,6 @@ struct SiteResult {
 struct RunResult {
   std::vector<SiteResult> sites;  // ordered by floorplan site index
   std::uint64_t produced = 0;
-  std::uint64_t dropped = 0;
   std::uint64_t ring_stalls = 0;
   // Grid-wide degradation rollup (sums of the per-site fields).
   std::uint64_t faults_injected = 0;
@@ -260,7 +261,6 @@ class ScanGrid {
   // allocations (~0.4 per measure before caching).
   struct HotCounters {
     Counter* stalls = nullptr;
-    Counter* drops = nullptr;
     Counter* produced = nullptr;
     Counter* sim_events = nullptr;
     Counter* sim_allocs = nullptr;

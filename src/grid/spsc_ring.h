@@ -13,7 +13,7 @@
 //
 // Backpressure is the *caller's* policy, not the ring's: try_push() returns
 // false on full and the producer decides to spin, yield or drop. The grid
-// exposes that choice as grid::BackpressurePolicy.
+// yields and retries (lossless, stalls counted).
 #pragma once
 
 #include <atomic>

@@ -4,7 +4,7 @@
 // export:
 //
 //   Counter — monotonic event count, lock-free (atomic increments from any
-//             thread: samples produced, ring stalls, drops...).
+//             thread: samples produced, ring stalls, retries...).
 //   Gauge   — latest value of a quantity (queue depth, active workers).
 //
 // Plus per-site OnlineStats rollups (SiteRollup), owned by the single

@@ -147,16 +147,15 @@ std::string QueryEngine::render_summary(std::size_t top_k) const {
 
   const DegradationStatus deg = degradation();
   if (deg.faults_injected + deg.samples_lost + deg.retries +
-          deg.samples_dropped + deg.sites_quarantined >
+          deg.sites_quarantined >
       0) {
     std::snprintf(line, sizeof(line),
                   "  degraded: %llu faults, %llu retries, %llu recovered, "
-                  "%llu lost, %llu dropped, %llu quarantined\n",
+                  "%llu lost, %llu quarantined\n",
                   static_cast<unsigned long long>(deg.faults_injected),
                   static_cast<unsigned long long>(deg.retries),
                   static_cast<unsigned long long>(deg.samples_recovered),
                   static_cast<unsigned long long>(deg.samples_lost),
-                  static_cast<unsigned long long>(deg.samples_dropped),
                   static_cast<unsigned long long>(deg.sites_quarantined));
     os << line;
   } else {

@@ -322,7 +322,6 @@ void TelemetryStore::set_degradation(const DegradationStatus& status) {
   deg_retries_.store(status.retries, std::memory_order_relaxed);
   deg_recovered_.store(status.samples_recovered, std::memory_order_relaxed);
   deg_lost_.store(status.samples_lost, std::memory_order_relaxed);
-  deg_dropped_.store(status.samples_dropped, std::memory_order_relaxed);
   deg_quarantined_.store(status.sites_quarantined, std::memory_order_relaxed);
 }
 
@@ -332,7 +331,6 @@ DegradationStatus TelemetryStore::degradation() const {
   status.retries = deg_retries_.load(std::memory_order_relaxed);
   status.samples_recovered = deg_recovered_.load(std::memory_order_relaxed);
   status.samples_lost = deg_lost_.load(std::memory_order_relaxed);
-  status.samples_dropped = deg_dropped_.load(std::memory_order_relaxed);
   status.sites_quarantined = deg_quarantined_.load(std::memory_order_relaxed);
   return status;
 }

@@ -15,7 +15,7 @@
 //   * per shard: global voltage/latency HistogramSketches, OnlineStats,
 //     and a TopKDroop tracker over the shard's sites;
 //   * nothing grows with run length — hours of ingest hold the same RSS as
-//     seconds (bench_serve_soak gates this).
+//     seconds (tests/test_alloc.cpp pins zero ingest allocations).
 //
 // Concurrency model — sharded single-writer ingest, snapshot reads:
 //   * Sites are partitioned round-robin (site % shards), matching the
@@ -97,7 +97,7 @@ struct IngestRecord {
   double volts = 0.0;          // decoded estimate (bin midpoint / edge)
   double latency_us = 0.0;     // producer-side measure wall time
   bool in_range = true;        // decoded bin was closed (not saturated)
-  bool valid = true;           // false: sample lost (fault/drop), no volts
+  bool valid = true;           // false: sample lost to a fault, no volts
 };
 
 // Mirror of the grid's resilience telemetry (grid.fault.*, grid.retries,
@@ -107,7 +107,6 @@ struct DegradationStatus {
   std::uint64_t retries = 0;
   std::uint64_t samples_recovered = 0;
   std::uint64_t samples_lost = 0;
-  std::uint64_t samples_dropped = 0;
   std::uint64_t sites_quarantined = 0;
 };
 
@@ -205,7 +204,6 @@ class TelemetryStore {
   std::atomic<std::uint64_t> deg_retries_{0};
   std::atomic<std::uint64_t> deg_recovered_{0};
   std::atomic<std::uint64_t> deg_lost_{0};
-  std::atomic<std::uint64_t> deg_dropped_{0};
   std::atomic<std::uint64_t> deg_quarantined_{0};
 };
 

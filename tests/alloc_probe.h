@@ -1,14 +1,16 @@
-// Counting operator-new interposition for the perf benches.
+// Counting operator-new interposition for the allocation-count tests.
 //
 // Including this header replaces the global throwing operator new/delete
-// family with counting versions, so a bench can report allocations-per-
-// measure by diffing psnt::bench::alloc_count() around a timed region. The
-// nothrow and placement forms are untouched (the standard nothrow operators
-// forward to the replaced throwing ones, so they are counted too).
+// family with counting versions, so a test can count the heap allocations
+// of a region by diffing psnt::test::alloc_count() around it. The nothrow
+// and placement forms are untouched (the standard nothrow operators forward
+// to the replaced throwing ones, so they are counted too).
 //
 // Include from exactly ONE translation unit per binary — the replacement
 // definitions are not inline, by design (the C++ runtime requires a single
-// definition of a replaced allocation function).
+// definition of a replaced allocation function). The replacement is
+// process-wide and hides new/delete from ASan's mismatch checks, so the
+// including test binary holds nothing else.
 #pragma once
 
 #include <atomic>
@@ -17,7 +19,7 @@
 #include <cstdlib>
 #include <new>
 
-namespace psnt::bench {
+namespace psnt::test {
 
 inline std::atomic<std::uint64_t> g_alloc_count{0};
 
@@ -25,10 +27,10 @@ inline std::uint64_t alloc_count() {
   return g_alloc_count.load(std::memory_order_relaxed);
 }
 
-}  // namespace psnt::bench
+}  // namespace psnt::test
 
 void* operator new(std::size_t size) {
-  psnt::bench::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  psnt::test::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc{};
 }
@@ -36,7 +38,7 @@ void* operator new(std::size_t size) {
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, std::align_val_t al) {
-  psnt::bench::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  psnt::test::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   std::size_t alignment = static_cast<std::size_t>(al);
   if (alignment < sizeof(void*)) alignment = sizeof(void*);
   void* p = nullptr;

@@ -7,6 +7,7 @@
 // counted and mirrored into the serving layer's degradation status.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -173,6 +174,25 @@ TEST(Fleet, KillWithoutSpareCountsLossAndDegradation) {
   EXPECT_EQ(config.store->degradation().samples_lost, degradation);
   EXPECT_EQ(config.store->degradation().sites_quarantined, 1u);
   EXPECT_EQ(config.store->total_ingested(), result.samples_valid);
+}
+
+TEST(Fleet, RejectsNonFiniteSchedules) {
+  // Unchecked, a NaN interval forks the workers and "completes" with every
+  // sample lost to the wire's timestamp check.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double start : {kNaN, kInf}) {
+    FleetConfig config = small_config();
+    config.start = Picoseconds{start};
+    EXPECT_THROW(FleetCoordinator{config}, std::logic_error)
+        << "start " << start;
+  }
+  for (const double interval : {0.0, -1.0, kNaN, kInf}) {
+    FleetConfig config = small_config();
+    config.interval = Picoseconds{interval};
+    EXPECT_THROW(FleetCoordinator{config}, std::logic_error)
+        << "interval " << interval;
+  }
 }
 
 TEST(Fleet, RejectsSpansLargerThanOneFrame) {

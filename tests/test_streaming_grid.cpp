@@ -156,21 +156,5 @@ TEST(StreamingGrid, ChaosAutoRangeTrimsOncePerPublishedSample) {
   }
 }
 
-TEST(StreamingGrid, DropNewestStillAccountsForEverySample) {
-  // Backpressure semantics hold for the raw ring payload.
-  const auto fp = scan::Floorplan::grid(2000.0, 2000.0, 2, 2);
-  auto config = base_config(2);
-  config.backpressure = BackpressurePolicy::kDropNewest;
-  config.ring_capacity = 2;
-  ScanGrid grid{fp, config, test_rails(fp)};
-  const auto result = grid.run();
-  std::uint64_t valid = 0;
-  for (const auto& site : result.sites) {
-    for (bool v : site.valid) valid += v ? 1 : 0;
-  }
-  EXPECT_EQ(result.produced, 4u * 6u);
-  EXPECT_EQ(valid + result.dropped, result.produced);
-}
-
 }  // namespace
 }  // namespace psnt::grid
