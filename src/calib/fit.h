@@ -88,8 +88,8 @@ void write_calibration_report(std::ostream& os, const FitResult& fit);
     const CalibratedModel& model, core::ThermometerConfig config = {});
 
 // Immutable per-code decode ladders for the calibrated HIGH-SENSE array:
-// bit-identical to make_paper_engine's VDD decode (and to the structural
-// backend's kernel decode, which uses the same array + PG). This is the
+// bit-identical to make_paper_engine's VDD decode (the engine builds the
+// same ladder from the same array + PG). This is the
 // aggregator-side voltage conversion of the streaming raw-word pipeline —
 // build once, share read-only across threads.
 [[nodiscard]] core::DecodeLadder make_paper_decode_ladder(

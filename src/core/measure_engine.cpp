@@ -34,6 +34,48 @@ std::uint64_t EngineContext::code_steps() const {
 }
 
 // ---------------------------------------------------------------------------
+// Site configuration shared by both backends
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// The one code-policy resolution: a window picks the starting code with
+// tune_for_window against the site's own array/PG; auto_range then seeds an
+// AutoRangeController with it, otherwise the code stays fixed.
+void apply_code_policy(const CodePolicyConfig& policy, const SensorArray& array,
+                       const PulseGenerator& pg, EngineContext& ctx) {
+  DelayCode initial = policy.initial;
+  if (policy.window) {
+    initial = tune_for_window(array, pg, policy.window->lo, policy.window->hi)
+                  .code;
+  }
+  if (policy.auto_range) {
+    AutoRangeConfig ar = policy.auto_range_config;
+    ar.initial = initial;
+    ctx.enable_auto_range(ar);
+  } else {
+    ctx.set_fixed_code(initial);
+  }
+}
+
+// With fault hooks on, routes `rails.vdd` through `slot`: the context's
+// settable rail offset then applies to every read.
+void install_offset_rail(bool fault_hooks, const EngineContext& ctx,
+                         std::optional<ContextOffsetRail>& slot,
+                         analog::RailPair& rails) {
+  if (!fault_hooks) return;
+  slot.emplace(rails.vdd, &ctx);
+  rails.vdd = &*slot;
+}
+
+// The code `req` runs at: its per-request override or the context's policy.
+DelayCode resolve_code(const MeasureRequest& req, const EngineContext& ctx) {
+  return req.code ? *req.code : ctx.current_code();
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // BehavioralEngine
 // ---------------------------------------------------------------------------
 
@@ -54,19 +96,7 @@ BehavioralEngine::BehavioralEngine(SensorArray high_sense,
 }
 
 void BehavioralEngine::configure_code_policy(const CodePolicyConfig& policy) {
-  DelayCode initial = policy.initial;
-  if (policy.window) {
-    initial =
-        tune_for_window(high_sense_, pg_, policy.window->lo, policy.window->hi)
-            .code;
-  }
-  if (policy.auto_range) {
-    AutoRangeConfig ar = policy.auto_range_config;
-    ar.initial = initial;
-    ctx_.enable_auto_range(ar);
-  } else {
-    ctx_.set_fixed_code(initial);
-  }
+  apply_code_policy(policy, high_sense_, pg_, ctx_);
 }
 
 Picoseconds BehavioralEngine::run_fsm_transaction(Picoseconds start,
@@ -97,81 +127,19 @@ Picoseconds BehavioralEngine::run_fsm_transaction(Picoseconds start,
   }
 }
 
-Picoseconds BehavioralEngine::prepare(const MeasureRequest& req) {
-  PSNT_CHECK(!pending_, "prepare() while a transaction is already in flight");
-  pending_code_ = resolve_code(req);
-  pending_target_ = req.target;
+Picoseconds BehavioralEngine::prepare(Picoseconds start, DelayCode code) {
   Picoseconds edge;
-  if (fsm_.fast_transaction(pending_code_)) {
+  if (fsm_.fast_transaction(code)) {
     // Steady state (parked in IDLE, same code): the FSM jumped straight to
     // S_SNS. Accumulate the edge time with the same five sequential adds
     // the stepped walk performs, so timestamps stay bit-identical.
-    edge = req.start;
+    edge = start;
     for (int cycle = 0; cycle < 5; ++cycle) edge += config_.control_period;
   } else {
-    edge = run_fsm_transaction(req.start, pending_code_);
+    edge = run_fsm_transaction(start, code);
   }
   // Sense launch: the P edge leaves the PG p_delay after the S_SNS command.
-  pending_launch_ = edge + pg_.p_delay();
-  pending_ = true;
-  return pending_launch_;
-}
-
-ThermoWord BehavioralEngine::sense_word(const SensorArray& array,
-                                        const BatchedSenseKernel& kernel,
-                                        Volt v_eff, Picoseconds skew) const {
-  // Engine-internal fast-path selection: the batched kernel is entered only
-  // when its uniform-array precondition holds and the supply is above the
-  // inverter threshold; mismatched arrays and saturated supplies take the
-  // reference SensorArray path. Both produce bit-identical words.
-  if (kernel.fast_path(v_eff)) return kernel.measure(array, v_eff, skew);
-  return array.measure(v_eff, skew);
-}
-
-ThermoWord BehavioralEngine::sense(const analog::RailPair& rails,
-                                   DelayCode code) {
-  PSNT_CHECK(pending_, "sense() without a prepared transaction");
-  PSNT_CHECK(!(code != pending_code_),
-             "sense() code differs from the prepared code");
-  const Picoseconds skew = pg_.skew(code);
-  ThermoWord word;
-  if (pending_target_ == SenseTarget::kVdd) {
-    const Volt v_eff = rails.effective(pending_launch_);
-    word = sense_word(high_sense_, high_kernel_, v_eff, skew);
-  } else {
-    // LOW-SENSE inverter: nominal VDD against the noisy ground.
-    PSNT_CHECK(rails.gnd != nullptr, "GND sense needs a ground rail");
-    const Volt v_eff = config_.v_nominal - rails.gnd->at(pending_launch_);
-    word = sense_word(low_sense_, low_kernel_, v_eff, skew);
-  }
-  ctx_.apply_word(word);
-  // Drain the done cycle so the FSM is parked in IDLE for the next call.
-  fsm_.step(FsmInputs{});
-  pending_ = false;
-  return word;
-}
-
-Measurement BehavioralEngine::measure(const MeasureRequest& req,
-                                      const analog::RailPair& rails) {
-  Measurement m;
-  m.timestamp = prepare(req);
-  m.target = pending_target_;
-  m.code = pending_code_;
-  const DelayCode code = pending_code_;
-  m.word = sense(rails, code);
-  m.bin = m.target == SenseTarget::kVdd ? decode(m.word, code)
-                                        : decode_gnd_word(m.word, code);
-  return m;
-}
-
-RawSample BehavioralEngine::measure_raw(const MeasureRequest& req,
-                                        const analog::RailPair& rails) {
-  RawSample raw;
-  raw.timestamp = prepare(req);
-  raw.target = pending_target_;
-  raw.code = pending_code_;
-  raw.word = sense(rails, raw.code);
-  return raw;
+  return edge + pg_.p_delay();
 }
 
 void BehavioralEngine::measure_raw_batch(const MeasureRequest& first,
@@ -179,7 +147,7 @@ void BehavioralEngine::measure_raw_batch(const MeasureRequest& first,
                                          std::size_t count,
                                          const analog::RailPair& rails,
                                          std::vector<RawSample>& out) {
-  const DelayCode code = resolve_code(first);
+  const DelayCode code = resolve_code(first, ctx_);
   const SenseTarget target = first.target;
   const Picoseconds skew = pg_.skew(code);
   const SensorArray& array =
@@ -193,40 +161,37 @@ void BehavioralEngine::measure_raw_batch(const MeasureRequest& first,
   batch_need_scalar_.assign(count, 0);
 
   // Capture sweep: the per-sample FSM walk and rail read, in sample order,
-  // with the identical arithmetic of a measure_raw loop (prepare() computes
-  // the launch; the done cycle is retired where sense() would retire it).
+  // then the done cycle that parks the FSM in IDLE for the next sample.
   // Only the SENSE evaluation is deferred so it can run vectorized below.
-  MeasureRequest req = first;
   for (std::size_t k = 0; k < count; ++k) {
-    req.start = Picoseconds{first.start.value() +
-                            static_cast<double>(k) * interval.value()};
-    const Picoseconds launch = prepare(req);
+    const Picoseconds launch =
+        prepare(Picoseconds{first.start.value() +
+                            static_cast<double>(k) * interval.value()},
+                code);
     batch_launch_[k] = launch;
     if (target == SenseTarget::kVdd) {
       batch_v_[k] = rails.effective(launch).value();
     } else {
+      // LOW-SENSE inverter: nominal VDD against the noisy ground.
       PSNT_CHECK(rails.gnd != nullptr, "GND sense needs a ground rail");
       batch_v_[k] = (config_.v_nominal - rails.gnd->at(launch)).value();
     }
     fsm_.step(FsmInputs{});  // the done cycle
-    pending_ = false;
   }
 
-  // Vectorized SENSE over the whole batch; any sample the compare ladder
-  // cannot settle bit-exactly (guard band, saturation boundary, NaN) — or
-  // every sample, when the array is not vectorizable at all — re-senses
-  // through the engine's scalar selection, which is the reference.
+  // SENSE over the whole batch on the compare ladder; a sample it flags
+  // (guard band, saturation floor, NaN) — or every sample, when the array
+  // is not vectorizable — is sensed by the reference array model.
   const bool vectored =
       kernel.measure_batch(array, batch_v_.data(), count, code, skew,
                            batch_words_.data(), batch_need_scalar_.data());
   for (std::size_t k = 0; k < count; ++k) {
     if (!vectored || batch_need_scalar_[k] != 0) {
-      batch_words_[k] = sense_word(array, kernel, Volt{batch_v_[k]}, skew);
+      batch_words_[k] = array.measure(Volt{batch_v_[k]}, skew);
     }
   }
 
-  // Word hook per sample, post-capture, in sample order — the same points
-  // of the sequence sense() applies it at.
+  // Word hook per sample, post-capture, in sample order.
   out.reserve(out.size() + count);
   for (std::size_t k = 0; k < count; ++k) {
     RawSample raw;
@@ -239,27 +204,48 @@ void BehavioralEngine::measure_raw_batch(const MeasureRequest& first,
   }
 }
 
+RawSample BehavioralEngine::measure_raw(const MeasureRequest& req,
+                                        const analog::RailPair& rails) {
+  single_.clear();
+  measure_raw_batch(req, Picoseconds{0.0}, 1, rails, single_);
+  return single_.front();
+}
+
+Measurement BehavioralEngine::measure(const MeasureRequest& req,
+                                      const analog::RailPair& rails) {
+  const RawSample raw = measure_raw(req, rails);
+  return assemble_measurement(raw, raw.target == SenseTarget::kVdd
+                                       ? decode(raw.word, raw.code)
+                                       : decode_gnd_word(raw.word, raw.code));
+}
+
+const DecodeLadder& BehavioralEngine::ladder(SenseTarget target) const {
+  const bool vdd = target == SenseTarget::kVdd;
+  std::optional<DecodeLadder>& slot = vdd ? high_ladder_ : low_ladder_;
+  if (!slot) slot.emplace(vdd ? high_sense_ : low_sense_, pg_);
+  return *slot;
+}
+
 VoltageBin BehavioralEngine::decode(const ThermoWord& word,
                                     DelayCode code) const {
-  return high_kernel_.decode(high_sense_, word, code, pg_.skew(code));
+  return ladder(SenseTarget::kVdd).decode(word, code);
 }
 
 VoltageBin BehavioralEngine::decode_gnd_word(const ThermoWord& word,
                                              DelayCode code) const {
-  return low_kernel_.decode_gnd(low_sense_, word, code, pg_.skew(code),
-                                config_.v_nominal);
+  return ladder(SenseTarget::kGnd).decode_gnd(word, code, config_.v_nominal);
 }
 
 DynamicRange BehavioralEngine::vdd_range(DelayCode code) const {
-  return high_kernel_.dynamic_range(high_sense_, code, pg_.skew(code));
+  const auto& thr = ladder(SenseTarget::kVdd).thresholds(code);
+  return DynamicRange{thr.front(), thr.back()};
 }
 
 DynamicRange BehavioralEngine::gnd_range(DelayCode code) const {
-  const DynamicRange v =
-      low_kernel_.dynamic_range(low_sense_, code, pg_.skew(code));
+  const auto& thr = ladder(SenseTarget::kGnd).thresholds(code);
   // gnd = v_nominal - v_eff: the measurable bounce window flips.
-  return DynamicRange{config_.v_nominal - v.no_errors_above,
-                      config_.v_nominal - v.all_errors_below};
+  return DynamicRange{config_.v_nominal - thr.back(),
+                      config_.v_nominal - thr.front()};
 }
 
 void BehavioralEngine::prewarm_sense_ladders(DelayCode code) {
@@ -285,10 +271,8 @@ class BehavioralEngineHandle final : public IMeasureEngine {
                          const EngineSiteOptions& options)
       : engine_(std::move(engine)), rails_(rails) {
     engine_.configure_code_policy(options.code_policy);
-    if (options.fault_hooks) {
-      offset_vdd_.emplace(rails_.vdd, &engine_.context());
-      rails_.vdd = &*offset_vdd_;
-    }
+    install_offset_rail(options.fault_hooks, engine_.context(), offset_vdd_,
+                        rails_);
   }
 
   EngineContext& context() override { return engine_.context(); }
@@ -328,29 +312,14 @@ class StructuralEngineHandle final : public IMeasureEngine {
                          analog::RailPair rails, Picoseconds control_period,
                          const EngineSiteOptions& options)
       : array_(array), pg_(pg), encoder_(BubblePolicy::kMajority) {
-    code_ = options.code_policy.initial;
-    if (options.code_policy.window) {
-      code_ = tune_for_window(array_, pg_, options.code_policy.window->lo,
-                              options.code_policy.window->hi)
-                  .code;
-    }
-    if (options.code_policy.auto_range) {
-      AutoRangeConfig ar = options.code_policy.auto_range_config;
-      ar.initial = code_;
-      ctx_.enable_auto_range(ar);
-    } else {
-      ctx_.set_fixed_code(code_);
-    }
-    if (options.fault_hooks) {
-      offset_vdd_.emplace(rails.vdd, &ctx_);
-      rails.vdd = &*offset_vdd_;
-    }
+    apply_code_policy(options.code_policy, array_, pg_, ctx_);
+    install_offset_rail(options.fault_hooks, ctx_, offset_vdd_, rails);
     // Long sample streams: drop per-edge debug logs (DFF history, inverter
     // transition traces) so steady-state measures allocate nothing.
     sim_.set_instrumentation(false);
     FullStructuralSystem::Config config;
     config.control_period = control_period;
-    config.code = code_;
+    config.code = ctx_.current_code();
     system_ = std::make_unique<FullStructuralSystem>(sim_, "site", array_,
                                                      pg_, rails, config);
     // Stats marks start after construction so power-on settle is excluded.
@@ -366,7 +335,7 @@ class StructuralEngineHandle final : public IMeasureEngine {
   void measure_raw_batch(const MeasureRequest& first, Picoseconds interval,
                          std::size_t count,
                          std::vector<RawSample>& out) override {
-    const DelayCode code = resolve_code(first);
+    const DelayCode code = resolve_code(first, ctx_);
     system_->set_code(code);
     const auto words =
         system_->run_measures(count, /*configure_first=*/!configured_);
@@ -399,10 +368,6 @@ class StructuralEngineHandle final : public IMeasureEngine {
   }
 
  private:
-  [[nodiscard]] DelayCode resolve_code(const MeasureRequest& req) const {
-    return req.code ? *req.code : ctx_.current_code();
-  }
-
   sim::Simulator sim_;
   SensorArray array_;
   PulseGenerator pg_;
@@ -410,7 +375,6 @@ class StructuralEngineHandle final : public IMeasureEngine {
   std::optional<ContextOffsetRail> offset_vdd_;
   std::unique_ptr<FullStructuralSystem> system_;
   Encoder encoder_;
-  DelayCode code_{3};
   bool configured_ = false;
   std::uint64_t events_mark_ = 0;
   std::uint64_t allocs_mark_ = 0;

@@ -15,9 +15,7 @@
 // One engine contract, `IMeasureEngine` / `EngineHandle`: a thin type-erased
 // handle for the grid, where behavioral and gate-level sites coexist at
 // runtime. Site fidelity and fault-hook installation are *construction
-// parameters* of the handle factories, never branches in the consumer. The
-// serial scan chain calls `BehavioralEngine` directly; it still decodes
-// inside the engine and is therefore the grid's independent reference.
+// parameters* of the handle factories, never branches in the consumer.
 //
 // Hook surface (the ONLY one in the codebase)
 //   `EngineContext` carries exactly three cross-cutting concerns:
@@ -47,6 +45,7 @@
 #include "core/pulse_gen.h"
 #include "core/sense_kernel.h"
 #include "core/sensor_array.h"
+#include "core/streaming_encoder.h"
 
 namespace psnt::core {
 
@@ -140,11 +139,11 @@ struct MeasureRequest {
 };
 
 // Behavioral backend: the paper's sensor as closed-form models (alpha-power
-// inverter delays, FF timing checks) stepped by the control FSM. Absorbs the
-// BatchedSenseKernel as an engine-internal optimization: the kernel's
-// uniform-array fast path is selected here, per sense, and mismatched arrays
-// or saturated supplies take the reference SensorArray::measure path — the
-// selection is invisible to callers and bit-identical either way.
+// inverter delays, FF timing checks) stepped by the control FSM. One capture
+// routine, measure_raw_batch: its SENSE runs through the BatchedSenseKernel
+// compare ladder, and a sample the ladder flags — or every sample of an
+// array the kernel cannot vectorize — is sensed by SensorArray::measure, the
+// reference. measure_raw and measure are count-1 calls to it.
 class BehavioralEngine {
  public:
   BehavioralEngine(SensorArray high_sense, SensorArray low_sense,
@@ -159,66 +158,46 @@ class BehavioralEngine {
   [[nodiscard]] const ControlFsm& fsm() const { return fsm_; }
   [[nodiscard]] std::size_t word_bits() const { return high_sense_.bits(); }
 
-  // Number of control cycles one complete measure occupies (IDLE→…→done).
-  [[nodiscard]] std::size_t transaction_cycles() const { return 6; }
-
   // Resolves the code policy once (window search, auto-range seeding) and
   // stores the result in the context. See CodePolicyConfig.
   void configure_code_policy(const CodePolicyConfig& policy);
 
-  // PREPARE: steps the FSM from IDLE through the transaction for `req` and
-  // returns the sense launch instant (S_SNS edge + PG p_delay). The engine
-  // then expects exactly one sense() call to complete the transaction.
-  Picoseconds prepare(const MeasureRequest& req);
-
-  // SENSE: captures the word at the prepared launch instant against `rails`,
-  // applies the context word hook, and parks the FSM back in IDLE. `code`
-  // must be the prepared transaction's code (PREPARE configured the FSM and
-  // the PG tap with it).
-  ThermoWord sense(const analog::RailPair& rails, DelayCode code);
-
-  // prepare + sense + decode, the full transaction.
-  Measurement measure(const MeasureRequest& req, const analog::RailPair& rails);
-
-  // prepare + sense only — the Fig. 6 capture half. The word hook still
-  // applies (sense() runs it post-capture); ENC and voltage conversion are
-  // left to the downstream consumer (StreamingEncoder / DecodeLadder).
-  // site_id/sample_index are left zero for the caller to fill.
-  RawSample measure_raw(const MeasureRequest& req,
-                        const analog::RailPair& rails);
-
-  // --- vectorized batch capture (the SoA hot path, DESIGN.md §14) -------
-  // `count` consecutive capture transactions starting at first.start spaced
-  // by `interval`, appended to `out`. Bit-identical to the equivalent
-  // measure_raw loop: the FSM walk, launch instants and rail reads replay
-  // the scalar arithmetic per sample; the SENSE itself runs through
-  // BatchedSenseKernel::measure_batch (per-sample scalar fallback where the
-  // compare ladder flags a sample); the word hook then applies per sample,
-  // in sample order, post-capture. Assumes rails are pure functions of time
-  // across the batch — true for every RailSource — and that the hook does
-  // not read rail state mid-batch (the one hook installer,
+  // --- capture (the SoA hot path, DESIGN.md §14) -------------------------
+  // `count` consecutive PREPARE+SENSE transactions starting at first.start
+  // spaced by `interval`, appended to `out`. The FSM walk, launch instants
+  // and rail reads run per sample in sample order; the SENSE then runs over
+  // the whole batch through BatchedSenseKernel::measure_batch, with flagged
+  // samples sensed by SensorArray::measure; the word hook applies per
+  // sample, in sample order, post-capture. Assumes rails are pure functions
+  // of time across the batch — true for every RailSource — and that the
+  // hook does not read rail state mid-batch (the one hook installer,
   // fault::FaultSession, arms one sample at a time: the grid's resilient
   // loop captures with count 1).
   void measure_raw_batch(const MeasureRequest& first, Picoseconds interval,
                          std::size_t count, const analog::RailPair& rails,
                          std::vector<RawSample>& out);
-  // True when the kernels' vectorized compare path serves this array; when
-  // false every batch sample takes the scalar sense (still bit-identical).
-  [[nodiscard]] bool batch_capable() const {
-    return high_kernel_.vectorizable();
-  }
+
+  // A count-1 measure_raw_batch: the Fig. 6 capture half. ENC and voltage
+  // conversion are left to the downstream consumer (StreamingEncoder /
+  // DecodeLadder). site_id/sample_index are left zero for the caller to fill.
+  RawSample measure_raw(const MeasureRequest& req,
+                        const analog::RailPair& rails);
+
+  // measure_raw plus decode (decode_gnd_word for a kGnd target), the full
+  // transaction.
+  Measurement measure(const MeasureRequest& req, const analog::RailPair& rails);
 
   // Scan-grid amortization hooks. The firing-ladder solve is lazy on the
   // first batch per code (~7 bisections); a grid of identical site arrays
   // would pay it once per site. prewarm forces the solve for `code` on both
-  // kernels now; adopt copies every table `src` has already solved when the
-  // arrays are value-identical (returns the entry count, 0 on mismatch).
+  // kernels now; adopt copies every ladder `src` has already solved when the
+  // arrays are value-identical (returns the ladder count, 0 on mismatch).
   void prewarm_sense_ladders(DelayCode code);
   std::size_t adopt_sense_ladders(const BehavioralEngine& src);
 
   // Decodes a word against the HIGH-SENSE ladder for `code`.
   [[nodiscard]] VoltageBin decode(const ThermoWord& word, DelayCode code) const;
-  // LOW-SENSE (GND-bounce) decode: v_nominal minus the HIGH ladder window.
+  // LOW-SENSE (GND-bounce) decode: v_nominal minus the LOW ladder window.
   [[nodiscard]] VoltageBin decode_gnd_word(const ThermoWord& word,
                                            DelayCode code) const;
   [[nodiscard]] EncodedWord encode(const ThermoWord& word) const {
@@ -230,19 +209,17 @@ class BehavioralEngine {
   // GND-n bounce range measurable at a code.
   [[nodiscard]] DynamicRange gnd_range(DelayCode code) const;
 
-  // The code `req` resolves to: the per-request override or the context's
-  // policy code.
-  [[nodiscard]] DelayCode resolve_code(const MeasureRequest& req) const {
-    return req.code ? *req.code : ctx_.current_code();
-  }
-
  private:
   // Steps the FSM from IDLE through one transaction; returns the absolute
   // time of the S_SNS edge.
   Picoseconds run_fsm_transaction(Picoseconds start, DelayCode code);
-  [[nodiscard]] ThermoWord sense_word(const SensorArray& array,
-                                      const BatchedSenseKernel& kernel,
-                                      Volt v_eff, Picoseconds skew) const;
+  // PREPARE: walks the FSM to S_SNS for a transaction leaving IDLE at
+  // `start`; returns the sense launch instant (S_SNS edge + PG p_delay).
+  Picoseconds prepare(Picoseconds start, DelayCode code);
+  // The decode ladder of one array, built on first use: a grid captures
+  // through this engine but decodes in its drain, so it never pays for one.
+  [[nodiscard]] const DecodeLadder& ladder(SenseTarget target) const;
+
   SensorArray high_sense_;
   SensorArray low_sense_;
   PulseGenerator pg_;
@@ -250,21 +227,19 @@ class BehavioralEngine {
   ControlFsm fsm_;
   Encoder encoder_;
   EngineContext ctx_;
+  BatchedSenseKernel high_kernel_;
+  BatchedSenseKernel low_kernel_;
   // Value-only caches (safe under the by-value moves this type undergoes);
-  // mutable because range queries are const but warm the per-code ladders.
-  mutable BatchedSenseKernel high_kernel_;
-  mutable BatchedSenseKernel low_kernel_;
-  // In-flight transaction state between prepare() and sense().
-  bool pending_ = false;
-  Picoseconds pending_launch_{0.0};
-  DelayCode pending_code_{0};
-  SenseTarget pending_target_ = SenseTarget::kVdd;
+  // mutable because decode and range queries are const.
+  mutable std::optional<DecodeLadder> high_ladder_;
+  mutable std::optional<DecodeLadder> low_ladder_;
   // SoA capture scratch, reused across batches so steady-state batch
   // measures allocate nothing.
   std::vector<double> batch_v_;
   std::vector<Picoseconds> batch_launch_;
   std::vector<ThermoWord> batch_words_;
   std::vector<std::uint8_t> batch_need_scalar_;
+  std::vector<RawSample> single_;  // measure_raw's count-1 batch
 };
 
 // Per-batch simulation cost of a gate-level engine (zeros for models that

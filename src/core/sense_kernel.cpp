@@ -11,7 +11,7 @@ namespace psnt::core {
 namespace {
 
 // Half-width of the guard band around each firing threshold, in volts. A
-// sample closer than this to a threshold is flagged for the exact scalar
+// sample closer than this to a threshold is flagged for the reference
 // path. The band only needs to dominate two error sources, and does so by
 // orders of magnitude: the bisection stops at kBisectTolVolts, and the
 // scalar predicate's own FP evaluation wobbles by ~1e-13 V of equivalent
@@ -22,7 +22,7 @@ constexpr double kGuardVolts = 1e-9;
 // Bisection stop width; absorbed by the guard band.
 constexpr double kBisectTolVolts = 1e-12;
 // Upper bracket of the firing-threshold search. Any physically plausible
-// supply sits far below; samples above fall back to the scalar path.
+// supply sits far below; samples above fall back to the reference path.
 constexpr double kWindowCapVolts = 8.0;
 
 }  // namespace
@@ -34,35 +34,35 @@ BatchedSenseKernel::BatchedSenseKernel(const SensorArray& array) {
   alpha_ = first.alpha;
   v_threshold_ = first.v_threshold.value();
 
-  uniform_ = true;
+  bool uniform = true;
   bool any_deep_resolver = false;
   c_total_pf_.reserve(cells.size());
   t_setup_ps_.reserve(cells.size());
   for (const SensorCell& cell : cells) {
     const auto& p = cell.inverter().params();
-    // Exact comparison on purpose: the fast path is only bit-identical when
-    // every cell computes with the very same parameter doubles.
+    // Exact comparison on purpose: one firing predicate serves every cell
+    // only when they all compute with the very same parameter doubles.
     if (p.drive_k_pf_per_ps != drive_k_pf_per_ps_ || p.alpha != alpha_ ||
         p.v_threshold.value() != v_threshold_) {
-      uniform_ = false;
+      uniform = false;
     }
     c_total_pf_.push_back(cell.c_load().value() + p.c_intrinsic.value());
     t_setup_ps_.push_back(cell.flipflop().params().t_setup.value());
     if (cell.flipflop().has_deep_meta_resolver()) any_deep_resolver = true;
   }
 
-  // The compare path additionally needs the DS arrival monotone in the
+  // The compare path needs uniform drive, the DS arrival monotone in the
   // supply (alpha >= 1: d/dv of c*v/(K*(v-Vt)^a) is then negative above
   // threshold, so "fires" is a single crossing), deterministic FF sampling,
   // and a SIMD backend whose instructions this CPU actually has.
-  vector_ok_ = uniform_ && alpha_ >= 1.0 && !any_deep_resolver &&
+  vector_ok_ = uniform && alpha_ >= 1.0 && !any_deep_resolver &&
                simd::runtime_supported();
 
-  // Window floor: the smallest double whose overdrive clears the fast_path()
-  // saturation test, found by ulp-walking fl(x - Vt) > 1e-9 — the exact
-  // comparison fast_path() performs. The open compare v > win_lo_ then
-  // guarantees every vector-path sample satisfies the fast-path
-  // precondition the firing predicate assumes.
+  // Window floor: the smallest double whose overdrive clears the saturation
+  // test of AlphaPowerDelayModel::delay, found by ulp-walking
+  // fl(x - Vt) > 1e-9 — the exact comparison the delay model performs. The
+  // open compare v > win_lo_ then guarantees every vector-path sample takes
+  // the unsaturated delay the firing predicate assumes.
   double floor_v = v_threshold_ + 1e-9;
   constexpr double kInf = std::numeric_limits<double>::infinity();
   while (floor_v - v_threshold_ > 1e-9) floor_v = std::nextafter(floor_v, -kInf);
@@ -77,40 +77,18 @@ BatchedSenseKernel::BatchedSenseKernel(const SensorArray& array) {
 void BatchedSenseKernel::check_same_array(const SensorArray& array) const {
   PSNT_CHECK(c_total_pf_.size() == array.bits(),
              "BatchedSenseKernel called with a different array than it was "
-             "built from: the cached per-code ladders would be wrong. "
+             "built from: the cached firing ladders would be wrong. "
              "Rebuild the kernel from the array you are measuring.");
-}
-
-ThermoWord BatchedSenseKernel::measure(const SensorArray& array, Volt v_eff,
-                                       Picoseconds skew) const {
-  check_same_array(array);
-  const double overdrive = v_eff.value() - v_threshold_;
-  PSNT_CHECK(uniform_ && overdrive > 1e-9,
-             "BatchedSenseKernel::measure outside the fast path; callers "
-             "must gate on fast_path()");
-
-  // Hoisted once per measure instead of once per cell; the per-cell
-  // expression below then matches AlphaPowerDelayModel::delay operand-for-
-  // operand, so every DS arrival is the same IEEE double.
-  const double i_drive = drive_k_pf_per_ps_ * std::pow(overdrive, alpha_);
-  const auto& cells = array.cells();
-  ThermoWord word{0, cells.size()};
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Picoseconds ds{c_total_pf_[i] * v_eff.value() / i_drive};
-    const auto ff = cells[i].flipflop().sample(ds, skew, /*new_value=*/true,
-                                               /*old_value=*/false);
-    word.set_bit(i, ff.captured_value);
-  }
-  return word;
 }
 
 bool BatchedSenseKernel::cell_fires(double v_eff_volts, std::size_t cell,
                                     double deadline_ps) const {
-  // The scalar bit for cell i, operand-for-operand: measure() computes the
-  // DS arrival below and FlipFlopTimingModel::sample captures the new value
-  // exactly when fl(deadline - ds) > 0 — which IEEE subtraction makes
-  // equivalent to deadline > ds. (Clean and metastable regions both capture
-  // the new value; a violated setup retains the PREPARE value, bit 0.)
+  // The reference bit for cell i, operand-for-operand: above the saturation
+  // floor AlphaPowerDelayModel::delay computes the DS arrival below, and
+  // FlipFlopTimingModel::sample captures the new value exactly when
+  // fl(deadline - ds) > 0 — which IEEE subtraction makes equivalent to
+  // deadline > ds. (Clean and metastable regions both capture the new value;
+  // a violated setup retains the PREPARE value, bit 0.)
   const double overdrive = v_eff_volts - v_threshold_;
   const double i_drive = drive_k_pf_per_ps_ * std::pow(overdrive, alpha_);
   const double ds = c_total_pf_[cell] * v_eff_volts / i_drive;
@@ -129,7 +107,7 @@ const BatchedSenseKernel::FiringLadder& BatchedSenseKernel::firing_ladder(
     // Per-cell FF setup deadline, in the same operation order the FF model
     // uses: fl(skew - t_setup).
     const double deadline = skew.value() - t_setup_ps_[i];
-    // Bisect the exact scalar predicate over the fast-path window. "fires"
+    // Bisect the exact scalar predicate over the compare window. "fires"
     // is monotone in v (alpha >= 1 gate), so the crossing is unique; the
     // bisection lands within kBisectTolVolts of it and the guard band
     // absorbs the residual.
@@ -165,9 +143,9 @@ void BatchedSenseKernel::prewarm(DelayCode code, Picoseconds skew) {
 }
 
 std::size_t BatchedSenseKernel::adopt_ladders(const BatchedSenseKernel& other) {
-  // Exact-equality fingerprint: every cached table is a pure function of
-  // these doubles, so a single differing bit disqualifies the share.
-  if (uniform_ != other.uniform_ || vector_ok_ != other.vector_ok_ ||
+  // Exact-equality fingerprint: a firing ladder is a pure function of these
+  // doubles, so a single differing bit disqualifies the share.
+  if (!vector_ok_ || !other.vector_ok_ ||
       drive_k_pf_per_ps_ != other.drive_k_pf_per_ps_ ||
       alpha_ != other.alpha_ || v_threshold_ != other.v_threshold_ ||
       c_total_pf_ != other.c_total_pf_ || t_setup_ps_ != other.t_setup_ps_) {
@@ -177,10 +155,6 @@ std::size_t BatchedSenseKernel::adopt_ladders(const BatchedSenseKernel& other) {
   for (std::size_t c = 0; c < DelayCode::kCount; ++c) {
     if (other.firing_[c].valid && !firing_[c].valid) {
       firing_[c] = other.firing_[c];
-      ++copied;
-    }
-    if (other.codes_[c].valid && !codes_[c].valid) {
-      codes_[c] = other.codes_[c];
       ++copied;
     }
   }
@@ -202,63 +176,10 @@ bool BatchedSenseKernel::measure_batch(const SensorArray& array,
                       bits, win_lo_volts_, win_hi_volts_, word_scratch_.data(),
                       need_scalar);
 
-  std::uint64_t fallbacks = 0;
   for (std::size_t k = 0; k < n; ++k) {
-    if (need_scalar[k] != 0) {
-      ++fallbacks;
-    } else {
-      words[k] = ThermoWord{word_scratch_[k], bits};
-    }
+    if (need_scalar[k] == 0) words[k] = ThermoWord{word_scratch_[k], bits};
   }
-  batch_vector_ += n - fallbacks;
-  batch_scalar_ += fallbacks;
   return true;
-}
-
-const std::vector<Volt>& BatchedSenseKernel::sorted_thresholds(
-    const SensorArray& array, DelayCode code, Picoseconds skew) {
-  check_same_array(array);
-  CodeCache& entry = codes_[code.value()];
-  if (!entry.valid || entry.skew.value() != skew.value()) {
-    entry.ladder = array.sorted_thresholds(skew);
-    entry.skew = skew;
-    entry.valid = true;
-    ++ladder_solves_;
-  }
-  return entry.ladder;
-}
-
-VoltageBin BatchedSenseKernel::decode(const SensorArray& array,
-                                      const ThermoWord& word, DelayCode code,
-                                      Picoseconds skew) {
-  PSNT_CHECK(word.width() == array.bits(),
-             "word width does not match the array");
-  const std::size_t k = word.bubble_corrected().count_ones();
-  const auto& thr = sorted_thresholds(array, code, skew);
-  VoltageBin bin;
-  if (k > 0) bin.lo = thr[k - 1];
-  if (k < thr.size()) bin.hi = thr[k];
-  return bin;
-}
-
-VoltageBin BatchedSenseKernel::decode_gnd(const SensorArray& array,
-                                          const ThermoWord& word,
-                                          DelayCode code, Picoseconds skew,
-                                          Volt v_nominal) {
-  const VoltageBin vdd_bin = decode(array, word, code, skew);
-  // Mirrors SensorArray::decode_gnd: gnd = v_nominal - v_eff flips the bin.
-  VoltageBin gnd;
-  if (vdd_bin.hi) gnd.lo = v_nominal - *vdd_bin.hi;
-  if (vdd_bin.lo) gnd.hi = v_nominal - *vdd_bin.lo;
-  return gnd;
-}
-
-DynamicRange BatchedSenseKernel::dynamic_range(const SensorArray& array,
-                                               DelayCode code,
-                                               Picoseconds skew) {
-  check_same_array(array);
-  const auto& thr = sorted_thresholds(array, code, skew);
-  return DynamicRange{thr.front(), thr.back()};
 }
 
 }  // namespace psnt::core

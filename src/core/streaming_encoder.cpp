@@ -88,7 +88,7 @@ DecodeLadder::DecodeLadder(const SensorArray& array, const PulseGenerator& pg)
 
 VoltageBin DecodeLadder::decode(const ThermoWord& word, DelayCode code) const {
   PSNT_CHECK(word.width() == bits_, "word width does not match the ladder");
-  // Same reading BatchedSenseKernel::decode derives via
+  // Same reading SensorArray::decode derives via
   // bubble_corrected().count_ones(): correction preserves the popcount.
   return bins_[code.value()][word.count_ones()];
 }

@@ -11,12 +11,11 @@
 //
 // DecodeLadder is the matching voltage-conversion half: the eight per-code
 // converter ladders (one sorted_thresholds() solve per DelayCode), computed
-// once up front and immutable afterwards. Unlike BatchedSenseKernel — whose
-// lazily-filled cache is single-threaded — a DecodeLadder can be shared
-// read-only across threads, which is what lets the grid decode on the
-// aggregator while workers keep capturing. decode() mirrors
-// BatchedSenseKernel::decode operand-for-operand, so bins are bit-identical
-// to an engine's own decode (the serial scan chain's reference path).
+// once up front and immutable afterwards, so one can be shared read-only
+// across threads — which is what lets the grid decode on the aggregator
+// while workers keep capturing. decode() reads the same sorted ladder
+// SensorArray::decode does, so bins are bit-identical to it; a
+// BehavioralEngine decodes through one DecodeLadder per array.
 #pragma once
 
 #include <array>
@@ -78,14 +77,14 @@ class DecodeLadder {
     return ladders_[code.value()];
   }
 
-  // Bit-identical to BatchedSenseKernel::decode for the same array/PG.
+  // Bit-identical to SensorArray::decode at pg.skew(code).
   [[nodiscard]] VoltageBin decode(const ThermoWord& word, DelayCode code) const;
   // Bulk form of decode(): converts `count` parallel (word, code) pairs into
   // `out` (caller-sized). One bounds check up front instead of per word —
   // the drain pass runs this over each batch it pops off a shard ring.
   void decode_span(const ThermoWord* words, const DelayCode* codes,
                    std::size_t count, VoltageBin* out) const;
-  // GND-n view, mirroring BatchedSenseKernel::decode_gnd.
+  // GND-n view, mirroring SensorArray::decode_gnd.
   [[nodiscard]] VoltageBin decode_gnd(const ThermoWord& word, DelayCode code,
                                       Volt v_nominal) const;
 

@@ -1,9 +1,10 @@
 // NoiseThermometer: the complete sensor system of Fig. 6, as a thin facade
 // over the behavioral engine (core::BehavioralEngine).
 //
-// All measurement mechanics — FSM stepping, PREPARE/SENSE, the batched sense
-// kernel, encode/decode — live in core::BehavioralEngine (measure_engine.h);
-// this class keeps the sensor-level vocabulary callers use:
+// All measurement mechanics — FSM stepping, the one PREPARE/SENSE capture
+// routine, encode/decode — live in core::BehavioralEngine
+// (measure_engine.h); this class keeps the sensor-level vocabulary callers
+// use:
 //
 //  * one-shot `measure_*`   — runs a full PREPARE+SENSE transaction against a
 //    rail source at a given start time and returns the decoded Measurement.
@@ -37,7 +38,7 @@ class NoiseThermometer {
   explicit NoiseThermometer(BehavioralEngine engine)
       : engine_(std::move(engine)) {}
 
-  // The backing behavioral engine; the scan chain measures and decodes
+  // The backing behavioral engine; the scan chain captures and decodes
   // through it directly.
   [[nodiscard]] BehavioralEngine& engine() { return engine_; }
   [[nodiscard]] const BehavioralEngine& engine() const { return engine_; }
@@ -55,11 +56,6 @@ class NoiseThermometer {
     return engine_.config();
   }
   [[nodiscard]] const ControlFsm& fsm() const { return engine_.fsm(); }
-
-  // Number of control cycles one complete measure occupies (IDLE→…→done).
-  [[nodiscard]] std::size_t transaction_cycles() const {
-    return engine_.transaction_cycles();
-  }
 
   // Full transaction measuring VDD-n. `vdd` (and optional `gnd`) are the
   // noisy rails; `start` is when the controller leaves IDLE.

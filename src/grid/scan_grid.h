@@ -294,8 +294,7 @@ class ScanGrid {
   std::vector<std::unique_ptr<Site>> sites_;
   std::vector<std::unique_ptr<Shard>> shards_;
   // The drain's voltage conversion: built once in the constructor,
-  // immutable afterwards, so the drain never touches a worker's mutable
-  // per-engine kernel caches.
+  // immutable afterwards, so the drain never touches a worker's engine.
   core::DecodeLadder ladder_;
   HotCounters hot_;
   // Resilience telemetry; null unless an injector is attached or the

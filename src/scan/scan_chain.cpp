@@ -5,10 +5,10 @@
 
 namespace psnt::scan {
 
-// The chain is the serial reference consumer of core::BehavioralEngine:
-// every site measurement below goes through the engine's prepare/sense
-// transaction, so chain words define the bit-identity baseline the parallel
-// grid is checked against.
+// The chain is the serial consumer of core::BehavioralEngine: every site
+// measurement below is one count-1 capture (measure_raw) decoded on the
+// site's own engine ladder, sample by sample in site order — the baseline
+// the parallel grid's batched capture and drain decode are checked against.
 
 PsnScanChain::PsnScanChain(const Floorplan& floorplan,
                            core::ThermometerConfig config)
@@ -56,8 +56,7 @@ std::vector<SiteMeasurement> PsnScanChain::broadcast_measure(
     Picoseconds at, core::DelayCode code) {
   // Capture first (all sites), then one bulk decode pass. Each word decodes
   // against its own site's engine ladder, so per-site model differences are
-  // honored and the result matches the historical decode-in-transaction
-  // form bit-for-bit.
+  // honored.
   const auto raws = broadcast_capture(at, code);
   std::vector<SiteMeasurement> out;
   out.reserve(raws.size());

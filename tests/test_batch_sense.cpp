@@ -1,16 +1,18 @@
-// Property suite for the vectorized batch SENSE path (DESIGN.md §14):
+// Property suite for the one SENSE path (DESIGN.md §14):
 // BatchedSenseKernel::measure_batch and BehavioralEngine::measure_raw_batch
-// must be bit-identical to the scalar reference for ANY input — random
-// supplies, voltages parked a ULP away from every firing threshold, samples
-// straddling the fast_path() saturation boundary, NaN. The guard-band design
-// means "identical or flagged back to the scalar path"; these tests drive
-// both arms.
+// must be bit-identical to the reference SensorArray::measure for ANY input —
+// random supplies, voltages parked a ULP away from every firing threshold,
+// samples straddling the inverter's saturation floor, NaN, arrays the
+// compare ladder cannot serve. The guard-band design means "identical or
+// flagged back to the reference"; these tests drive both arms.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "analog/rail.h"
@@ -46,22 +48,14 @@ Picoseconds skew_for(DelayCode code) {
   return Picoseconds{120.0 + 12.0 * static_cast<double>(code.value())};
 }
 
-// The scalar reference the batch path must reproduce bit-for-bit: the
-// engine's per-sample selection between the kernel fast path and the raw
-// array model.
-ThermoWord scalar_reference(const SensorArray& arr,
-                            const BatchedSenseKernel& kernel, double v,
-                            Picoseconds skew) {
-  if (kernel.fast_path(Volt{v})) return kernel.measure(arr, Volt{v}, skew);
-  return arr.measure(Volt{v}, skew);
-}
-
-// Resolves a voltage batch the way BehavioralEngine::capture_batch does:
-// vectorized compare first, flagged samples through the scalar reference.
+// Resolves a voltage batch the way BehavioralEngine::measure_raw_batch
+// does: the compare ladder first, flagged samples through the reference
+// array model. `flagged` (optional) accumulates the flagged-sample count.
 std::vector<ThermoWord> batch_resolved(const SensorArray& arr,
                                        BatchedSenseKernel& kernel,
                                        const std::vector<double>& v,
-                                       DelayCode code, Picoseconds skew) {
+                                       DelayCode code, Picoseconds skew,
+                                       std::size_t* flagged = nullptr) {
   std::vector<ThermoWord> words(v.size());
   std::vector<std::uint8_t> need_scalar(v.size(), 0);
   const bool vectored = kernel.measure_batch(arr, v.data(), v.size(), code,
@@ -69,7 +63,8 @@ std::vector<ThermoWord> batch_resolved(const SensorArray& arr,
                                              need_scalar.data());
   for (std::size_t k = 0; k < v.size(); ++k) {
     if (!vectored || need_scalar[k]) {
-      words[k] = scalar_reference(arr, kernel, v[k], skew);
+      words[k] = arr.measure(Volt{v[k]}, skew);
+      if (flagged != nullptr) ++*flagged;
     }
   }
   return words;
@@ -82,26 +77,29 @@ TEST(BatchSense, RandomSuppliesBitIdenticalAcrossAllCodes) {
 
   std::mt19937_64 rng(20260809);
   std::uniform_real_distribution<double> uni(0.0, 1.8);
+  std::size_t samples = 0;
+  std::size_t flagged = 0;
   for (std::uint8_t c = 0; c < DelayCode::kCount; ++c) {
     const DelayCode code{c};
     const auto skew = skew_for(code);
     std::vector<double> v(256);
     for (double& x : v) x = uni(rng);
-    const auto words = batch_resolved(arr, kernel, v, code, skew);
+    const auto words = batch_resolved(arr, kernel, v, code, skew, &flagged);
+    samples += v.size();
     for (std::size_t k = 0; k < v.size(); ++k) {
-      const ThermoWord ref = scalar_reference(arr, kernel, v[k], skew);
-      ASSERT_EQ(words[k], ref) << "code=" << int(c) << " V=" << v[k];
+      ASSERT_EQ(words[k], arr.measure(Volt{v[k]}, skew))
+          << "code=" << int(c) << " V=" << v[k];
     }
   }
   // The sweep must have exercised the vector arm, not fallen back wholesale.
-  EXPECT_GT(kernel.batch_vector_samples(), kernel.batch_scalar_fallbacks());
+  EXPECT_GT(samples - flagged, flagged);
 }
 
 TEST(BatchSense, ThresholdStraddlersBitIdenticalOrFlagged) {
   // Park supplies a hair on each side of every firing threshold — the exact
   // voltages where one wrong ULP in the compare ladder would flip a bit —
-  // plus the fast_path() saturation boundary around Vt. Identity must hold
-  // sample-for-sample; the guard band may route them to the scalar arm, but
+  // plus the delay model's saturation floor around Vt. Identity must hold
+  // sample-for-sample; the guard band may route them to the reference, but
   // the resolved word must match regardless.
   const auto arr = make_uniform_array();
   BatchedSenseKernel kernel{arr};
@@ -121,7 +119,7 @@ TEST(BatchSense, ThresholdStraddlersBitIdenticalOrFlagged) {
       v.push_back(std::nextafter(b, 0.0));
       v.push_back(std::nextafter(b, 2.0));
     }
-    // fast_path() saturation boundary: Vt + 1e-9 is the exact guard edge.
+    // Saturation floor: Vt + 1e-9 is AlphaPowerDelayModel::delay's edge.
     const double vt = 0.32;  // default AlphaPowerParams threshold
     for (const double eps : {0.0, 1e-12, 1e-9, 2e-9, 1e-6}) {
       v.push_back(vt + 1e-9 - eps);
@@ -129,8 +127,8 @@ TEST(BatchSense, ThresholdStraddlersBitIdenticalOrFlagged) {
     }
     const auto words = batch_resolved(arr, kernel, v, code, skew);
     for (std::size_t k = 0; k < v.size(); ++k) {
-      const ThermoWord ref = scalar_reference(arr, kernel, v[k], skew);
-      ASSERT_EQ(words[k], ref) << "code=" << int(c) << " V=" << v[k];
+      ASSERT_EQ(words[k], arr.measure(Volt{v[k]}, skew))
+          << "code=" << int(c) << " V=" << v[k];
     }
   }
 }
@@ -152,7 +150,7 @@ TEST(BatchSense, NonFiniteSuppliesAreFlaggedNotSensed) {
   EXPECT_EQ(need_scalar[1], 1) << "+inf is outside the compare window";
   EXPECT_EQ(need_scalar[2], 1) << "-inf is outside the compare window";
   EXPECT_EQ(need_scalar[3], 0) << "nominal supply stays on the vector arm";
-  EXPECT_EQ(words[3], kernel.measure(arr, Volt{1.0}, skew));
+  EXPECT_EQ(words[3], arr.measure(Volt{1.0}, skew));
 }
 
 TEST(BatchSense, MismatchedDriveIsNotVectorizable) {
@@ -162,7 +160,8 @@ TEST(BatchSense, MismatchedDriveIsNotVectorizable) {
   const std::vector<double> v = {1.0, 1.1};
   std::vector<ThermoWord> words(v.size());
   std::vector<std::uint8_t> need_scalar(v.size(), 0);
-  // Declines without touching the outputs; caller runs the scalar loop.
+  // Declines without touching the outputs; the caller senses every sample
+  // through the array.
   EXPECT_FALSE(kernel.measure_batch(arr, v.data(), v.size(), DelayCode{2},
                                     skew_for(DelayCode{2}), words.data(),
                                     need_scalar.data()));
@@ -178,26 +177,22 @@ TEST(BatchSense, DeepMetaResolverDisablesTheVectorPath) {
       Picoseconds{0.5});
   const auto arr = SensorArray::linear(analog::AlphaPowerDelayModel{}, ff,
                                        1.6_pF, 0.12_pF, 7);
-  BatchedSenseKernel kernel{arr};
-  EXPECT_TRUE(kernel.uniform()) << "drive is still uniform";
-  EXPECT_FALSE(kernel.vectorizable()) << "resolver must gate the vector path";
+  EXPECT_TRUE(BatchedSenseKernel{make_uniform_array()}.vectorizable())
+      << "the same array without the resolver vectorizes";
+  EXPECT_FALSE(BatchedSenseKernel{arr}.vectorizable())
+      << "resolver must gate the vector path";
 }
 
 TEST(BatchSense, WidthPreconditionIsAlwaysOn) {
-  // The width check guards every entry point in release builds too: a kernel
+  // The width check guards measure_batch in release builds too: a kernel
   // built from one array must refuse an array of a different width instead
-  // of decoding against the wrong cached ladders.
+  // of sensing against the wrong cached firing ladders.
   const auto seven = make_uniform_array();
   const auto five = SensorArray::linear(analog::AlphaPowerDelayModel{},
                                         analog::FlipFlopTimingModel{}, 1.6_pF,
                                         0.12_pF, 5);
   BatchedSenseKernel kernel{seven};
   const auto skew = skew_for(DelayCode{1});
-  EXPECT_THROW((void)kernel.measure(five, Volt{1.0}, skew), std::logic_error);
-  EXPECT_THROW((void)kernel.sorted_thresholds(five, DelayCode{1}, skew),
-               std::logic_error);
-  EXPECT_THROW((void)kernel.dynamic_range(five, DelayCode{1}, skew),
-               std::logic_error);
   std::vector<double> v = {1.0};
   ThermoWord w;
   std::uint8_t flag = 0;
@@ -207,9 +202,9 @@ TEST(BatchSense, WidthPreconditionIsAlwaysOn) {
 }
 
 TEST(BatchSense, AdoptedLaddersAreBitIdenticalToOwnSolve) {
-  // The scan-grid amortization: one kernel solves the per-code tables, every
-  // value-identical sibling adopts them. The adopted tables must be the
-  // exact doubles the sibling's own solve would have produced, so the
+  // The scan-grid amortization: one kernel solves the per-code firing
+  // ladder, every value-identical sibling adopts it. The adopted ladder must
+  // be the exact doubles the sibling's own solve would have produced, so the
   // resolved words match bit-for-bit.
   const auto arr = make_uniform_array();
   BatchedSenseKernel solver{arr};
@@ -217,11 +212,10 @@ TEST(BatchSense, AdoptedLaddersAreBitIdenticalToOwnSolve) {
   const DelayCode code{3};
   const auto skew = skew_for(code);
   solver.prewarm(code, skew);
-  (void)solver.sorted_thresholds(arr, code, skew);
 
   BatchedSenseKernel adopter{arr};
   BatchedSenseKernel reference{arr};
-  EXPECT_GT(adopter.adopt_ladders(solver), 0u);
+  EXPECT_EQ(adopter.adopt_ladders(solver), 1u);
 
   std::mt19937_64 rng(414);
   std::uniform_real_distribution<double> uni(0.2, 1.8);
@@ -232,21 +226,11 @@ TEST(BatchSense, AdoptedLaddersAreBitIdenticalToOwnSolve) {
   for (std::size_t k = 0; k < v.size(); ++k) {
     ASSERT_EQ(adopted_words[k], own_words[k]) << "V=" << v[k];
   }
-  // The adopted decode ladder is equally exact, threshold for threshold.
-  const auto& adopted_thr = adopter.sorted_thresholds(arr, code, skew);
-  const auto& own_thr = reference.sorted_thresholds(arr, code, skew);
-  ASSERT_EQ(adopted_thr.size(), own_thr.size());
-  for (std::size_t i = 0; i < own_thr.size(); ++i) {
-    EXPECT_EQ(adopted_thr[i].value(), own_thr[i].value());
-  }
-  // ...and the adopter really used the shared table instead of re-solving.
-  EXPECT_EQ(adopter.ladder_solves(), 0u);
-  EXPECT_EQ(reference.ladder_solves(), 1u);
 }
 
 TEST(BatchSense, AdoptRefusesValueDifferentArrays) {
-  // A single differing parameter bit disqualifies the share: the tables are
-  // pure functions of the array doubles, so cross-adoption would decode
+  // A single differing parameter bit disqualifies the share: the ladders are
+  // pure functions of the array doubles, so cross-adoption would sense
   // against the wrong thresholds.
   const auto uniform = make_uniform_array();
   const auto mismatched = make_mismatched_array();
@@ -264,8 +248,8 @@ TEST(BatchSense, AdoptRefusesValueDifferentArrays) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine level: measure_raw_batch against the per-sample
-// transaction loop, on noisy rails, across codes, targets and hooks.
+// Engine level: measure_raw_batch against the array reference and against a
+// loop of count-1 calls, on noisy rails, across codes, targets and hooks.
 // ---------------------------------------------------------------------------
 
 BehavioralEngine make_engine() {
@@ -307,7 +291,7 @@ TEST(BatchEngine, RawBatchMatchesRawLoopAcrossCodesAndTargets) {
     for (const SenseTarget target : {SenseTarget::kVdd, SenseTarget::kGnd}) {
       BehavioralEngine batch_engine = make_engine();
       BehavioralEngine serial_engine = make_engine();
-      ASSERT_TRUE(batch_engine.batch_capable());
+      ASSERT_TRUE(BatchedSenseKernel{batch_engine.high_sense()}.vectorizable());
 
       MeasureRequest first = request_at(1000.0, target);
       first.code = DelayCode{c};
@@ -333,8 +317,8 @@ TEST(BatchEngine, RawBatchMatchesRawLoopAcrossCodesAndTargets) {
 
 TEST(BatchEngine, WordHookAppliesPerSampleInOrder) {
   // A stateful hook (flips the low bit of every third word) must see the
-  // batch in sample order and produce the same corruption sequence as the
-  // serial loop.
+  // batch in sample order and produce the same corruption sequence as a
+  // loop of count-1 calls.
   const auto vdd = noisy_rail(1.0, 0.05);
   const analog::RailPair rails{&vdd, nullptr};
   const Picoseconds interval{6000.0};
@@ -394,6 +378,214 @@ TEST(BatchEngine, FaultHookedHandleStaysIdenticalThroughBatch) {
     ASSERT_EQ(one.size(), 1u);
     ASSERT_EQ(batch[k].word, one.front().word) << "k=" << k;
     EXPECT_EQ(batch[k].timestamp.value(), one.front().timestamp.value());
+  }
+}
+
+void expect_same_bin(const VoltageBin& a, const VoltageBin& b) {
+  ASSERT_EQ(a.lo.has_value(), b.lo.has_value());
+  ASSERT_EQ(a.hi.has_value(), b.hi.has_value());
+  if (a.lo) EXPECT_EQ(a.lo->value(), b.lo->value());
+  if (a.hi) EXPECT_EQ(a.hi->value(), b.hi->value());
+}
+
+struct NamedArray {
+  const char* name;
+  SensorArray array;
+};
+
+// One array per arm of the SENSE path: the calibrated paper array takes the
+// compare ladder; a mismatched-drive array and a deep-metastability-resolver
+// array are not vectorizable, so every sample goes to SensorArray::measure.
+std::vector<NamedArray> reference_arrays() {
+  const auto& model = calib::calibrated().model;
+  std::vector<SensorCell> mismatched;
+  for (std::size_t i = 0; i < model.array_loads.size(); ++i) {
+    analog::AlphaPowerParams p = model.inverter.params();
+    p.drive_k_pf_per_ps *= 1.0 + 0.004 * (static_cast<double>(i) - 3.0);
+    mismatched.emplace_back(analog::AlphaPowerDelayModel{p}, model.flipflop,
+                            model.array_loads[i]);
+  }
+  analog::FlipFlopTimingModel resolver_ff = model.flipflop;
+  resolver_ff.set_deep_meta_resolver(
+      [](Picoseconds margin, bool new_value, bool old_value) {
+        return margin.value() > 0.25 ? new_value : old_value;
+      },
+      Picoseconds{0.5});
+  return {{"paper", calib::make_paper_array(model)},
+          {"mismatched-drive", SensorArray{std::move(mismatched)}},
+          {"deep-resolver", SensorArray::with_loads(model.inverter, resolver_ff,
+                                                    model.array_loads)}};
+}
+
+TEST(BatchEngine, EveryWordBinAndRangeMatchesTheArrayReference) {
+  // The anchor of the one SENSE path: whatever arm a sample takes, its word
+  // is SensorArray::measure at the supply the engine read at launch, its bin
+  // is SensorArray::decode (decode_gnd for GND), and the engine's ranges
+  // are SensorArray::dynamic_range — for every code, target and array, in
+  // count-1 measure() calls and in one count-96 batch. The LOW-SENSE array
+  // is the next one in the list, so a HIGH/LOW mix-up cannot pass.
+  const PulseGenerator pg{calib::calibrated().model.pg_config()};
+  const auto vdd = noisy_rail(1.0, 0.06);
+  const auto gnd = noisy_rail(0.02, 0.03);
+  const analog::RailPair rails{&vdd, &gnd};
+  const Picoseconds interval{7500.0};
+  constexpr std::size_t kCount = 96;
+
+  const auto arrays = reference_arrays();
+  ASSERT_TRUE(BatchedSenseKernel{arrays[0].array}.vectorizable());
+  ASSERT_FALSE(BatchedSenseKernel{arrays[1].array}.vectorizable());
+  ASSERT_FALSE(BatchedSenseKernel{arrays[2].array}.vectorizable());
+
+  for (std::size_t a = 0; a < arrays.size(); ++a) {
+    const SensorArray& high = arrays[a].array;
+    const SensorArray& low = arrays[(a + 1) % arrays.size()].array;
+    for (std::uint8_t c = 0; c < DelayCode::kCount; ++c) {
+      for (const SenseTarget target : {SenseTarget::kVdd, SenseTarget::kGnd}) {
+        for (const std::size_t count : {std::size_t{1}, kCount}) {
+          const bool is_vdd = target == SenseTarget::kVdd;
+          SCOPED_TRACE(std::string(arrays[a].name) +
+                       " code=" + std::to_string(int(c)) +
+                       (is_vdd ? " vdd" : " gnd") +
+                       " count=" + std::to_string(count));
+          const DelayCode code{c};
+          const Picoseconds skew = pg.skew(code);
+          BehavioralEngine engine{high, low, pg, ThermometerConfig{}};
+          const Volt v_nom = engine.config().v_nominal;
+          const SensorArray& array = is_vdd ? high : low;
+
+          const DynamicRange vref = high.dynamic_range(skew);
+          const DynamicRange gref = low.dynamic_range(skew);
+          const DynamicRange vr = engine.vdd_range(code);
+          const DynamicRange gr = engine.gnd_range(code);
+          EXPECT_EQ(vr.all_errors_below.value(), vref.all_errors_below.value());
+          EXPECT_EQ(vr.no_errors_above.value(), vref.no_errors_above.value());
+          EXPECT_EQ(gr.all_errors_below.value(),
+                    (v_nom - gref.no_errors_above).value());
+          EXPECT_EQ(gr.no_errors_above.value(),
+                    (v_nom - gref.all_errors_below).value());
+
+          MeasureRequest first = request_at(1000.0, target);
+          first.code = code;
+          std::vector<Measurement> got;
+          if (count == 1) {
+            for (std::size_t k = 0; k < kCount; ++k) {
+              MeasureRequest req = first;
+              req.start = first.start + Picoseconds{interval.value() *
+                                                    static_cast<double>(k)};
+              got.push_back(engine.measure(req, rails));
+            }
+          } else {
+            std::vector<RawSample> raws;
+            engine.measure_raw_batch(first, interval, count, rails, raws);
+            for (const RawSample& raw : raws) {
+              got.push_back(assemble_measurement(
+                  raw, is_vdd ? engine.decode(raw.word, code)
+                              : engine.decode_gnd_word(raw.word, code)));
+            }
+          }
+          ASSERT_EQ(got.size(), kCount);
+          for (std::size_t k = 0; k < kCount; ++k) {
+            const Measurement& m = got[k];
+            const Volt v_eff = is_vdd ? rails.effective(m.timestamp)
+                                      : v_nom - gnd.at(m.timestamp);
+            ASSERT_EQ(m.word, array.measure(v_eff, skew)) << "k=" << k;
+            expect_same_bin(m.bin, is_vdd ? array.decode(m.word, skew)
+                                          : array.decode_gnd(m.word, skew,
+                                                             v_nom));
+          }
+        }
+      }
+    }
+  }
+}
+
+// Words a behavioral handle over `rail` captures for kRailSamples samples
+// spaced by kRailInterval, in batches of `batch`.
+constexpr std::size_t kRailSamples = 96;
+const Picoseconds kRailInterval{10000.0};
+
+std::vector<RawSample> capture_through_handle(const analog::RailSource& rail,
+                                              bool fault_hooks,
+                                              std::size_t batch) {
+  EngineSiteOptions options;
+  options.fault_hooks = fault_hooks;
+  auto handle = make_behavioral_engine(make_engine(),
+                                       analog::RailPair{&rail, nullptr},
+                                       options);
+  std::vector<RawSample> out;
+  for (std::size_t k = 0; k < kRailSamples; k += batch) {
+    handle->measure_raw_batch(
+        request_at(kRailInterval.value() * static_cast<double>(k)),
+        kRailInterval, batch, out);
+  }
+  return out;
+}
+
+TEST(BatchEngine, DegenerateRailsReadAsTheArrayReference) {
+  // Rail inputs a deployment must survive: non-finite, zero, negative and
+  // absurdly high supplies, and one NaN sample in the middle of a batch.
+  // Through the handle, with fault hooks off and on, each reads as
+  // SensorArray::measure at that voltage — the all-error word for every
+  // non-finite or non-positive supply, the all-pass word at 1e6 V — with no
+  // throw, and the same words in one batch as in count-1 calls.
+  const SensorArray array = make_engine().high_sense();
+  const Picoseconds skew =
+      make_engine().pulse_generator().skew(DelayCode{3});  // policy default
+  const std::size_t all_ones = array.bits();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  struct RailCase {
+    double volts;
+    std::size_t ones;
+  };
+  std::vector<std::unique_ptr<analog::RailSource>> rails;
+  std::vector<std::vector<std::size_t>> expected_ones;
+  for (const RailCase rc : {RailCase{kNaN, 0}, RailCase{kInf, 0},
+                            RailCase{-kInf, 0}, RailCase{0.0, 0},
+                            RailCase{-1.0, 0}, RailCase{1e6, all_ones}}) {
+    rails.push_back(std::make_unique<analog::ConstantRail>(Volt{rc.volts}));
+    expected_ones.emplace_back(kRailSamples, rc.ones);
+  }
+  // A healthy rail that reads NaN for exactly the middle sample.
+  const double t_lo = kRailInterval.value() * (kRailSamples / 2);
+  const double t_hi = t_lo + kRailInterval.value();
+  const auto healthy = noisy_rail(1.0, 0.02);
+  rails.push_back(std::make_unique<analog::CallbackRail>(
+      [&healthy, t_lo, t_hi](Picoseconds t) {
+        return t.value() >= t_lo && t.value() < t_hi ? Volt{kNaN}
+                                                     : healthy.at(t);
+      }));
+  expected_ones.emplace_back();  // checked against the reference only
+
+  for (std::size_t r = 0; r < rails.size(); ++r) {
+    const analog::RailSource& rail = *rails[r];
+    for (const bool fault_hooks : {false, true}) {
+      SCOPED_TRACE("rail " + std::to_string(r) +
+                   (fault_hooks ? " hooks on" : " hooks off"));
+      std::vector<RawSample> batch;
+      std::vector<RawSample> single;
+      ASSERT_NO_THROW(batch = capture_through_handle(rail, fault_hooks,
+                                                     kRailSamples));
+      ASSERT_NO_THROW(single = capture_through_handle(rail, fault_hooks, 1));
+      ASSERT_EQ(batch.size(), kRailSamples);
+      ASSERT_EQ(single.size(), kRailSamples);
+      for (std::size_t k = 0; k < kRailSamples; ++k) {
+        ASSERT_EQ(batch[k].word, single[k].word) << "k=" << k;
+        ASSERT_EQ(batch[k].word, array.measure(rail.at(batch[k].timestamp),
+                                               skew))
+            << "k=" << k;
+        if (!expected_ones[r].empty()) {
+          EXPECT_EQ(batch[k].word.count_ones(), expected_ones[r][k])
+              << "k=" << k;
+        }
+      }
+      if (expected_ones[r].empty()) {
+        EXPECT_EQ(batch[kRailSamples / 2].word.count_ones(), 0u);
+        EXPECT_GT(batch[kRailSamples / 2 - 1].word.count_ones(), 0u);
+        EXPECT_GT(batch[kRailSamples / 2 + 1].word.count_ones(), 0u);
+      }
+    }
   }
 }
 

@@ -92,8 +92,9 @@ TEST(ScanGrid, DeterministicAcrossThreadCounts) {
 TEST(ScanGrid, MatchesSerialScanChainBroadcastSiteForSite) {
   // The refactor's load-bearing guarantee: the grid's words AND bins are
   // bit-identical to the serial PsnScanChain reference at EVERY thread count.
-  // The chain decodes inside each site's engine (its kernel ladder), so it
-  // is an independent reference for the grid's drain-pass DecodeLadder.
+  // The chain captures sample by sample and decodes on each site's own
+  // engine ladder, so it checks the grid's batched capture and its one
+  // shared drain-pass DecodeLadder against every site.
   const auto fp = scan::Floorplan::grid(4000.0, 4000.0, 4, 4);
 
   // Serial reference: a PsnScanChain over the *same* rails (reconstructed
@@ -187,8 +188,8 @@ TEST(ScanGrid, AutoRangePolicyTrimsPerSiteAndStaysDeterministic) {
   }
 
   // Serial reference: one behavioral engine per site running the same
-  // closed loop (measure with in-engine kernel decode, then observe), so the
-  // grid's words, codes and exact bins are checked against an independent
+  // closed loop (count-1 measure with in-engine decode, then observe), so
+  // the grid's words, codes and exact bins are checked against a per-site
   // decode along the whole trim sequence.
   const auto& model = calib::calibrated().model;
   const analog::ConstantRail vdd{Volt{0.85}};

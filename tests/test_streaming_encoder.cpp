@@ -1,7 +1,7 @@
 // StreamingEncoder / DecodeLadder: the drain-pass half of the streaming
 // raw-word pipeline. The load-bearing property is bit-identity: every
 // encoded field must match core::Encoder::encode, and every ladder decode
-// must match the engine/kernel decode the serial scan chain uses.
+// must match the reference SensorArray decode family.
 #include "core/streaming_encoder.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include "analog/rail.h"
 #include "calib/fit.h"
 #include "core/measure_engine.h"
-#include "core/sense_kernel.h"
 #include "stats/rng.h"
 
 namespace psnt::core {
@@ -116,24 +115,33 @@ TEST(StreamingEncoder, RejectPolicyCountsRejectedWords) {
   EXPECT_EQ(enc.stats().rejected, 1u);
 }
 
-TEST(DecodeLadder, BitIdenticalToKernelDecodeAcrossAllCodes) {
+void expect_same_bin(const VoltageBin& a, const VoltageBin& b) {
+  ASSERT_EQ(a.lo.has_value(), b.lo.has_value());
+  ASSERT_EQ(a.hi.has_value(), b.hi.has_value());
+  if (a.lo) EXPECT_EQ(a.lo->value(), b.lo->value());
+  if (a.hi) EXPECT_EQ(a.hi->value(), b.hi->value());
+}
+
+TEST(DecodeLadder, BitIdenticalToArrayDecodeAcrossAllCodes) {
   const auto& model = calib::calibrated().model;
   const SensorArray array = calib::make_paper_array(model);
   const PulseGenerator pg{model.pg_config()};
   const DecodeLadder ladder = calib::make_paper_decode_ladder(model);
-  BatchedSenseKernel kernel{array};
 
   ASSERT_EQ(ladder.bits(), array.bits());
   for (std::uint8_t c = 0; c < DelayCode::kCount; ++c) {
+    SCOPED_TRACE("code " + std::to_string(int(c)));
     const DelayCode code{c};
+    const Picoseconds skew = pg.skew(code);
+    // The ladder's ends are the array's dynamic range (Fig. 5's x-extent).
+    const DynamicRange range = array.dynamic_range(skew);
+    EXPECT_EQ(ladder.thresholds(code).front().value(),
+              range.all_errors_below.value());
+    EXPECT_EQ(ladder.thresholds(code).back().value(),
+              range.no_errors_above.value());
     for (std::size_t ones = 0; ones <= array.bits(); ++ones) {
       const auto word = ThermoWord::of_count(ones, array.bits());
-      const VoltageBin a = ladder.decode(word, code);
-      const VoltageBin b = kernel.decode(array, word, code, pg.skew(code));
-      ASSERT_EQ(a.lo.has_value(), b.lo.has_value());
-      ASSERT_EQ(a.hi.has_value(), b.hi.has_value());
-      if (a.lo) EXPECT_EQ(a.lo->value(), b.lo->value()) << "code " << int(c);
-      if (a.hi) EXPECT_EQ(a.hi->value(), b.hi->value()) << "code " << int(c);
+      expect_same_bin(ladder.decode(word, code), array.decode(word, skew));
     }
   }
 }
@@ -150,23 +158,19 @@ TEST(DecodeLadder, BubbledWordDecodesLikeItsCorrectedForm) {
   EXPECT_EQ(a.hi->value(), b.hi->value());
 }
 
-TEST(DecodeLadder, GndDecodeMirrorsKernel) {
+TEST(DecodeLadder, GndDecodeMirrorsArray) {
   const auto& model = calib::calibrated().model;
   const SensorArray array = calib::make_paper_array(model);
   const PulseGenerator pg{model.pg_config()};
   const DecodeLadder ladder = calib::make_paper_decode_ladder(model);
-  BatchedSenseKernel kernel{array};
   const Volt v_nom{1.0};
-  for (std::size_t ones = 0; ones <= array.bits(); ++ones) {
-    const auto word = ThermoWord::of_count(ones, array.bits());
-    const DelayCode code{2};
-    const VoltageBin a = ladder.decode_gnd(word, code, v_nom);
-    const VoltageBin b =
-        kernel.decode_gnd(array, word, code, pg.skew(code), v_nom);
-    ASSERT_EQ(a.lo.has_value(), b.lo.has_value());
-    ASSERT_EQ(a.hi.has_value(), b.hi.has_value());
-    if (a.lo) EXPECT_EQ(a.lo->value(), b.lo->value());
-    if (a.hi) EXPECT_EQ(a.hi->value(), b.hi->value());
+  for (std::uint8_t c = 0; c < DelayCode::kCount; ++c) {
+    const DelayCode code{c};
+    for (std::size_t ones = 0; ones <= array.bits(); ++ones) {
+      const auto word = ThermoWord::of_count(ones, array.bits());
+      expect_same_bin(ladder.decode_gnd(word, code, v_nom),
+                      array.decode_gnd(word, pg.skew(code), v_nom));
+    }
   }
 }
 
@@ -180,12 +184,7 @@ TEST(DecodeLadder, MatchesBehavioralEngineDecode) {
     const DelayCode code{c};
     for (std::size_t ones = 0; ones <= engine.word_bits(); ++ones) {
       const auto word = ThermoWord::of_count(ones, engine.word_bits());
-      const VoltageBin a = ladder.decode(word, code);
-      const VoltageBin b = engine.decode(word, code);
-      ASSERT_EQ(a.lo.has_value(), b.lo.has_value());
-      ASSERT_EQ(a.hi.has_value(), b.hi.has_value());
-      if (a.lo) EXPECT_EQ(a.lo->value(), b.lo->value());
-      if (a.hi) EXPECT_EQ(a.hi->value(), b.hi->value());
+      expect_same_bin(ladder.decode(word, code), engine.decode(word, code));
     }
   }
 }
