@@ -3,14 +3,14 @@
 //
 // A 4×4 grid of sensor sites over one die, local rails derived from a solved
 // first-droop PDN waveform (corner sites droop harder), sampled by the
-// grid::ScanGrid runtime on a thread pool. Workers ship capture-only raw
-// words through the SPSC rings (the grid's one capture path); the
-// aggregator's drain pass runs ENC + voltage conversion, tallies the
-// grid.enc.* statistics, and feeds every decoded sample into the attached
-// serve::TelemetryStore. Reporting then goes through the store's query API
-// (DESIGN.md §13) — throughput, voltage quantiles, worst-droop leaderboard,
-// degradation — plus the runtime telemetry and the die voltage map. The old
-// CSV telemetry dump is opt-in: pass `--csv [path]` to also export it.
+// grid::ScanGrid runtime with one worker thread per shard. Workers ship
+// capture-only raw words through the SPSC rings (the grid's one capture
+// path); the aggregator's drain pass decodes each sample once and feeds it
+// into the attached serve::TelemetryStore, the one per-site summary.
+// Reporting then goes through the store's query API (DESIGN.md §13) —
+// throughput, voltage quantiles, worst-droop leaderboard, degradation —
+// plus the runtime counters and the die voltage map. The CSV counter dump
+// is opt-in: pass `--csv [path]` to also export it.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -85,17 +85,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.produced),
               result.wall_seconds * 1e3, result.samples_per_second,
               static_cast<unsigned long long>(result.ring_stalls));
-
-  std::printf("drain-pass ENC: %llu words (%llu underflow, %llu overflow, "
-              "%llu bubbled)\n\n",
-              static_cast<unsigned long long>(
-                  grid.telemetry().counter("grid.enc.words").value()),
-              static_cast<unsigned long long>(
-                  grid.telemetry().counter("grid.enc.underflows").value()),
-              static_cast<unsigned long long>(
-                  grid.telemetry().counter("grid.enc.overflows").value()),
-              static_cast<unsigned long long>(
-                  grid.telemetry().counter("grid.enc.bubbled_words").value()));
 
   // Store-backed report: what an operator dashboard would query.
   serve::QueryEngine query(*store);

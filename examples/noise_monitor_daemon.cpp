@@ -11,9 +11,9 @@
 //
 // The measurement loop itself is the grid::ScanGrid runtime: each scenario
 // is one site of a scan grid with the per-site auto-range code policy, so
-// all scenarios are monitored concurrently on the thread pool and the
-// per-sample measure/observe/retrim sequencing lives in one place instead
-// of a hand-rolled polling loop here.
+// all scenarios are monitored concurrently on the grid's shard threads and
+// the per-sample measure/observe/retrim sequencing lives in one place
+// instead of a hand-rolled polling loop here.
 #include <cstdio>
 #include <cstring>
 #include <memory>

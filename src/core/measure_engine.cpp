@@ -86,7 +86,6 @@ BehavioralEngine::BehavioralEngine(SensorArray high_sense,
       low_sense_(std::move(low_sense)),
       pg_(std::move(pg)),
       config_(config),
-      encoder_(config.bubble_policy),
       high_kernel_(high_sense_),
       low_kernel_(low_sense_) {
   PSNT_CHECK(config_.control_period.value() > 0.0,
@@ -311,7 +310,7 @@ class StructuralEngineHandle final : public IMeasureEngine {
   StructuralEngineHandle(const SensorArray& array, const PulseGenerator& pg,
                          analog::RailPair rails, Picoseconds control_period,
                          const EngineSiteOptions& options)
-      : array_(array), pg_(pg), encoder_(BubblePolicy::kMajority) {
+      : array_(array), pg_(pg) {
     apply_code_policy(options.code_policy, array_, pg_, ctx_);
     install_offset_rail(options.fault_hooks, ctx_, offset_vdd_, rails);
     // Long sample streams: drop per-edge debug logs (DFF history, inverter

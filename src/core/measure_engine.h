@@ -9,8 +9,8 @@
 //
 // (a count of 1 is just a batch), and the word hook runs post-capture inside
 // it. ENC and voltage conversion are not engine work: consumers run them
-// downstream through a StreamingEncoder and one shared DecodeLadder — the
-// scan grid in its drain pass.
+// downstream on one shared DecodeLadder — the scan grid in its drain pass,
+// one ladder read per sample.
 //
 // One engine contract, `IMeasureEngine` / `EngineHandle`: a thin type-erased
 // handle for the grid, where behavioral and gate-level sites coexist at
@@ -56,7 +56,6 @@ struct ThermometerConfig {
   // Nominal supply feeding the FFs, the control logic and the LOW-SENSE
   // inverters.
   Volt v_nominal{1.0};
-  BubblePolicy bubble_policy = BubblePolicy::kMajority;
 };
 
 // Target window for RangeTuner-based code selection (Sec. III-A).
@@ -178,8 +177,8 @@ class BehavioralEngine {
                          std::vector<RawSample>& out);
 
   // A count-1 measure_raw_batch: the Fig. 6 capture half. ENC and voltage
-  // conversion are left to the downstream consumer (StreamingEncoder /
-  // DecodeLadder). site_id/sample_index are left zero for the caller to fill.
+  // conversion are left to the downstream consumer (a DecodeLadder read).
+  // site_id/sample_index are left zero for the caller to fill.
   RawSample measure_raw(const MeasureRequest& req,
                         const analog::RailPair& rails);
 

@@ -5,7 +5,6 @@
 #include <optional>
 #include <string>
 
-#include "core/encoder.h"
 #include "core/thermo_code.h"
 #include "util/units.h"
 
@@ -67,10 +66,10 @@ struct Measurement {
 
 // Wire-sized capture record: what the FF array latches (Fig. 6) before the
 // ENC block runs. A site that ships RawSamples pays no per-sample encode or
-// voltage conversion on its capture path — the downstream drain pass
-// (core::StreamingEncoder + DecodeLadder) turns spans of these into
-// readings. `site_id`/`sample_index` are transport coordinates filled in by
-// the consumer that schedules the capture (the scan grid, the scan chain);
+// voltage conversion on its capture path — the downstream drain pass turns
+// each one into a reading with one core::DecodeLadder read.
+// `site_id`/`sample_index` are transport coordinates filled in by the
+// consumer that schedules the capture (the scan grid, the scan chain);
 // engines leave them zero.
 struct RawSample {
   std::uint32_t site_id = 0;
@@ -79,12 +78,6 @@ struct RawSample {
   SenseTarget target = SenseTarget::kVdd;
   DelayCode code;
   ThermoWord word;
-};
-
-// The downstream half of the split: one raw word after the ENC/OUTE pass.
-struct DecodedReading {
-  EncodedWord encoded;  // see encoder.h (count, validity, range flags)
-  VoltageBin bin;       // voltage interval the word decodes to
 };
 
 // Reassembles the legacy value type from its split halves. Bit-identical to

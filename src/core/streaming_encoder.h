@@ -2,12 +2,13 @@
 //
 // The paper's readout (Fig. 6) captures the FF-array vector first and encodes
 // it downstream (ENC → OUTE). StreamingEncoder is that downstream block for
-// software consumers that move raw words in bulk — the grid aggregator, the
-// scan chain's broadcast decode: it batch-encodes spans of ThermoWords
-// bit-identically to core::Encoder while amortizing the bubble bookkeeping
-// (canonical masks come from a precomputed table instead of a per-word
-// ThermoWord round-trip) and keeping running under/overflow + bubble
-// statistics so telemetry needs no second pass.
+// software consumers that move raw words in bulk and keep ENC tallies — the
+// fleet aggregator: it batch-encodes spans of ThermoWords bit-identically to
+// core::Encoder while amortizing the bubble bookkeeping (canonical masks
+// come from a precomputed table instead of a per-word ThermoWord round-trip)
+// and keeping running under/overflow + bubble statistics so telemetry needs
+// no second pass. The scan grid's drain keeps no ENC tallies: it reads the
+// DecodeLadder alone.
 //
 // DecodeLadder is the matching voltage-conversion half: the eight per-code
 // converter ladders (one sorted_thresholds() solve per DelayCode), computed
@@ -45,8 +46,6 @@ class StreamingEncoder {
   explicit StreamingEncoder(BubblePolicy policy = BubblePolicy::kMajority)
       : policy_(policy) {}
 
-  [[nodiscard]] BubblePolicy policy() const { return policy_; }
-
   // Bit-identical to Encoder{policy}.encode(word); also feeds stats().
   EncodedWord encode(const ThermoWord& word);
 
@@ -56,7 +55,6 @@ class StreamingEncoder {
                    EncodedWord* out);
 
   [[nodiscard]] const StreamingEncodeStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = StreamingEncodeStats{}; }
 
  private:
   BubblePolicy policy_;

@@ -4,12 +4,12 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <thread>
 
 #include "calib/fit.h"
 #include "fault/fault_session.h"
 #include "grid/spsc_ring.h"
-#include "grid/thread_pool.h"
 #include "serve/store.h"
 #include "util/error.h"
 
@@ -68,6 +68,8 @@ struct ScanGrid::Shard {
   // single worker thread.
   std::vector<core::RawSample> scratch;
   std::vector<GridSample> sample_scratch;
+  // The worker's exception, if it threw; run() rethrows it after the join.
+  std::exception_ptr error;
   std::atomic<bool> done{false};
 
   explicit Shard(std::size_t ring_capacity) : ring(ring_capacity) {}
@@ -488,24 +490,20 @@ void ScanGrid::worker_run_shard(Shard& shard) {
     ~DoneGuard() { shard.done.store(true, std::memory_order_release); }
   } guard{shard};
 
-  const std::size_t samples = config_.samples_per_site;
-  for (std::size_t base = 0; base < samples; base += config_.batch) {
-    const std::size_t count = std::min(config_.batch, samples - base);
-    for (Site* site : shard.sites) run_site_batch(*site, base, count, shard);
+  try {
+    const std::size_t samples = config_.samples_per_site;
+    for (std::size_t base = 0; base < samples; base += config_.batch) {
+      const std::size_t count = std::min(config_.batch, samples - base);
+      for (Site* site : shard.sites) run_site_batch(*site, base, count, shard);
+    }
+  } catch (...) {
+    shard.error = std::current_exception();
   }
 }
 
 void ScanGrid::aggregate(RunResult& result) {
   auto& drained_counter = telemetry_.counter("grid.samples_drained");
-  auto& vdd_rollup = telemetry_.site_rollup("site_vdd_volts", sites_.size());
-  auto& ones_rollup = telemetry_.site_rollup("site_word_ones", sites_.size());
   auto& depth = telemetry_.gauge("grid.ring_depth_last");
-
-  // The ENC block lives here: every ring sample goes through this encoder
-  // (running under/overflow + bubble tallies) and the shared immutable
-  // ladder. Single-threaded by construction — the caller thread is the only
-  // drain.
-  core::StreamingEncoder enc(config_.thermometer.bubble_policy);
 
   // Serving layer: the drain is the store's single writer. Ingest happens
   // per sample; the degradation mirror (resilience telemetry → store
@@ -538,19 +536,12 @@ void ScanGrid::aggregate(RunResult& result) {
     store->set_degradation(status);
   };
 
-  // Drain-pass scratch, reused across sweeps: samples come off each ring in
-  // chunks, each chunk goes through encode_span/decode_span in one pass,
-  // then every sample is published individually. Function-scope so the
-  // steady state performs no allocation.
+  // Samples come off each ring in chunks; each sample then takes one pass:
+  // ENC + voltage conversion on the shared immutable ladder (a popcount
+  // table read), assembly into the result matrix, store ingest. The chunk
+  // buffer is sized once, so the steady state performs no allocation.
   constexpr std::size_t kDrainChunk = 256;
-  std::vector<GridSample> chunk;
-  std::vector<core::ThermoWord> word_scratch;
-  std::vector<core::DelayCode> code_scratch;
-  std::vector<core::EncodedWord> enc_scratch(kDrainChunk);
-  std::vector<core::VoltageBin> bin_scratch(kDrainChunk);
-  chunk.reserve(kDrainChunk);
-  word_scratch.reserve(kDrainChunk);
-  code_scratch.reserve(kDrainChunk);
+  std::vector<GridSample> chunk(kDrainChunk);
 
   for (;;) {
     // Read the done flags BEFORE the drain pass: if every worker had
@@ -567,29 +558,14 @@ void ScanGrid::aggregate(RunResult& result) {
     bool any = false;
     for (const auto& shard : shards_) {
       for (;;) {
-        chunk.resize(kDrainChunk);
-        const std::size_t got = shard->ring.try_pop_span(chunk.data(),
-                                                         kDrainChunk);
-        chunk.resize(got);
+        const std::size_t got =
+            shard->ring.try_pop_span(chunk.data(), kDrainChunk);
         if (got == 0) break;
         any = true;
-        drained_counter.increment(chunk.size());
-
-        // ENC + voltage conversion over the whole chunk in one span each.
-        word_scratch.clear();
-        code_scratch.clear();
-        for (const GridSample& s : chunk) {
-          word_scratch.push_back(s.raw.word);
-          code_scratch.push_back(s.raw.code);
-        }
-        enc.encode_span(word_scratch.data(), word_scratch.size(),
-                        enc_scratch.data());  // grid.enc.* telemetry
-        ladder_.decode_span(word_scratch.data(), code_scratch.data(),
-                            word_scratch.size(), bin_scratch.data());
-
-        for (std::size_t i = 0; i < chunk.size(); ++i) {
+        drained_counter.increment(got);
+        for (std::size_t i = 0; i < got; ++i) {
           const GridSample& s = chunk[i];
-          const core::VoltageBin& bin = bin_scratch[i];
+          const core::VoltageBin bin = ladder_.decode(s.raw.word, s.raw.code);
           auto& sr = result.sites[s.raw.site_id];
           sr.samples[s.raw.sample_index] =
               core::assemble_measurement(s.raw, bin);
@@ -604,11 +580,6 @@ void ScanGrid::aggregate(RunResult& result) {
             store->ingest(rec);
             serve_ingested->increment();
           }
-          if (!bin.below_range() || !bin.above_range()) {
-            vdd_rollup.add(s.raw.site_id, bin.estimate().value());
-          }
-          ones_rollup.add(s.raw.site_id,
-                          static_cast<double>(s.raw.word.count_ones()));
         }
       }
       depth.set(static_cast<double>(shard->ring.size()));
@@ -629,16 +600,6 @@ void ScanGrid::aggregate(RunResult& result) {
     telemetry_.counter("grid.serve.publishes")
         .increment(store->publishes() - publishes_before);
   }
-
-  // Publish the drain-pass ENC statistics once the scan is complete.
-  const core::StreamingEncodeStats& st = enc.stats();
-  if (st.words > 0) {
-    telemetry_.counter("grid.enc.words").increment(st.words);
-    telemetry_.counter("grid.enc.underflows").increment(st.underflows);
-    telemetry_.counter("grid.enc.overflows").increment(st.overflows);
-    telemetry_.counter("grid.enc.bubbled_words").increment(st.bubbled_words);
-    telemetry_.counter("grid.enc.bubble_errors").increment(st.bubble_errors);
-  }
 }
 
 RunResult ScanGrid::run() {
@@ -656,14 +617,18 @@ RunResult ScanGrid::run() {
 
   const double t0 = now_seconds();
   {
-    ThreadPool pool(shards_.size());
+    // One thread per shard: the single producer of its ring. The jthreads
+    // join when this scope ends, on every exit path, before anything below
+    // reads site state.
+    std::vector<std::jthread> workers;
+    workers.reserve(shards_.size());
     for (auto& shard : shards_) {
-      Shard* s = shard.get();
-      pool.submit([this, s] { worker_run_shard(*s); });
+      workers.emplace_back([this, s = shard.get()] { worker_run_shard(*s); });
     }
     aggregate(result);
-    pool.shutdown();
-    pool.rethrow_first_exception();
+  }
+  for (const auto& shard : shards_) {
+    if (shard->error) std::rethrow_exception(shard->error);
   }
   result.wall_seconds = now_seconds() - t0;
 

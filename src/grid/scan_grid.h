@@ -1,15 +1,15 @@
 // Parallel PSN scan-grid runtime.
 //
 // The paper's scan-chain usage model at datacenter scale: many independent
-// per-site sensor simulations run on a fixed-size thread pool, each site's
-// captures stream through a bounded SPSC ring into a central aggregator
-// that maintains telemetry (counters, gauges, per-site OnlineStats rollups),
-// publishes every sample into an attached serve::TelemetryStore (the one
-// home of latency/voltage distributions) and assembles the ordered result
-// matrix. The ring carries wire-sized capture-only core::RawSamples, and
-// the aggregator's drain pass owns ENC + voltage conversion — the paper's
-// capture/encode split (Fig. 6: FF array → ENC → OUTE) applied to the
-// runtime.
+// per-site sensor simulations run on a fixed set of shard threads, each
+// site's captures stream through a bounded SPSC ring into a central
+// aggregator that keeps the runtime counters and gauges, publishes every
+// sample into an attached serve::TelemetryStore (the one per-site summary
+// and the one home of latency/voltage distributions) and assembles the
+// ordered result matrix. The ring carries wire-sized capture-only
+// core::RawSamples, and the aggregator's drain pass owns ENC + voltage
+// conversion — the paper's capture/encode split (Fig. 6: FF array → ENC →
+// OUTE) applied to the runtime.
 //
 // One capture path
 //   Workers capture through the one engine entry point,
@@ -24,17 +24,17 @@
 //       re-trimming from the drain would make code selection depend on
 //       aggregator timing — breaking the (site, sample) determinism below;
 //     * resilience: retry, vote and quarantine wrap each count-1 capture.
-//   The drain decodes every sample the same way: a core::StreamingEncoder
-//   pass (running under/overflow + bubble telemetry, grid.enc.*) and one
-//   shared immutable core::DecodeLadder.
+//   The drain makes one pass per sample: one read of the shared immutable
+//   core::DecodeLadder (the ENC: popcount → bin), assembly into the result
+//   matrix, store ingest.
 //
 // Threading model
-//   * Sites are sharded round-robin across `threads` shards; each shard is
-//     one long-lived job on the grid::ThreadPool, so exactly one thread
-//     produces into each shard's SpscRing (the SPSC contract).
+//   * Sites are sharded round-robin across `threads` shards; each shard
+//     runs on its own std::jthread, so exactly one thread produces into
+//     each shard's SpscRing (the SPSC contract).
 //   * The caller's thread is the aggregator: it drains every ring until all
-//     shards report done, then joins the pool and rethrows the first worker
-//     exception, if any.
+//     shards report done, then joins every shard thread and rethrows the
+//     exception of the lowest-index shard that threw, if any.
 //
 // Determinism
 //   Results are keyed by (site index, sample index) — never by arrival
@@ -267,6 +267,8 @@ class ScanGrid {
     Counter* structural_ns = nullptr;
   };
 
+  // A shard thread's body: every batch of every site of the shard, in
+  // order. Catches into Shard::error and marks the shard done either way.
   void worker_run_shard(Shard& shard);
   // Builds the site's engine (and fault session) if not built yet — the ONE
   // place the grid distinguishes site fidelities. Behavioral engines are

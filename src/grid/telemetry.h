@@ -7,12 +7,11 @@
 //             thread: samples produced, ring stalls, retries...).
 //   Gauge   — latest value of a quantity (queue depth, active workers).
 //
-// Plus per-site OnlineStats rollups (SiteRollup), owned by the single
-// aggregator thread and therefore unlocked.
-//
-// Distributions (latency, voltage quantiles) are not kept here: the serving
-// layer's serve::HistogramSketch is the one histogram type, fed by the same
-// drain when a grid attaches a serve::TelemetryStore.
+// Per-site summaries and distributions (latest readings, windows, latency
+// and voltage quantiles) are not kept here: the serving layer's
+// serve::TelemetryStore is the one per-site summary and
+// serve::HistogramSketch the one histogram type, fed by the same drain when
+// a grid attaches a store.
 //
 // The registry is the naming/ownership layer: instruments are created on
 // first use, live as long as the registry, and snapshot together into text
@@ -26,9 +25,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <vector>
 
-#include "stats/online_stats.h"
 #include "util/csv.h"
 
 namespace psnt::grid {
@@ -57,40 +54,19 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-// Per-site Welford rollups. NOT thread-safe: owned and written by the single
-// aggregator thread, read after the run completes.
-class SiteRollup {
- public:
-  explicit SiteRollup(std::size_t site_count) : sites_(site_count) {}
-
-  void add(std::size_t site, double x) { sites_.at(site).add(x); }
-  [[nodiscard]] std::size_t site_count() const { return sites_.size(); }
-  [[nodiscard]] const stats::OnlineStats& site(std::size_t i) const {
-    return sites_.at(i);
-  }
-  // Cross-site merge (parallel Welford combine).
-  [[nodiscard]] stats::OnlineStats merged() const;
-
- private:
-  std::vector<stats::OnlineStats> sites_;
-};
-
 class TelemetryRegistry {
  public:
   // Instruments are created on first use and are stable for the registry's
   // lifetime; concurrent lookups are safe.
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  SiteRollup& site_rollup(const std::string& name, std::size_t site_count);
 
-  // Snapshot exports. Counters/gauges: name,value. Site rollups: one row
-  // per (rollup, site): name,site,count,mean,stddev,min,max.
+  // Snapshot export: one name,value row per counter, then per gauge.
   [[nodiscard]] util::CsvTable counters_table() const;
-  [[nodiscard]] util::CsvTable site_rollups_table() const;
 
   // Human-readable dump of every instrument.
   void write_text(std::ostream& os) const;
-  // Both tables concatenated (blank-line separated) as CSV.
+  // The snapshot table as CSV.
   void write_csv(std::ostream& os) const;
   // Convenience: write_csv to a file path; returns false on I/O failure.
   bool export_csv(const std::string& path) const;
@@ -99,7 +75,6 @@ class TelemetryRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<SiteRollup>> rollups_;
 };
 
 }  // namespace psnt::grid

@@ -1,8 +1,7 @@
 // Streaming statistics (Welford): count, mean, variance and extremes of a
 // series without storing it, mergeable across accumulators.
 //
-// Used for the grid's per-site rollups and the serving store's per-site,
-// windowed and global stats. Distributions (quantiles) live in
+// Used for the serving store's per-site, windowed and global stats. Distributions (quantiles) live in
 // serve::HistogramSketch.
 #pragma once
 

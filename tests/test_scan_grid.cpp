@@ -67,8 +67,6 @@ TEST(ScanGrid, RunProducesEverySampleOfEverySite) {
   // Telemetry agrees with the result matrix.
   EXPECT_EQ(grid.telemetry().counter("grid.samples_drained").value(),
             16u * 6u);
-  const auto& rollup = grid.telemetry().site_rollup("site_word_ones", 16);
-  EXPECT_EQ(rollup.merged().count(), 16u * 6u);
 }
 
 TEST(ScanGrid, DeterministicAcrossThreadCounts) {
@@ -162,8 +160,14 @@ TEST(ScanGrid, WorkerExceptionPropagatesToCaller) {
     }
     return std::make_unique<analog::ConstantRail>(Volt{1.0});
   };
-  ScanGrid grid{fp, base_config(2), faulty};
-  EXPECT_THROW((void)grid.run(), std::runtime_error);
+  // One shard of four sites, two shards of two, one shard per site: every
+  // layout joins its threads and rethrows the rail's exception.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}}) {
+    ScanGrid grid{fp, base_config(threads), faulty};
+    EXPECT_THROW((void)grid.run(), std::runtime_error)
+        << "threads=" << threads;
+  }
 }
 
 TEST(ScanGrid, AutoRangePolicyTrimsPerSiteAndStaysDeterministic) {
@@ -228,8 +232,8 @@ TEST(ScanGrid, FinalCsvSnapshotIsExported) {
   ASSERT_TRUE(in.good());
   std::stringstream content;
   content << in.rdbuf();
-  EXPECT_NE(content.str().find("grid.samples_produced"), std::string::npos);
-  EXPECT_NE(content.str().find("site_vdd_volts"), std::string::npos);
+  EXPECT_NE(content.str().find("grid.samples_produced,12"), std::string::npos);
+  EXPECT_NE(content.str().find("grid.ring_depth_last"), std::string::npos);
 }
 
 TEST(ScanGrid, StructuralFidelityAgreesWithBehavioralOnQuietRails) {

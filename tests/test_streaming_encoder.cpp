@@ -103,9 +103,6 @@ TEST(StreamingEncoder, RunningStatsTally) {
   EXPECT_EQ(st.bubbled_words, 1u);
   EXPECT_EQ(st.bubble_errors, 2u);
   EXPECT_EQ(st.rejected, 0u);
-
-  enc.reset_stats();
-  EXPECT_EQ(enc.stats().words, 0u);
 }
 
 TEST(StreamingEncoder, RejectPolicyCountsRejectedWords) {

@@ -42,44 +42,27 @@ TEST(Telemetry, GaugeHoldsLatestValue) {
   EXPECT_DOUBLE_EQ(reg.gauge("depth").value(), 1.5);
 }
 
-TEST(Telemetry, SiteRollupMergesAcrossSites) {
-  TelemetryRegistry reg;
-  auto& r = reg.site_rollup("vdd", 3);
-  r.add(0, 1.0);
-  r.add(1, 0.9);
-  r.add(2, 0.8);
-  r.add(2, 0.8);
-  EXPECT_EQ(r.site(2).count(), 2u);
-  const auto merged = r.merged();
-  EXPECT_EQ(merged.count(), 4u);
-  EXPECT_NEAR(merged.mean(), (1.0 + 0.9 + 0.8 + 0.8) / 4.0, 1e-12);
-  EXPECT_THROW(reg.site_rollup("vdd", 5), std::logic_error);
-}
-
 TEST(Telemetry, SnapshotTablesContainEveryInstrument) {
   TelemetryRegistry reg;
   reg.counter("produced").increment(42);
   reg.gauge("depth").set(2.0);
-  reg.site_rollup("vdd", 2).add(1, 0.95);
 
   const auto counters = reg.counters_table();
   ASSERT_EQ(counters.row_count(), 2u);  // counter + gauge
   EXPECT_EQ(counters.rows()[0][0], "produced");
   EXPECT_EQ(counters.rows()[0][1], "42");
-
-  const auto rollups = reg.site_rollups_table();
-  ASSERT_EQ(rollups.row_count(), 2u);  // one row per site
-  EXPECT_EQ(rollups.rows()[1][2], "1");  // site 1 has the sample
+  EXPECT_EQ(counters.rows()[1][0], "depth");
 
   std::ostringstream text;
   reg.write_text(text);
   EXPECT_NE(text.str().find("produced"), std::string::npos);
-  EXPECT_NE(text.str().find("vdd"), std::string::npos);
+  EXPECT_NE(text.str().find("depth"), std::string::npos);
 
   std::ostringstream csv;
   reg.write_csv(csv);
   EXPECT_NE(csv.str().find("metric,value"), std::string::npos);
-  EXPECT_NE(csv.str().find("rollup,site,count"), std::string::npos);
+  EXPECT_NE(csv.str().find("produced,42"), std::string::npos);
+  EXPECT_NE(csv.str().find("depth,2"), std::string::npos);
 }
 
 TEST(Telemetry, ExportCsvWritesFile) {
