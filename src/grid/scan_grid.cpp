@@ -70,7 +70,9 @@ struct ScanGrid::Shard {
   std::vector<GridSample> sample_scratch;
   // The worker's exception, if it threw; run() rethrows it after the join.
   std::exception_ptr error;
-  std::atomic<bool> done{false};
+  // Polled by the drain on every idle pass: on its own line, so the
+  // worker's per-sample writes to the scratch vectors above never evict it.
+  alignas(kCacheLine) std::atomic<bool> done{false};
 
   explicit Shard(std::size_t ring_capacity) : ring(ring_capacity) {}
 };
@@ -578,9 +580,9 @@ void ScanGrid::aggregate(RunResult& result) {
             rec.latency_us = s.wall_us;
             rec.in_range = bin.in_range();
             store->ingest(rec);
-            serve_ingested->increment();
           }
         }
+        if (store != nullptr) serve_ingested->increment(got);
       }
       depth.set(static_cast<double>(shard->ring.size()));
     }

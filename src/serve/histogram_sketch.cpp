@@ -17,15 +17,51 @@ HistogramSketch::HistogramSketch(const SketchConfig& config)
   inv_log_gamma_ = 1.0 / std::log(gamma_);
   inv_min_ = 1.0 / config.min_value;
   buckets_.assign(config.bucket_count, 0);
+  lo_ = buckets_.size();
+}
+
+HistogramSketch& HistogramSketch::operator=(const HistogramSketch& other) {
+  if (this == &other) return *this;
+  if (config_ == other.config_ && buckets_.size() == other.buckets_.size()) {
+    // Both sketches are zero outside their spans: clearing ours and copying
+    // theirs leaves the buckets equal.
+    if (lo_ < hi_) {
+      std::fill(buckets_.begin() + static_cast<std::ptrdiff_t>(lo_),
+                buckets_.begin() + static_cast<std::ptrdiff_t>(hi_), 0);
+    }
+    if (other.lo_ < other.hi_) {
+      std::copy(other.buckets_.begin() + static_cast<std::ptrdiff_t>(other.lo_),
+                other.buckets_.begin() + static_cast<std::ptrdiff_t>(other.hi_),
+                buckets_.begin() + static_cast<std::ptrdiff_t>(other.lo_));
+    }
+  } else {
+    buckets_ = other.buckets_;
+  }
+  config_ = other.config_;
+  gamma_ = other.gamma_;
+  inv_log_gamma_ = other.inv_log_gamma_;
+  inv_min_ = other.inv_min_;
+  lo_ = other.lo_;
+  hi_ = other.hi_;
+  last_v_ = other.last_v_;
+  last_bucket_ = other.last_bucket_;
+  count_ = other.count_;
+  zero_count_ = other.zero_count_;
+  sum_ = other.sum_;
+  min_ = other.min_;
+  max_ = other.max_;
+  return *this;
 }
 
 std::size_t HistogramSketch::bucket_index(double v) const {
-  // ceil(log_gamma(v / min_value)), clamped into the fixed bucket range.
-  const double r = std::log(v * inv_min_) * inv_log_gamma_;
-  const auto i = static_cast<long long>(std::ceil(r));
-  if (i < 0) return 0;
-  const auto last = static_cast<long long>(buckets_.size()) - 1;
-  return static_cast<std::size_t>(std::min(i, last));
+  // ceil(log_gamma(v / min_value)), clamped into the fixed bucket range in
+  // floating point, so NaN (bucket 0) and +inf (the last bucket) never reach
+  // an out-of-range integer conversion.
+  const double r = std::ceil(std::log(v * inv_min_) * inv_log_gamma_);
+  if (!(r > 0.0)) return 0;
+  const std::size_t last = buckets_.size() - 1;
+  if (r >= static_cast<double>(last)) return last;
+  return static_cast<std::size_t>(r);
 }
 
 void HistogramSketch::add(double v) {
@@ -42,7 +78,13 @@ void HistogramSketch::add(double v) {
     ++zero_count_;
     return;
   }
-  ++buckets_[bucket_index(v)];
+  if (v != last_v_) {
+    last_v_ = v;
+    last_bucket_ = bucket_index(v);
+  }
+  ++buckets_[last_bucket_];
+  lo_ = std::min(lo_, last_bucket_);
+  hi_ = std::max(hi_, last_bucket_ + 1);
 }
 
 void HistogramSketch::merge(const HistogramSketch& other) {
@@ -62,10 +104,17 @@ void HistogramSketch::merge(const HistogramSketch& other) {
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }
+  lo_ = std::min(lo_, other.lo_);
+  hi_ = std::max(hi_, other.hi_);
 }
 
 void HistogramSketch::reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
+  if (lo_ < hi_) {
+    std::fill(buckets_.begin() + static_cast<std::ptrdiff_t>(lo_),
+              buckets_.begin() + static_cast<std::ptrdiff_t>(hi_), 0);
+  }
+  lo_ = buckets_.size();
+  hi_ = 0;
   count_ = 0;
   zero_count_ = 0;
   sum_ = 0.0;

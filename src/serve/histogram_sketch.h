@@ -17,6 +17,14 @@
 // per-shard / per-window sketches and have the query side combine them
 // without widening the error bound.
 //
+// Ingest cost: add() remembers the last positive value and its bucket, so a
+// stream that repeats values (decoded volts are bin estimates; a batch's
+// latency is constant) skips the log. Each sketch also tracks its occupied
+// bucket span [lo, hi): reset() zeroes only that span, and copy-assignment
+// between sketches of one config clears the old span and copies the new
+// one — a 160-bucket window slot holding a few buckets costs a few words,
+// not 1.3 KB. merge() and quantile() walk every bucket.
+//
 // Thread-compatibility: none. One writer per instance; snapshots are plain
 // copies taken by that writer (the store's snapshot publication, store.h).
 #pragma once
@@ -43,6 +51,13 @@ class HistogramSketch {
  public:
   HistogramSketch() : HistogramSketch(SketchConfig{}) {}
   explicit HistogramSketch(const SketchConfig& config);
+
+  HistogramSketch(const HistogramSketch&) = default;
+  HistogramSketch(HistogramSketch&&) noexcept = default;
+  // Touches only the two occupied spans when both sketches share a config
+  // and bucket array size; a full copy otherwise.
+  HistogramSketch& operator=(const HistogramSketch& other);
+  HistogramSketch& operator=(HistogramSketch&&) noexcept = default;
 
   void add(double v);
   // Bucket-wise addition; both sketches must share one SketchConfig.
@@ -78,6 +93,13 @@ class HistogramSketch {
   double inv_log_gamma_ = 0.0;
   double inv_min_ = 0.0;
   std::vector<std::uint64_t> buckets_;
+  // Occupied span: every bucket outside [lo_, hi_) is zero; lo_ = size,
+  // hi_ = 0 while no bucket is.
+  std::size_t lo_ = 0;
+  std::size_t hi_ = 0;
+  // add()'s memo of bucket_index(last_v_); 0 matches no positive value.
+  double last_v_ = 0.0;
+  std::size_t last_bucket_ = 0;
   std::uint64_t count_ = 0;
   std::uint64_t zero_count_ = 0;  // non-positive values
   double sum_ = 0.0;

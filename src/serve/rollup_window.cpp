@@ -26,28 +26,35 @@ std::uint64_t WindowRing::epoch_of(Picoseconds t) const {
 
 void WindowRing::add(Picoseconds t, double v) {
   const std::uint64_t e = epoch_of(t);
-  // Older than the retention horizon: its window was already evicted, and
-  // merging it into whatever lives in that slot now would corrupt a newer
-  // window. Count and drop.
-  if (latest_epoch_ != WindowSlot::kNoEpoch &&
-      e + slots_.size() <= latest_epoch_) {
-    ++late_drops_;
-    return;
+  if (e != current_epoch_) {
+    // Older than the retention horizon: its window was already evicted, and
+    // merging it into whatever lives in that slot now would corrupt a newer
+    // window. Count and drop.
+    if (latest_epoch_ != WindowSlot::kNoEpoch &&
+        e + slots_.size() <= latest_epoch_) {
+      ++late_drops_;
+      return;
+    }
+    current_epoch_ = e;
+    current_slot_ = e % slots_.size();
+    WindowSlot& slot = slots_[current_slot_];
+    if (slot.epoch != e) {
+      // Lazy rotation: the first sample of a new epoch evicts whatever the
+      // slot held (the epoch `windows` back, or an even older one after a
+      // gap in time).
+      slot.epoch = e;
+      slot.stats = stats::OnlineStats{};
+      slot.sketch.reset();
+    }
+    if (latest_epoch_ == WindowSlot::kNoEpoch || e > latest_epoch_) {
+      latest_epoch_ = e;
+    }
   }
-  WindowSlot& slot = slots_[e % slots_.size()];
-  if (slot.epoch != e) {
-    // Lazy rotation: the first sample of a new epoch evicts whatever the
-    // slot held (the epoch `windows` back, or an even older one after a
-    // gap in time).
-    slot.epoch = e;
-    slot.stats = stats::OnlineStats{};
-    slot.sketch.reset();
-  }
+  // Until another epoch is accepted, latest_epoch_ and the slot's epoch tag
+  // stay as the branch above left them, so a repeat lands here directly.
+  WindowSlot& slot = slots_[current_slot_];
   slot.stats.add(v);
   slot.sketch.add(v);
-  if (latest_epoch_ == WindowSlot::kNoEpoch || e > latest_epoch_) {
-    latest_epoch_ = e;
-  }
 }
 
 std::vector<const WindowSlot*> WindowRing::last(std::size_t n) const {

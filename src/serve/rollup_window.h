@@ -83,6 +83,10 @@ class WindowRing {
   std::vector<WindowSlot> slots_;
   std::uint64_t latest_epoch_ = WindowSlot::kNoEpoch;
   std::uint64_t late_drops_ = 0;
+  // The epoch of the last accepted add and its slot index: a repeat of it
+  // needs no horizon check, no modulo and no rotation.
+  std::uint64_t current_epoch_ = WindowSlot::kNoEpoch;
+  std::size_t current_slot_ = 0;
 };
 
 }  // namespace psnt::serve

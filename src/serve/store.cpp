@@ -15,22 +15,35 @@ constexpr std::size_t kCacheLine = 64;
 // Hands released snapshots back to the shard that published them. Owned
 // jointly by the shard and by every snapshot it published (through the
 // snapshot's deleter and control-block allocator), so it lives until the
-// last of them is gone. It keeps at most one idle snapshot and one idle
-// control block, so the memory held for reuse is bounded by one snapshot
-// no matter how many readers release at once. Once the shard is gone
-// (close()), whatever comes back is freed instead.
+// last of them is gone. Its pool keeps at most two idle snapshots and two
+// idle control blocks: a reader that holds a snapshot across two publishes
+// hands it back while the previous one still waits for reuse, and both stay
+// buffers the writer refreshes in place. The memory held for reuse is
+// bounded by two snapshots no matter how many readers release at once.
+// Once the shard is gone (close()), whatever comes back is freed instead.
 class SnapshotRecycler {
  public:
   SnapshotRecycler() = default;
   SnapshotRecycler(const SnapshotRecycler&) = delete;
   SnapshotRecycler& operator=(const SnapshotRecycler&) = delete;
-  ~SnapshotRecycler() { ::operator delete(idle_block_); }
+  ~SnapshotRecycler() {
+    for (Idle& idle : pool_) ::operator delete(idle.block);
+  }
 
-  // The idle snapshot (null if none) and the generation it was built at.
+  // The idle snapshot built at the newest generation (the one with the
+  // fewest sites to refresh), null if none, and that generation.
   std::unique_ptr<ShardSnapshot> take(std::uint64_t& generation) {
     const std::lock_guard<std::mutex> guard(mutex_);
-    generation = idle_generation_;
-    return std::move(idle_);
+    Idle* newest = nullptr;
+    for (Idle& idle : pool_) {
+      if (idle.snap != nullptr &&
+          (newest == nullptr || idle.generation > newest->generation)) {
+        newest = &idle;
+      }
+    }
+    if (newest == nullptr) return nullptr;
+    generation = newest->generation;
+    return std::move(newest->snap);
   }
 
   // Runs on whichever thread drops the last reference to `snap`. The
@@ -38,16 +51,23 @@ class SnapshotRecycler {
   void give_back(ShardSnapshot* snap, std::uint64_t generation) {
     std::unique_ptr<ShardSnapshot> owned(snap);
     const std::lock_guard<std::mutex> guard(mutex_);
-    if (closed_ || idle_ != nullptr) return;
-    idle_ = std::move(owned);
-    idle_generation_ = generation;
+    if (closed_) return;
+    for (Idle& idle : pool_) {
+      if (idle.snap == nullptr) {
+        idle.snap = std::move(owned);
+        idle.generation = generation;
+        return;
+      }
+    }
   }
 
   void* allocate(std::size_t bytes) {
     {
       const std::lock_guard<std::mutex> guard(mutex_);
-      if (idle_block_ != nullptr && idle_block_bytes_ == bytes) {
-        return std::exchange(idle_block_, nullptr);
+      for (Idle& idle : pool_) {
+        if (idle.block != nullptr && idle.block_bytes == bytes) {
+          return std::exchange(idle.block, nullptr);
+        }
       }
     }
     return ::operator new(bytes);
@@ -56,10 +76,14 @@ class SnapshotRecycler {
   void deallocate(void* block, std::size_t bytes) {
     {
       const std::lock_guard<std::mutex> guard(mutex_);
-      if (!closed_ && idle_block_ == nullptr) {
-        idle_block_ = block;
-        idle_block_bytes_ = bytes;
-        return;
+      if (!closed_) {
+        for (Idle& idle : pool_) {
+          if (idle.block == nullptr) {
+            idle.block = block;
+            idle.block_bytes = bytes;
+            return;
+          }
+        }
       }
     }
     ::operator delete(block);
@@ -68,24 +92,34 @@ class SnapshotRecycler {
   // The shard is being destroyed: free what is idle now, and everything
   // handed back from here on.
   void close() {
-    std::unique_ptr<ShardSnapshot> snap;
-    void* block = nullptr;
+    std::unique_ptr<ShardSnapshot> snaps[kPoolSize];
+    void* blocks[kPoolSize] = {};
     {
       const std::lock_guard<std::mutex> guard(mutex_);
       closed_ = true;
-      snap = std::move(idle_);
-      block = std::exchange(idle_block_, nullptr);
+      for (std::size_t i = 0; i < kPoolSize; ++i) {
+        snaps[i] = std::move(pool_[i].snap);
+        blocks[i] = std::exchange(pool_[i].block, nullptr);
+      }
     }
-    ::operator delete(block);
+    for (void* block : blocks) ::operator delete(block);
   }
 
  private:
+  static constexpr std::size_t kPoolSize = 2;
+
+  // A snapshot and a control block wait independently: the deleter hands
+  // back the snapshot before the control block is deallocated.
+  struct Idle {
+    std::unique_ptr<ShardSnapshot> snap;
+    std::uint64_t generation = 0;
+    void* block = nullptr;
+    std::size_t block_bytes = 0;
+  };
+
   std::mutex mutex_;
   bool closed_ = false;
-  std::unique_ptr<ShardSnapshot> idle_;
-  std::uint64_t idle_generation_ = 0;
-  void* idle_block_ = nullptr;
-  std::size_t idle_block_bytes_ = 0;
+  Idle pool_[kPoolSize];
 };
 
 // Deleter of a published snapshot: recycles instead of deleting. The
@@ -190,12 +224,6 @@ struct alignas(kCacheLine) TelemetryStore::Shard {
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
   ~Shard() { recycler->close(); }
-
-  [[nodiscard]] SiteState& site_state(std::uint32_t site,
-                                      std::size_t shards) {
-    // Round-robin partition: the shard's k-th site is shard + k·shards.
-    return sites[site / shards];
-  }
 };
 
 TelemetryStore::TelemetryStore(const StoreConfig& config) : config_(config) {
@@ -208,14 +236,22 @@ TelemetryStore::TelemetryStore(const StoreConfig& config) : config_(config) {
   for (std::size_t s = 0; s < config_.shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(config_, s));
   }
+  // Round-robin partition: the shard's k-th site is shard + k·shards.
+  routes_.reserve(config_.site_count);
+  for (std::size_t site = 0; site < config_.site_count; ++site) {
+    routes_.push_back(
+        SiteRoute{static_cast<std::uint32_t>(site % config_.shards),
+                  static_cast<std::uint32_t>(site / config_.shards)});
+  }
 }
 
 TelemetryStore::~TelemetryStore() = default;
 
 void TelemetryStore::ingest(const IngestRecord& record) {
   PSNT_CHECK(record.site < config_.site_count, "ingest site out of range");
-  Shard& shard = *shards_[shard_of(record.site)];
-  Shard::SiteState& site = shard.site_state(record.site, config_.shards);
+  const SiteRoute route = routes_[record.site];
+  Shard& shard = *shards_[route.shard];
+  Shard::SiteState& site = shard.sites[route.index];
 
   ++shard.ingested;
   ++site.ingested;
@@ -239,13 +275,13 @@ void TelemetryStore::ingest(const IngestRecord& record) {
 
   if (--shard.until_publish == 0) {
     shard.until_publish = config_.publish_every;
-    publish(shard_of(record.site));
+    publish(route.shard);
   }
 }
 
 void TelemetryStore::ingest_locked(const IngestRecord& record) {
   PSNT_CHECK(record.site < config_.site_count, "ingest site out of range");
-  Shard& shard = *shards_[shard_of(record.site)];
+  Shard& shard = *shards_[routes_[record.site].shard];
   const std::lock_guard<std::mutex> guard(shard.ingest_mutex);
   ingest(record);
 }

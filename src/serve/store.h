@@ -41,11 +41,14 @@
 //     shard counts its publishes (its generation) and ingest() stamps the
 //     site it touches with that count. A published snapshot's deleter
 //     hands it back to its shard when the last reader releases it; the
-//     shard keeps at most one such idle snapshot (so RSS cannot grow), and
-//     frees instead once the store is gone. publish() refreshes the idle
-//     snapshot in place — shard-level sketches, stats and top-K always,
-//     a site only if its stamp is newer than the snapshot's own build
-//     generation — and builds from scratch only when none is idle. The
+//     shard keeps at most two such idle snapshots (so RSS cannot grow, and
+//     a reader that holds a snapshot across two publishes still hands back
+//     a reusable buffer), and frees instead once the store is gone.
+//     publish() refreshes the newest idle snapshot in place — shard-level
+//     sketches, stats and top-K always, a site only if its stamp is newer
+//     than the snapshot's own build generation — and builds from scratch
+//     only when none is idle. Sketches track their occupied bucket span,
+//     so a refresh copies the buckets in use, not the whole sketch. The
 //     release is detected by the deleter, never by polling use_count():
 //     that is a relaxed load, which orders nothing against the readers'
 //     last accesses, so a writer reusing the buffers on its say-so races
@@ -195,9 +198,15 @@ class TelemetryStore {
 
  private:
   struct Shard;
+  // Where a site lives, precomputed so ingest divides by nothing.
+  struct SiteRoute {
+    std::uint32_t shard = 0;
+    std::uint32_t index = 0;  // within the shard's site list
+  };
 
   StoreConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<SiteRoute> routes_;  // indexed by site
 
   std::atomic<std::uint64_t> publishes_{0};
   std::atomic<std::uint64_t> deg_faults_{0};

@@ -127,5 +127,47 @@ TEST(Allocations, StoreIngestWithAutoPublishIsAllocationFree) {
   EXPECT_GT(store.publishes() - publishes_before, 900u);
 }
 
+TEST(Allocations, StoreWithLaggingReaderRecyclesEverySnapshot) {
+  // A reader that takes snapshot() after every second publish and holds it
+  // until its next one keeps each snapshot across two publishes. The shard
+  // then cycles four buffers (published, held, two idle), so the only
+  // allocations left are the reader's own: one StoreView vector per call.
+  serve::StoreConfig store_config;
+  store_config.site_count = 64;
+  store_config.shards = 1;
+  store_config.publish_every = 1024;
+  serve::TelemetryStore store(store_config);
+
+  std::uint64_t k = 0;
+  std::uint64_t reader_snapshots = 0;
+  serve::StoreView held;
+  serve::IngestRecord rec;
+  const auto ingest = [&](std::uint64_t records) {
+    for (std::uint64_t i = 0; i < records; ++i, ++k) {
+      rec.site = static_cast<std::uint32_t>(k % 64);
+      rec.timestamp = Picoseconds{static_cast<double>(k / 64) * 10000.0};
+      rec.volts = 1.0 - 0.001 * static_cast<double>(k % 64) -
+                  0.0001 * static_cast<double>(k % 7);
+      rec.latency_us = 0.2 + 0.01 * static_cast<double>(k % 5);
+      rec.in_range = true;
+      rec.valid = true;
+      const std::uint64_t publishes = store.publishes();
+      store.ingest(rec);
+      if (store.publishes() != publishes && store.publishes() % 2 == 0) {
+        held = store.snapshot();
+        ++reader_snapshots;
+      }
+    }
+  };
+  ingest(16 * 1024);  // warm-up: every buffer built, windows wrapped
+  const std::uint64_t publishes_before = store.publishes();
+  const std::uint64_t snapshots_before = reader_snapshots;
+  const std::uint64_t before = test::alloc_count();
+  ingest(1000000);
+  EXPECT_EQ(test::alloc_count() - before, reader_snapshots - snapshots_before);
+  EXPECT_GT(store.publishes() - publishes_before, 900u);
+  EXPECT_GT(reader_snapshots - snapshots_before, 450u);
+}
+
 }  // namespace
 }  // namespace psnt::grid

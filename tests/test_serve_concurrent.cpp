@@ -9,6 +9,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -275,6 +276,68 @@ TEST(ServeConcurrent, PinnedViewUnchangedAcrossRecyclingPublishes) {
     if (store.publishes() < pinned_at + kPublishesPinned) break;
     EXPECT_EQ(view_digest(view), digest) << "pinned at publish " << pinned_at;
     ++checks;
+  }
+  writer.join();
+  EXPECT_GT(checks, 0u);
+}
+
+// A reader that lags: it keeps its last two views pinned, each across at
+// least two publishes, and releases the older one while the writer keeps
+// publishing, so releases race with the recycler's reuse of the two idle
+// buffers. Every pinned view must digest as it did when taken.
+TEST(ServeConcurrent, LaggingReaderViewsSurviveRecycling) {
+  constexpr std::size_t kSites = 16;
+  constexpr std::uint64_t kPerSite = 3000;
+  constexpr std::uint64_t kLag = 2;
+  auto config = make_config(kSites, 1);
+  config.publish_every = 16;
+  TelemetryStore store{config};
+  store.ingest(IngestRecord{});
+  store.publish_all();
+
+  std::atomic<bool> first_pin{false};
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&] {
+    while (!first_pin.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    stats::Xoshiro256 rng(8);
+    IngestRecord rec;
+    for (std::uint64_t k = 0; k < kPerSite; ++k) {
+      for (const std::uint32_t site :
+           {0u, static_cast<std::uint32_t>(1 + k % (kSites - 1))}) {
+        rec.site = site;
+        rec.timestamp = Picoseconds{static_cast<double>(k) * 5000.0};
+        rec.volts = 1.0 - 0.05 * rng.uniform01();
+        rec.latency_us = 0.1 + 0.01 * static_cast<double>(k % 3);
+        store.ingest(rec);
+      }
+    }
+    writer_done.store(true, std::memory_order_release);
+  });
+
+  struct Pinned {
+    StoreView view;
+    std::uint64_t digest = 0;
+  };
+  std::deque<Pinned> pinned;
+  std::uint64_t checks = 0;
+  while (!writer_done.load(std::memory_order_acquire)) {
+    StoreView view = store.snapshot();
+    const std::uint64_t digest = view_digest(view);
+    pinned.push_back(Pinned{std::move(view), digest});
+    const std::uint64_t pinned_at = store.publishes();
+    first_pin.store(true, std::memory_order_release);
+    while (store.publishes() < pinned_at + kLag &&
+           !writer_done.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    if (store.publishes() < pinned_at + kLag) break;
+    for (const Pinned& p : pinned) {
+      EXPECT_EQ(view_digest(p.view), p.digest) << "at publish " << pinned_at;
+      ++checks;
+    }
+    if (pinned.size() == 2) pinned.pop_front();  // races the next publish
   }
   writer.join();
   EXPECT_GT(checks, 0u);

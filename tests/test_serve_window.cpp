@@ -1,10 +1,17 @@
 // WindowRing edge cases: lazy rotation, time gaps larger than the ring,
-// wraparound reuse of slots, late-sample drops, and last(n) filtering.
+// wraparound reuse of slots, late-sample drops, last(n) filtering, and the
+// current-epoch slot cache against a ring that locates every slot afresh.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "serve/rollup_window.h"
+#include "stats/rng.h"
 
 namespace psnt::serve {
 namespace {
@@ -137,6 +144,156 @@ TEST(WindowRing, EmptyRing) {
   EXPECT_TRUE(ring.empty());
   EXPECT_TRUE(ring.last(4).empty());
   EXPECT_EQ(ring.late_drops(), 0u);
+}
+
+// The ring without a slot cache: every add runs the horizon check, the
+// modulo and the rotation test.
+class ReferenceRing {
+ public:
+  explicit ReferenceRing(const WindowConfig& config) {
+    for (std::size_t i = 0; i < config.windows; ++i) {
+      slots_.push_back(WindowSlot{WindowSlot::kNoEpoch, {},
+                                  HistogramSketch{config.sketch}});
+    }
+  }
+
+  void add(std::uint64_t e, double v) {
+    if (latest_ != WindowSlot::kNoEpoch && e + slots_.size() <= latest_) {
+      ++late_drops_;
+      return;
+    }
+    WindowSlot& slot = slots_[e % slots_.size()];
+    if (slot.epoch != e) {
+      slot.epoch = e;
+      slot.stats = stats::OnlineStats{};
+      slot.sketch.reset();
+    }
+    slot.stats.add(v);
+    slot.sketch.add(v);
+    if (latest_ == WindowSlot::kNoEpoch || e > latest_) latest_ = e;
+  }
+
+  // Slot indices of last(n), newest first.
+  std::vector<std::size_t> last(std::size_t n) const {
+    std::vector<std::size_t> out;
+    if (latest_ == WindowSlot::kNoEpoch) return out;
+    n = std::min(n, slots_.size());
+    for (std::size_t back = 0; back < n && back <= latest_; ++back) {
+      const std::uint64_t e = latest_ - back;
+      const std::size_t i = e % slots_.size();
+      if (slots_[i].epoch == e && slots_[i].stats.count() > 0) {
+        out.push_back(i);
+      }
+    }
+    return out;
+  }
+
+  const std::vector<WindowSlot>& slots() const { return slots_; }
+  std::uint64_t latest_epoch() const { return latest_; }
+  std::uint64_t late_drops() const { return late_drops_; }
+
+ private:
+  std::vector<WindowSlot> slots_;
+  std::uint64_t latest_ = WindowSlot::kNoEpoch;
+  std::uint64_t late_drops_ = 0;
+};
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+std::string diff(const WindowRing& ring, const ReferenceRing& ref) {
+  if (ring.latest_epoch() != ref.latest_epoch()) return "latest_epoch";
+  if (ring.late_drops() != ref.late_drops()) return "late_drops";
+  for (std::size_t i = 0; i < ring.window_count(); ++i) {
+    const WindowSlot& a = ring.slot(i);
+    const WindowSlot& b = ref.slots()[i];
+    const std::string where = "slot " + std::to_string(i) + " ";
+    if (a.epoch != b.epoch) return where + "epoch";
+    if (a.stats.count() != b.stats.count() ||
+        !same_bits(a.stats.mean(), b.stats.mean()) ||
+        !same_bits(a.stats.variance(), b.stats.variance()) ||
+        !same_bits(a.stats.min(), b.stats.min()) ||
+        !same_bits(a.stats.max(), b.stats.max())) {
+      return where + "stats";
+    }
+    if (a.sketch.count() != b.sketch.count() ||
+        !same_bits(a.sketch.sum(), b.sketch.sum())) {
+      return where + "sketch totals";
+    }
+    for (std::size_t k = 0; k < a.sketch.config().bucket_count; ++k) {
+      if (a.sketch.bucket_count_at(k) != b.sketch.bucket_count_at(k)) {
+        return where + "sketch bucket " + std::to_string(k);
+      }
+    }
+  }
+  for (std::size_t n = 0; n <= ring.window_count() + 1; ++n) {
+    std::vector<std::size_t> got;
+    for (const WindowSlot* slot : ring.last(n)) {
+      got.push_back(static_cast<std::size_t>(slot - &ring.slot(0)));
+    }
+    if (got != ref.last(n)) return "last(" + std::to_string(n) + ")";
+  }
+  return "";
+}
+
+// Seeded sample times that repeat an epoch, step forward, go back inside the
+// retention horizon, fall behind it, jump over gaps and finally saturate at
+// kMaxEpoch: the cached ring must match the reference after every add.
+TEST(WindowRing, SlotCacheMatchesRingWithoutCache) {
+  const WindowConfig config = small_ring();
+  const double width = config.width.value();
+  const double depth = static_cast<double>(config.windows);
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    WindowRing ring{config};
+    ReferenceRing ref{config};
+    stats::Xoshiro256 rng(seed);
+    double now = 0.0;  // latest time stepped to
+    constexpr int kSteps = 3000;
+    for (int step = 0; step < kSteps; ++step) {
+      const double u = rng.uniform01();
+      double t = now;
+      std::string kind;
+      if (step > kSteps * 9 / 10 && u < 0.05) {
+        t = rng.bernoulli(0.5) ? 1e300
+                               : std::numeric_limits<double>::infinity();
+        kind = "saturate";
+      } else if (u < 0.40) {
+        t = now + rng.uniform(0.0, 0.2) * width;  // mostly the same epoch
+        now = t;
+        kind = "repeat";
+      } else if (u < 0.60) {
+        now += width;
+        t = now;
+        kind = "next epoch";
+      } else if (u < 0.72) {
+        t = std::max(0.0, now - rng.uniform(0.0, depth - 1.0) * width);
+        kind = "back inside horizon";
+      } else if (u < 0.82) {
+        t = now - (depth + rng.uniform(0.0, 6.0)) * width;
+        kind = "behind horizon";
+      } else if (u < 0.90) {
+        now += width * static_cast<double>(2 + rng.uniform_index(12));
+        t = now;
+        kind = "gap";
+      } else if (u < 0.95) {
+        t = rng.bernoulli(0.5) ? -width
+                               : std::numeric_limits<double>::quiet_NaN();
+        kind = "epoch 0";
+      } else {
+        t = now;
+        kind = "same time";
+      }
+      const double v = rng.bernoulli(0.5) ? 0.95 : rng.uniform(0.5, 1.5);
+      ring.add(Picoseconds{t}, v);
+      ref.add(ring.epoch_of(Picoseconds{t}), v);
+      ASSERT_EQ(diff(ring, ref), "") << "step " << step << " (" << kind
+                                     << ", t=" << t << ")";
+    }
+    EXPECT_EQ(ring.latest_epoch(), WindowRing::kMaxEpoch);
+    EXPECT_GT(ring.late_drops(), 0u);
+  }
 }
 
 }  // namespace
