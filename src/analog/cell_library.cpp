@@ -83,29 +83,12 @@ TimingTable TimingTable::linear(double intrinsic_ps, double ps_per_pf,
                      std::move(values)};
 }
 
-const TimingArc* Cell::find_arc(std::string_view from,
-                                std::string_view to) const {
-  for (const auto& arc : arcs) {
-    if (arc.from_pin == from && arc.to_pin == to) return &arc;
-  }
-  return nullptr;
-}
-
 Picoseconds Cell::worst_delay(Picoseconds input_slew, Picofarad load) const {
   Picoseconds worst{0.0};
   for (const auto& arc : arcs) {
     worst = std::max(worst, arc.delay.lookup(input_slew, load));
   }
   if (seq) worst = std::max(worst, seq->clk_to_q.lookup(input_slew, load));
-  return worst;
-}
-
-Picoseconds Cell::worst_output_slew(Picoseconds input_slew,
-                                    Picofarad load) const {
-  Picoseconds worst{0.0};
-  for (const auto& arc : arcs) {
-    worst = std::max(worst, arc.output_slew.lookup(input_slew, load));
-  }
   return worst;
 }
 

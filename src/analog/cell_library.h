@@ -77,14 +77,10 @@ struct Cell {
   std::optional<SequentialTiming> seq;  // present for flops
 
   [[nodiscard]] bool is_sequential() const { return seq.has_value(); }
-  [[nodiscard]] const TimingArc* find_arc(std::string_view from,
-                                          std::string_view to) const;
   // Worst (max over arcs) delay for the given slew/load — the quantity STA
   // propagates when pin-specific arcs are not distinguished.
   [[nodiscard]] Picoseconds worst_delay(Picoseconds input_slew,
                                         Picofarad load) const;
-  [[nodiscard]] Picoseconds worst_output_slew(Picoseconds input_slew,
-                                              Picofarad load) const;
 };
 
 class CellLibrary {

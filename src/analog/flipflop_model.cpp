@@ -83,16 +83,4 @@ void FlipFlopTimingModel::set_deep_meta_resolver(DeepMetaResolver resolver,
   deep_band_ = deep_band;
 }
 
-FlipFlopTimingModel FlipFlopTimingModel::with_timing_scaled(
-    double factor) const {
-  PSNT_CHECK(factor > 0.0, "timing scale factor must be positive");
-  FlipFlopParams p = params_;
-  p.t_setup = p.t_setup * factor;
-  p.t_hold = p.t_hold * factor;
-  p.t_clk_to_q = p.t_clk_to_q * factor;
-  p.tau = p.tau * factor;
-  p.max_resolution = p.max_resolution * factor;
-  return FlipFlopTimingModel{p};
-}
-
 }  // namespace psnt::analog

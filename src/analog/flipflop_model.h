@@ -90,11 +90,6 @@ class FlipFlopTimingModel {
     return static_cast<bool>(deep_resolver_);
   }
 
-  // Derated copy for supply droop on the *nominal* rail feeding the FF (the
-  // paper notes the FFs "could be slightly affected by a PS variation").
-  // factor > 1 slows setup/clk-to-q proportionally.
-  [[nodiscard]] FlipFlopTimingModel with_timing_scaled(double factor) const;
-
  private:
   FlipFlopParams params_;
   DeepMetaResolver deep_resolver_;

@@ -1,7 +1,6 @@
 #include "analog/liberty_writer.h"
 
 #include <ostream>
-#include <sstream>
 
 #include "util/error.h"
 
@@ -108,13 +107,6 @@ void write_liberty(std::ostream& os, const CellLibrary& lib,
     write_cell(os, lib.at(name));
   }
   os << "}\n";
-}
-
-std::string liberty_string(const CellLibrary& lib,
-                           const LibertyOptions& options) {
-  std::ostringstream os;
-  write_liberty(os, lib, options);
-  return os.str();
 }
 
 }  // namespace psnt::analog

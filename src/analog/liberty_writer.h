@@ -25,7 +25,4 @@ struct LibertyOptions {
 void write_liberty(std::ostream& os, const CellLibrary& lib,
                    const LibertyOptions& options = {});
 
-[[nodiscard]] std::string liberty_string(const CellLibrary& lib,
-                                         const LibertyOptions& options = {});
-
 }  // namespace psnt::analog

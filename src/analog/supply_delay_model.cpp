@@ -69,15 +69,6 @@ std::optional<Picofarad> AlphaPowerDelayModel::load_for_budget(
   return Picofarad{c_ext};
 }
 
-double AlphaPowerDelayModel::delay_slope_ps_per_volt(Volt v_supply,
-                                                     Picofarad c_load) const {
-  // Central difference; the function is smooth so 1 mV steps are plenty.
-  const Volt dv{1e-3};
-  const double hi = delay(v_supply + dv, c_load).value();
-  const double lo = delay(v_supply - dv, c_load).value();
-  return (hi - lo) / (2.0 * dv.value());
-}
-
 AlphaPowerDelayModel AlphaPowerDelayModel::with_drive_scaled(
     double factor) const {
   PSNT_CHECK(factor > 0.0, "drive scale factor must be positive");

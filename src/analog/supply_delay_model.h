@@ -62,11 +62,6 @@ class AlphaPowerDelayModel {
   [[nodiscard]] std::optional<Picofarad> load_for_budget(
       Volt v_supply, Picoseconds budget) const;
 
-  // d(delay)/dV at the given operating point (ps per volt, negative: higher
-  // supply means faster). Used by sensitivity tests and the range tuner.
-  [[nodiscard]] double delay_slope_ps_per_volt(Volt v_supply,
-                                               Picofarad c_load) const;
-
   // Returns a copy with the drive constant scaled (process/temperature).
   [[nodiscard]] AlphaPowerDelayModel with_drive_scaled(double factor) const;
   // Returns a copy with the threshold voltage shifted.

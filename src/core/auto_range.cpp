@@ -9,13 +9,6 @@ AutoRangeController::AutoRangeController(AutoRangeConfig config)
   PSNT_CHECK(config_.edge_patience >= 1, "edge patience must be >= 1");
 }
 
-void AutoRangeController::reset() {
-  code_ = config_.initial;
-  consecutive_low_ = 0;
-  consecutive_high_ = 0;
-  steps_ = 0;
-}
-
 void AutoRangeController::step_up() {
   if (code_.value() < DelayCode::kCount - 1) {
     code_ = DelayCode{static_cast<std::uint8_t>(code_.value() + 1)};

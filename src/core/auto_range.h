@@ -43,8 +43,6 @@ class AutoRangeController {
   // Feeds one encoded reading; returns the code to use for the NEXT measure.
   DelayCode observe(const EncodedWord& reading, std::size_t word_width);
 
-  void reset();
-
  private:
   void step_up();
   void step_down();

@@ -2,33 +2,6 @@
 
 namespace psnt::core {
 
-std::string_view to_string(FsmState state) {
-  switch (state) {
-    case FsmState::kReset:
-      return "RESET";
-    case FsmState::kIdle:
-      return "IDLE";
-    case FsmState::kReady:
-      return "READY";
-    case FsmState::kInit:
-      return "INIT";
-    case FsmState::kPrepareLow:
-      return "S_PRP0";
-    case FsmState::kPrepareHigh:
-      return "S_PRP";
-    case FsmState::kSenseLow:
-      return "S_SNS0";
-    case FsmState::kSenseHigh:
-      return "S_SNS";
-  }
-  return "?";
-}
-
-void ControlFsm::reset() {
-  state_ = FsmState::kReset;
-  measures_ = 0;
-}
-
 FsmOutputs ControlFsm::outputs_for(FsmState state, bool done) const {
   FsmOutputs out;
   out.active_code = code_;

@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "core/measurement.h"
 
@@ -40,8 +39,6 @@ enum class FsmState : std::uint8_t {
   kSenseLow,     // S_SNS0: CP negative edge (P still at the PREPARE level)
   kSenseHigh,    // S_SNS : P drops and CP rises — the measurement instant
 };
-
-[[nodiscard]] std::string_view to_string(FsmState state);
 
 struct FsmInputs {
   bool enable = false;       // external measure-enable
@@ -88,8 +85,6 @@ class ControlFsm {
   // fixed one (not parked in IDLE, or a different code): the caller must
   // then step() through the transaction as usual.
   [[nodiscard]] bool fast_transaction(DelayCode code);
-
-  void reset();
 
  private:
   [[nodiscard]] FsmOutputs outputs_for(FsmState state, bool done) const;

@@ -2,18 +2,6 @@
 
 namespace psnt::core {
 
-const char* to_string(BubblePolicy policy) {
-  switch (policy) {
-    case BubblePolicy::kReject:
-      return "reject";
-    case BubblePolicy::kMajority:
-      return "majority";
-    case BubblePolicy::kFirstZero:
-      return "first-zero";
-  }
-  return "?";
-}
-
 EncodedWord Encoder::encode(const ThermoWord& word) const {
   EncodedWord out;
   out.bubble_errors = static_cast<std::uint8_t>(word.bubble_error_count());

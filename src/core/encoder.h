@@ -20,8 +20,6 @@ enum class BubblePolicy : std::uint8_t {
   kFirstZero,
 };
 
-[[nodiscard]] const char* to_string(BubblePolicy policy);
-
 struct EncodedWord {
   std::uint8_t count = 0;        // thermometer reading 0..N
   std::uint8_t binary = 0;       // same value, as the OUTE bus contents

@@ -116,14 +116,4 @@ FsmState StructuralControlFsm::decoded_state() const {
   return static_cast<FsmState>(value);
 }
 
-DelayCode StructuralControlFsm::decoded_code() const {
-  std::uint8_t value = 0;
-  for (std::size_t b = 0; b < 3; ++b) {
-    if (code_q_[b]->value() == sim::Logic::L1) {
-      value |= static_cast<std::uint8_t>(1u << b);
-    }
-  }
-  return DelayCode{value};
-}
-
 }  // namespace psnt::core

@@ -48,7 +48,6 @@ class StructuralControlFsm {
 
   // Observability for verification.
   [[nodiscard]] FsmState decoded_state() const;
-  [[nodiscard]] DelayCode decoded_code() const;
   [[nodiscard]] std::size_t synthesized_gates() const { return gate_count_; }
 
  private:

@@ -240,13 +240,6 @@ DynamicRange BehavioralEngine::vdd_range(DelayCode code) const {
   return DynamicRange{thr.front(), thr.back()};
 }
 
-DynamicRange BehavioralEngine::gnd_range(DelayCode code) const {
-  const auto& thr = ladder(SenseTarget::kGnd).thresholds(code);
-  // gnd = v_nominal - v_eff: the measurable bounce window flips.
-  return DynamicRange{config_.v_nominal - thr.back(),
-                      config_.v_nominal - thr.front()};
-}
-
 void BehavioralEngine::prewarm_sense_ladders(DelayCode code) {
   const Picoseconds skew = pg_.skew(code);
   high_kernel_.prewarm(code, skew);

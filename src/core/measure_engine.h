@@ -205,8 +205,6 @@ class BehavioralEngine {
 
   // Dynamic range of the HIGH-SENSE array at a code (Fig. 5's x-extent).
   [[nodiscard]] DynamicRange vdd_range(DelayCode code) const;
-  // GND-n bounce range measurable at a code.
-  [[nodiscard]] DynamicRange gnd_range(DelayCode code) const;
 
  private:
   // Steps the FSM from IDLE through one transaction; returns the absolute

@@ -12,16 +12,6 @@ std::string DelayCode::to_string() const {
   return s;
 }
 
-const char* to_string(SenseTarget target) {
-  switch (target) {
-    case SenseTarget::kVdd:
-      return "VDD";
-    case SenseTarget::kGnd:
-      return "GND";
-  }
-  return "?";
-}
-
 Volt VoltageBin::estimate() const {
   if (lo && hi) return Volt{0.5 * (lo->value() + hi->value())};
   if (lo) return *lo;

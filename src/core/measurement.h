@@ -38,8 +38,6 @@ enum class SenseTarget : std::uint8_t {
   kGnd,  // LOW-SENSE array: inverter powered by nominal VDD, GND-n reference
 };
 
-[[nodiscard]] const char* to_string(SenseTarget target);
-
 // Voltage interval a thermometer word decodes to. Open ends (the all-zeros /
 // all-ones words) have nullopt bounds: the value is beyond the measurable
 // dynamic.

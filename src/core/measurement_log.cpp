@@ -34,26 +34,4 @@ double MeasurementLog::out_of_range_fraction() const {
          static_cast<double>(total_);
 }
 
-util::CsvTable MeasurementLog::to_table() const {
-  util::CsvTable table({"count", "word", "occurrences", "share_pct"});
-  for (std::size_t c = 0; c < count_histogram_.size(); ++c) {
-    table.new_row()
-        .add(static_cast<long long>(c))
-        .add(ThermoWord::of_count(c, word_width()).to_string())
-        .add(static_cast<long long>(count_histogram_[c]))
-        .add(total_ == 0 ? 0.0
-                         : 100.0 * static_cast<double>(count_histogram_[c]) /
-                               static_cast<double>(total_),
-             4);
-  }
-  return table;
-}
-
-void MeasurementLog::clear() {
-  std::fill(count_histogram_.begin(), count_histogram_.end(), 0);
-  total_ = underflows_ = overflows_ = bubbled_ = 0;
-  worst_.reset();
-  best_.reset();
-}
-
 }  // namespace psnt::core

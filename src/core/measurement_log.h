@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/measurement.h"
-#include "util/csv.h"
 
 namespace psnt::core {
 
@@ -42,11 +41,6 @@ class MeasurementLog {
 
   // Measurements whose raw word carried bubble errors.
   [[nodiscard]] std::size_t bubbled_words() const { return bubbled_; }
-
-  // Summary table for reports: one row per count value.
-  [[nodiscard]] util::CsvTable to_table() const;
-
-  void clear();
 
  private:
   std::vector<std::uint64_t> count_histogram_;  // width+1 buckets

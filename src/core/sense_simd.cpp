@@ -34,8 +34,6 @@ inline void compare_one(double x, const double* lo, const double* hi,
 
 #if defined(PSNT_SIMD_AVX2)
 
-const char* backend() { return "avx2"; }
-
 bool runtime_supported() { return __builtin_cpu_supports("avx2") != 0; }
 
 void sense_compare(const double* v, std::size_t n, const double* lo,
@@ -87,8 +85,6 @@ void sense_compare(const double* v, std::size_t n, const double* lo,
 
 #elif defined(PSNT_SIMD_NEON)
 
-const char* backend() { return "neon"; }
-
 // Advanced SIMD is baseline on AArch64 — nothing to probe.
 bool runtime_supported() { return true; }
 
@@ -128,8 +124,6 @@ void sense_compare(const double* v, std::size_t n, const double* lo,
 }
 
 #else  // scalar fallback (PSNT_SIMD=off, or no supported ISA)
-
-const char* backend() { return "scalar"; }
 
 bool runtime_supported() { return true; }
 

@@ -26,9 +26,6 @@
 
 namespace psnt::core::simd {
 
-// Compile-time backend of this build: "avx2", "neon", or "scalar".
-[[nodiscard]] const char* backend();
-
 // True when the compiled backend's instructions exist on this CPU (always
 // true for "neon"/"scalar"; cpuid-checked for "avx2"). Callers must not
 // dispatch sense_compare when false.

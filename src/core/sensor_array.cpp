@@ -17,21 +17,6 @@ SensorArray::SensorArray(std::vector<SensorCell> cells)
   }
 }
 
-SensorArray SensorArray::linear(const analog::AlphaPowerDelayModel& inverter,
-                                const analog::FlipFlopTimingModel& flipflop,
-                                Picofarad c_first, Picofarad c_step,
-                                std::size_t bits) {
-  PSNT_CHECK(bits > 0, "array needs at least one bit");
-  PSNT_CHECK(c_step.value() > 0.0, "capacitance step must be positive");
-  std::vector<SensorCell> cells;
-  cells.reserve(bits);
-  for (std::size_t i = 0; i < bits; ++i) {
-    cells.emplace_back(inverter, flipflop,
-                       c_first + c_step * static_cast<double>(i));
-  }
-  return SensorArray{std::move(cells)};
-}
-
 SensorArray SensorArray::with_loads(
     const analog::AlphaPowerDelayModel& inverter,
     const analog::FlipFlopTimingModel& flipflop,

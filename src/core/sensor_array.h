@@ -32,11 +32,6 @@ class SensorArray {
   // Cells must be ordered by ascending load (ascending threshold).
   explicit SensorArray(std::vector<SensorCell> cells);
 
-  // Equal-ΔC ladder: C_i = c_first + i*c_step, the paper's stated design.
-  static SensorArray linear(const analog::AlphaPowerDelayModel& inverter,
-                            const analog::FlipFlopTimingModel& flipflop,
-                            Picofarad c_first, Picofarad c_step,
-                            std::size_t bits);
   // Arbitrary ladder (ascending).
   static SensorArray with_loads(const analog::AlphaPowerDelayModel& inverter,
                                 const analog::FlipFlopTimingModel& flipflop,

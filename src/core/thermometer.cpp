@@ -13,15 +13,6 @@ Measurement NoiseThermometer::measure_vdd(const analog::RailPair& rails,
   return engine_.measure(req, rails);
 }
 
-Measurement NoiseThermometer::measure_gnd(const analog::RailSource& gnd,
-                                          Picoseconds start, DelayCode code) {
-  MeasureRequest req;
-  req.start = start;
-  req.target = SenseTarget::kGnd;
-  req.code = code;
-  return engine_.measure(req, analog::RailPair{nullptr, &gnd});
-}
-
 std::vector<Measurement> NoiseThermometer::iterate_vdd(
     const analog::RailPair& rails, Picoseconds start, Picoseconds interval,
     std::size_t count, DelayCode code) {

@@ -62,11 +62,6 @@ class NoiseThermometer {
   [[nodiscard]] Measurement measure_vdd(const analog::RailPair& rails,
                                         Picoseconds start, DelayCode code);
 
-  // Full transaction measuring GND-n bounce: the LOW-SENSE inverters run from
-  // the nominal supply against the noisy ground.
-  [[nodiscard]] Measurement measure_gnd(const analog::RailSource& gnd,
-                                        Picoseconds start, DelayCode code);
-
   // Iterated VDD-n measures every `interval` starting at `start`.
   [[nodiscard]] std::vector<Measurement> iterate_vdd(
       const analog::RailPair& rails, Picoseconds start, Picoseconds interval,
@@ -75,10 +70,6 @@ class NoiseThermometer {
   // Dynamic range of the HIGH-SENSE array at a code (Fig. 5's x-extent).
   [[nodiscard]] DynamicRange vdd_range(DelayCode code) const {
     return engine_.vdd_range(code);
-  }
-  // GND-n bounce range measurable at a code.
-  [[nodiscard]] DynamicRange gnd_range(DelayCode code) const {
-    return engine_.gnd_range(code);
   }
 
   // Encoder output for an arbitrary word (exposed for the scan chain).

@@ -1,8 +1,5 @@
 #include "cut/activity.h"
 
-#include <algorithm>
-#include <numeric>
-
 #include "util/error.h"
 
 namespace psnt::cut {
@@ -13,15 +10,6 @@ ActivityTrace::ActivityTrace(Picoseconds cycle, std::vector<double> factors)
   PSNT_CHECK(!factors_.empty(), "activity trace needs at least one cycle");
 }
 
-double ActivityTrace::mean_activity() const {
-  return std::accumulate(factors_.begin(), factors_.end(), 0.0) /
-         static_cast<double>(factors_.size());
-}
-
-double ActivityTrace::peak_activity() const {
-  return *std::max_element(factors_.begin(), factors_.end());
-}
-
 std::unique_ptr<psn::CurrentProfile> ActivityTrace::to_current(
     Ampere base, Ampere scale_per_unit_activity) const {
   std::vector<double> amps(factors_.size());
@@ -29,19 +17,6 @@ std::unique_ptr<psn::CurrentProfile> ActivityTrace::to_current(
     amps[i] = base.value() + scale_per_unit_activity.value() * factors_[i];
   }
   return std::make_unique<psn::TraceCurrent>(cycle_, std::move(amps));
-}
-
-ActivityTrace ActivityTrace::idle(Picoseconds cycle, std::size_t n,
-                                  double idle_level) {
-  return ActivityTrace{cycle, std::vector<double>(n, idle_level)};
-}
-
-ActivityTrace ActivityTrace::step(Picoseconds cycle, std::size_t n,
-                                  std::size_t at_cycle, double low,
-                                  double high) {
-  std::vector<double> f(n, low);
-  for (std::size_t i = std::min(at_cycle, n); i < n; ++i) f[i] = high;
-  return ActivityTrace{cycle, std::move(f)};
 }
 
 ActivityTrace ActivityTrace::burst(Picoseconds cycle, std::size_t n,
@@ -54,25 +29,6 @@ ActivityTrace ActivityTrace::burst(Picoseconds cycle, std::size_t n,
       static_cast<std::size_t>(duty * static_cast<double>(period_cycles));
   for (std::size_t i = 0; i < n; ++i) {
     if (i % period_cycles < on_cycles) f[i] = high;
-  }
-  return ActivityTrace{cycle, std::move(f)};
-}
-
-ActivityTrace ActivityTrace::random_walk(Picoseconds cycle, std::size_t n,
-                                         stats::Xoshiro256& rng, double mean,
-                                         double sigma, double correlation) {
-  PSNT_CHECK(correlation >= 0.0 && correlation < 1.0,
-             "correlation must be in [0,1)");
-  std::vector<double> f(n);
-  double level = mean;
-  // AR(1): level_{k+1} = mean + rho*(level_k - mean) + noise. The innovation
-  // variance is scaled so the stationary sigma equals `sigma`.
-  const double innovation_sigma =
-      sigma * std::sqrt(1.0 - correlation * correlation);
-  for (std::size_t i = 0; i < n; ++i) {
-    level = mean + correlation * (level - mean) +
-            rng.normal(0.0, innovation_sigma);
-    f[i] = std::clamp(level, 0.0, 1.5);
   }
   return ActivityTrace{cycle, std::move(f)};
 }

@@ -6,9 +6,8 @@
 // current scale it becomes the psn::TraceCurrent the PDN integrates.
 //
 // Generators cover the standard noise stimuli:
-//   idle / step / burst      — di/dt events (first droop)
-//   square at f_res          — resonance excitation
-//   random_walk              — broadband background activity
+//   burst                    — di/dt events (first droop); at the PDN's
+//                              resonant period, resonance excitation
 //   PipelineCut              — a small in-order 5-stage pipeline executing a
 //                              synthetic instruction mix (stalls, flushes),
 //                              the "general digital architecture" the paper
@@ -34,24 +33,15 @@ class ActivityTrace {
   [[nodiscard]] Picoseconds duration() const {
     return cycle_ * static_cast<double>(factors_.size());
   }
-  [[nodiscard]] double mean_activity() const;
-  [[nodiscard]] double peak_activity() const;
 
   // Current = base + scale * activity, piecewise constant per cycle.
   [[nodiscard]] std::unique_ptr<psn::CurrentProfile> to_current(
       Ampere base, Ampere scale_per_unit_activity) const;
 
   // --- generators -----------------------------------------------------------
-  static ActivityTrace idle(Picoseconds cycle, std::size_t n,
-                            double idle_level = 0.05);
-  static ActivityTrace step(Picoseconds cycle, std::size_t n,
-                            std::size_t at_cycle, double low, double high);
   static ActivityTrace burst(Picoseconds cycle, std::size_t n,
                              std::size_t period_cycles, double duty,
                              double low, double high);
-  static ActivityTrace random_walk(Picoseconds cycle, std::size_t n,
-                                   stats::Xoshiro256& rng, double mean,
-                                   double sigma, double correlation);
 
  private:
   Picoseconds cycle_;

@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "analog/rail.h"
 #include "core/measurement.h"
 #include "core/thermo_code.h"
 #include "psn/pdn.h"
@@ -169,25 +168,6 @@ class FaultInjector {
   std::uint64_t base_;  // seed expanded through SplitMix64
   FaultStormConfig storm_;
   std::vector<ScheduledFault> scheduled_;
-};
-
-// Standalone rail wrapper: forwards to the wrapped source plus a settable
-// offset. The engine-integrated droop hook is core::ContextOffsetRail (driven
-// through fault::FaultSession); this free-standing variant remains for
-// ad-hoc rail perturbation outside an engine context.
-class OffsetRail final : public analog::RailSource {
- public:
-  explicit OffsetRail(const analog::RailSource* inner) : inner_(inner) {}
-
-  [[nodiscard]] Volt at(Picoseconds t) const override {
-    return Volt{inner_->at(t).value() + offset_volts_};
-  }
-  void set_offset(double volts) { offset_volts_ = volts; }
-  [[nodiscard]] double offset() const { return offset_volts_; }
-
- private:
-  const analog::RailSource* inner_;
-  double offset_volts_ = 0.0;
 };
 
 // Physically-grounded droop depth for FaultStormConfig::droop_depth: solves

@@ -4,16 +4,6 @@
 
 namespace psnt::fleet {
 
-const char* to_string(PartitionStrategy strategy) {
-  switch (strategy) {
-    case PartitionStrategy::kBlocked:
-      return "blocked";
-    case PartitionStrategy::kRoundRobin:
-      return "round-robin";
-  }
-  return "unknown";
-}
-
 std::vector<std::vector<std::uint32_t>> PartitionPolicy::shard(
     std::size_t sites, std::size_t workers) const {
   PSNT_CHECK(workers > 0, "partition requires at least one worker");

@@ -23,7 +23,6 @@ enum class PartitionStrategy : std::uint8_t {
   // site % workers: evens out per-site cost skews at the price of locality.
   kRoundRobin,
 };
-[[nodiscard]] const char* to_string(PartitionStrategy strategy);
 
 struct PartitionPolicy {
   PartitionStrategy strategy = PartitionStrategy::kBlocked;

@@ -672,12 +672,6 @@ RunResult ScanGrid::run() {
   return result;
 }
 
-RailFactory ScanGrid::constant_rails(Volt v) {
-  return [v](const scan::SensorSite&, stats::Xoshiro256&) {
-    return std::make_unique<analog::ConstantRail>(v);
-  };
-}
-
 RailFactory ScanGrid::ir_gradient_rails(const scan::Floorplan& floorplan,
                                         Volt v_pad, double drop_per_um,
                                         scan::Point pad, double sigma_volts) {

@@ -234,8 +234,6 @@ class ScanGrid {
   [[nodiscard]] Picoseconds sample_time(std::size_t k) const;
 
   // --- stock rail factories -------------------------------------------
-  // Constant rail at `v` for every site.
-  [[nodiscard]] static RailFactory constant_rails(Volt v);
   // IR-drop gradient: v_pad minus drop_per_um × distance to `pad`, plus a
   // per-site N(0, sigma_volts) offset from the site's RNG stream.
   [[nodiscard]] static RailFactory ir_gradient_rails(

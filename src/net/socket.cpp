@@ -46,20 +46,6 @@ IoStatus poll_one(int fd, short events, int timeout_ms) {
 
 }  // namespace
 
-const char* to_string(IoStatus status) {
-  switch (status) {
-    case IoStatus::kOk:
-      return "ok";
-    case IoStatus::kTimeout:
-      return "timeout";
-    case IoStatus::kClosed:
-      return "closed";
-    case IoStatus::kError:
-      return "error";
-  }
-  return "unknown";
-}
-
 void Fd::reset() {
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
@@ -120,13 +106,6 @@ IoStatus recv_some(const Fd& fd, std::uint8_t* data, std::size_t size,
     if (waited == IoStatus::kError) return waited;
     // kOk / kClosed / kTimeout all loop: recv decides what the fd holds.
   }
-}
-
-IoStatus BufferedWriter::append(const std::uint8_t* data, std::size_t size) {
-  if (status_ != IoStatus::kOk) return status_;
-  buffer_.insert(buffer_.end(), data, data + size);
-  if (buffer_.size() >= flush_threshold_) return flush();
-  return IoStatus::kOk;
 }
 
 IoStatus BufferedWriter::flush() {

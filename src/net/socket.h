@@ -7,9 +7,9 @@
 // IoStatus::kTimeout or kClosed instead of a hung thread.
 //
 // BufferedWriter is the ring→socket bridge's send half: frames accumulate in
-// a user-space buffer and go to the kernel in batches, either when the
-// buffer crosses `flush_threshold` or on an explicit flush() (the Nagle-free
-// "batch while busy, flush when idle" send discipline).
+// a user-space buffer and go to the kernel in batches: the caller flushes
+// once the buffer crosses its threshold and again when it goes idle (the
+// Nagle-free "batch while busy, flush when idle" send discipline).
 #pragma once
 
 #include <cstddef>
@@ -25,7 +25,6 @@ enum class IoStatus : std::uint8_t {
   kClosed,   // orderly EOF / EPIPE / ECONNRESET — the peer is gone
   kError,    // any other errno
 };
-[[nodiscard]] const char* to_string(IoStatus status);
 
 // Owning file descriptor. Move-only; closes on destruction.
 class Fd {
@@ -75,19 +74,19 @@ class Fd {
 // thread-safe; one writer per connection.
 class BufferedWriter {
  public:
+  // `flush_threshold` is the batch size the caller flushes at; the buffer
+  // reserves it up front.
   explicit BufferedWriter(const Fd& fd, std::size_t flush_threshold = 16384,
                           int deadline_ms = 5000)
-      : fd_(fd), flush_threshold_(flush_threshold), deadline_ms_(deadline_ms) {
+      : fd_(fd), deadline_ms_(deadline_ms) {
     buffer_.reserve(flush_threshold);
   }
 
-  // Appends bytes; auto-flushes once the buffer reaches the threshold. The
-  // first failed flush latches into status() and drops further writes (the
-  // peer is gone; the caller decides what that means).
-  IoStatus append(const std::uint8_t* data, std::size_t size);
   // Direct access for FrameWriter::append_* composition.
   [[nodiscard]] std::vector<std::uint8_t>& buffer() { return buffer_; }
-  // Sends everything buffered now. No-op on an empty buffer.
+  // Sends everything buffered now. No-op on an empty buffer. The first
+  // failed flush latches into status() and drops further writes (the peer
+  // is gone; the caller decides what that means).
   IoStatus flush();
 
   [[nodiscard]] IoStatus status() const { return status_; }
@@ -96,7 +95,6 @@ class BufferedWriter {
 
  private:
   const Fd& fd_;
-  std::size_t flush_threshold_;
   int deadline_ms_;
   std::vector<std::uint8_t> buffer_;
   IoStatus status_ = IoStatus::kOk;

@@ -111,29 +111,6 @@ std::optional<WireError> check_payload_size(const Frame& frame,
 
 }  // namespace
 
-const char* to_string(FrameType type) {
-  switch (type) {
-    case FrameType::kAssign: return "assign";
-    case FrameType::kSampleSpan: return "sample_span";
-    case FrameType::kDone: return "done";
-    case FrameType::kShutdown: return "shutdown";
-  }
-  return "unknown";
-}
-
-const char* to_string(WireError error) {
-  switch (error) {
-    case WireError::kTruncated: return "truncated";
-    case WireError::kBadMagic: return "bad_magic";
-    case WireError::kBadVersion: return "bad_version";
-    case WireError::kBadType: return "bad_type";
-    case WireError::kBadLength: return "bad_length";
-    case WireError::kBadCrc: return "bad_crc";
-    case WireError::kBadPayload: return "bad_payload";
-  }
-  return "unknown";
-}
-
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
   const auto& table = crc_table();
   std::uint32_t c = 0xFFFFFFFFu;
@@ -268,12 +245,6 @@ std::optional<Frame> FrameParser::next() {
   frame.payload = payload;
   frame.payload_size = payload_len;
   return frame;
-}
-
-void FrameParser::reset() {
-  buffer_.clear();
-  consumed_ = 0;
-  error_.reset();
 }
 
 std::optional<WireError> decode_span_header(const Frame& frame,

@@ -21,8 +21,8 @@
 // Robustness contract (tests/test_wire_format.cpp): truncated input, flipped
 // bits (CRC), unknown versions, oversized lengths and arbitrary garbage all
 // surface as a clean WireError — never a crash, never a silently corrupted
-// sample. A parser that has reported an error stays in the error state until
-// reset(): stream framing has no resync point by design (the transports
+// sample. A parser that has reported an error stays in the error state for
+// good: stream framing has no resync point by design (the transports
 // below it are reliable byte streams; a framing error means the peer is
 // broken, and the connection-level remedy — drop + quarantine — belongs to
 // the resilience layer, not here).
@@ -53,7 +53,6 @@ enum class FrameType : std::uint8_t {
   kDone = 4,        // worker → aggregator: assignment complete
   kShutdown = 6,    // coordinator → worker: exit cleanly
 };
-[[nodiscard]] const char* to_string(FrameType type);
 
 // Why a decode failed. kTruncated is also the benign "need more bytes"
 // parser state — a connection that dies mid-frame ends in kTruncated, which
@@ -68,7 +67,6 @@ enum class WireError : std::uint8_t {
   kBadCrc,          // payload checksum mismatch (bit rot / garbage)
   kBadPayload,      // CRC-clean payload violates the record layout
 };
-[[nodiscard]] const char* to_string(WireError error);
 
 // Frame header layout (16 bytes on the wire):
 //   u32 magic | u8 version | u8 type | u16 reserved | u32 payload_len
@@ -150,7 +148,7 @@ class FrameWriter {
 // --- frame parser ---------------------------------------------------------
 
 // One parsed frame: type plus a view of the payload bytes inside the
-// parser's buffer. Valid until the next next()/feed()/reset() call.
+// parser's buffer. Valid until the next next()/feed() call.
 struct Frame {
   FrameType type = FrameType::kSampleSpan;
   const std::uint8_t* payload = nullptr;
@@ -175,7 +173,6 @@ class FrameParser {
   [[nodiscard]] std::size_t bytes_pending() const {
     return buffer_.size() - consumed_;
   }
-  void reset();
 
  private:
   std::vector<std::uint8_t> buffer_;

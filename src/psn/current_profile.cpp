@@ -48,15 +48,4 @@ Ampere TraceCurrent::at(Picoseconds t) const {
   return Ampere{amps_[idx]};
 }
 
-void CompositeCurrent::add(std::unique_ptr<CurrentProfile> profile) {
-  PSNT_CHECK(profile != nullptr, "null sub-profile");
-  parts_.push_back(std::move(profile));
-}
-
-Ampere CompositeCurrent::at(Picoseconds t) const {
-  double total = 0.0;
-  for (const auto& p : parts_) total += p->at(t).value();
-  return Ampere{total};
-}
-
 }  // namespace psnt::psn

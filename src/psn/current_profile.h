@@ -1,12 +1,9 @@
 // Load-current profiles: what the CUT draws from the power grid.
 //
-// The PDN solver integrates di/dt against these. Profiles compose (sum), so
-// a workload is typically baseline leakage + clock-tree sawtooth + activity
-// bursts.
+// The PDN solver integrates di/dt against these: steps and square waves for
+// the droop and resonance stimuli, per-cycle traces for CUT activity.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "stats/rng.h"
@@ -71,28 +68,6 @@ class TraceCurrent final : public CurrentProfile {
  private:
   Picoseconds cycle_;
   std::vector<double> amps_;
-};
-
-// Sum of owned sub-profiles.
-class CompositeCurrent final : public CurrentProfile {
- public:
-  void add(std::unique_ptr<CurrentProfile> profile);
-  [[nodiscard]] Ampere at(Picoseconds t) const override;
-  [[nodiscard]] std::size_t parts() const { return parts_.size(); }
-
- private:
-  std::vector<std::unique_ptr<CurrentProfile>> parts_;
-};
-
-// Arbitrary function profile, handy in tests.
-class CallbackCurrent final : public CurrentProfile {
- public:
-  using Fn = std::function<Ampere(Picoseconds)>;
-  explicit CallbackCurrent(Fn fn) : fn_(std::move(fn)) {}
-  [[nodiscard]] Ampere at(Picoseconds t) const override { return fn_(t); }
-
- private:
-  Fn fn_;
 };
 
 }  // namespace psnt::psn

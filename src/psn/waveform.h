@@ -41,8 +41,6 @@ class Waveform {
 
   // Pointwise transformation.
   [[nodiscard]] Waveform map(const std::function<double(double)>& f) const;
-  // Pointwise sum; both waveforms must share start/period/size.
-  [[nodiscard]] Waveform add(const Waveform& other) const;
 
   // Renders to a rail source the simulator can sample.
   [[nodiscard]] analog::SampledRail to_rail() const;
@@ -50,21 +48,6 @@ class Waveform {
   // --- constructors for synthetic shapes -----------------------------------
   static Waveform constant(Picoseconds start, Picoseconds period,
                            std::size_t n, double value);
-  // value(t) = offset + amplitude * sin(2*pi*freq_ghz*t_ns + phase)
-  static Waveform sine(Picoseconds start, Picoseconds period, std::size_t n,
-                       double offset, double amplitude, double freq_ghz,
-                       double phase_rad = 0.0);
-  // Damped sinusoid starting at t_event: the canonical "first droop" shape.
-  // value(t<t_event) = offset; afterwards
-  // offset - depth * exp(-(t-t_event)/decay) * sin(2*pi*f*(t-t_event))
-  // (normalised so the first trough depth is ~`depth`).
-  static Waveform damped_droop(Picoseconds start, Picoseconds period,
-                               std::size_t n, double offset, double depth,
-                               double freq_ghz, Picoseconds decay,
-                               Picoseconds t_event);
-  static Waveform from_function(Picoseconds start, Picoseconds period,
-                                std::size_t n,
-                                const std::function<double(Picoseconds)>& f);
 
  private:
   Picoseconds start_;

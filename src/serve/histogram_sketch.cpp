@@ -47,7 +47,6 @@ HistogramSketch& HistogramSketch::operator=(const HistogramSketch& other) {
   last_bucket_ = other.last_bucket_;
   count_ = other.count_;
   zero_count_ = other.zero_count_;
-  sum_ = other.sum_;
   min_ = other.min_;
   max_ = other.max_;
   return *this;
@@ -73,7 +72,6 @@ void HistogramSketch::add(double v) {
     max_ = std::max(max_, v);
   }
   ++count_;
-  sum_ += v;
   if (v <= 0.0) {
     ++zero_count_;
     return;
@@ -100,7 +98,6 @@ void HistogramSketch::merge(const HistogramSketch& other) {
   }
   count_ += other.count_;
   zero_count_ += other.zero_count_;
-  sum_ += other.sum_;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }
@@ -117,21 +114,8 @@ void HistogramSketch::reset() {
   hi_ = 0;
   count_ = 0;
   zero_count_ = 0;
-  sum_ = 0.0;
   min_ = 0.0;
   max_ = 0.0;
-}
-
-double HistogramSketch::mean() const {
-  return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-double HistogramSketch::min() const { return count_ ? min_ : 0.0; }
-double HistogramSketch::max() const { return count_ ? max_ : 0.0; }
-
-double HistogramSketch::max_trackable() const {
-  return config_.min_value *
-         std::pow(gamma_, static_cast<double>(buckets_.size()) - 1.0);
 }
 
 double HistogramSketch::bucket_estimate(std::size_t i) const {

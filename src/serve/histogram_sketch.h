@@ -6,10 +6,10 @@
 // (min_value·gamma^(i-1), min_value·gamma^i], so reporting the bucket's
 // harmonic midpoint min_value·gamma^i·2/(1+gamma) answers any quantile with
 // relative error ≤ alpha for values inside the trackable range
-// [min_value, max_trackable()]. Values below clamp into bucket 0, values
-// above into the last bucket, and non-positive values land in a dedicated
-// zero bucket — the sketch never grows, never allocates after construction,
-// and never loses a count.
+// [min_value, min_value·gamma^(bucket_count-1)]. Values below clamp into
+// bucket 0, values above into the last bucket, and non-positive values land
+// in a dedicated zero bucket — the sketch never grows, never allocates after
+// construction, and never loses a count.
 //
 // Two sketches with the same SketchConfig merge by bucket-wise addition,
 // which is exact: merge(a, b) holds the identical counts to a sketch that
@@ -67,19 +67,12 @@ class HistogramSketch {
   [[nodiscard]] const SketchConfig& config() const { return config_; }
   [[nodiscard]] std::uint64_t count() const { return count_; }
   [[nodiscard]] std::uint64_t zero_count() const { return zero_count_; }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double mean() const;
-  // Observed extremes (exact, not bucketed); 0 when empty.
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
 
   // Quantile estimate, q in [0, 1]; 0 when empty. Relative error ≤ alpha
-  // for values within [min_value, max_trackable()]; estimates are clamped
-  // to the observed [min, max] so edge quantiles stay sane.
+  // for values within the trackable range; estimates are clamped to the
+  // observed [min, max] so edge quantiles stay sane.
   [[nodiscard]] double quantile(double q) const;
 
-  // Largest value bucketed without clamping: min_value·gamma^(buckets-1).
-  [[nodiscard]] double max_trackable() const;
   // Harmonic midpoint reported for bucket i.
   [[nodiscard]] double bucket_estimate(std::size_t i) const;
   [[nodiscard]] std::size_t bucket_index(double v) const;
@@ -102,7 +95,7 @@ class HistogramSketch {
   std::size_t last_bucket_ = 0;
   std::uint64_t count_ = 0;
   std::uint64_t zero_count_ = 0;  // non-positive values
-  double sum_ = 0.0;
+  // Observed extremes (exact, not bucketed): quantile()'s clamp.
   double min_ = 0.0;
   double max_ = 0.0;
 };

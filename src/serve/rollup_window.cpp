@@ -57,18 +57,4 @@ void WindowRing::add(Picoseconds t, double v) {
   slot.sketch.add(v);
 }
 
-std::vector<const WindowSlot*> WindowRing::last(std::size_t n) const {
-  std::vector<const WindowSlot*> out;
-  if (empty() || n == 0) return out;
-  n = std::min(n, slots_.size());
-  out.reserve(n);
-  for (std::size_t back = 0; back < n; ++back) {
-    if (back > latest_epoch_) break;  // epochs start at 0
-    const std::uint64_t e = latest_epoch_ - back;
-    const WindowSlot& slot = slots_[e % slots_.size()];
-    if (slot.epoch == e && slot.stats.count() > 0) out.push_back(&slot);
-  }
-  return out;
-}
-
 }  // namespace psnt::serve

@@ -6,8 +6,8 @@
 // from its slot's resets that slot first — rotation is lazy, paid only by
 // the sample that opens a new window, so a ring never needs a timer thread.
 // Gaps in time larger than the ring simply leave stale slots behind; queries
-// filter them by epoch (last() only returns slots whose epoch falls inside
-// the requested span), and samples older than the retention horizon
+// filter them by epoch (QueryEngine reads only slots whose epoch falls
+// inside the requested span), and samples older than the retention horizon
 // (latest_epoch − windows) are dropped and counted, never silently merged
 // into the wrong window.
 //
@@ -62,7 +62,6 @@ class WindowRing {
 
   [[nodiscard]] std::uint64_t epoch_of(Picoseconds t) const;
   [[nodiscard]] std::uint64_t latest_epoch() const { return latest_epoch_; }
-  [[nodiscard]] bool empty() const { return latest_epoch_ == WindowSlot::kNoEpoch; }
   [[nodiscard]] std::uint64_t late_drops() const { return late_drops_; }
 
   [[nodiscard]] const WindowConfig& config() const { return config_; }
@@ -71,11 +70,6 @@ class WindowRing {
     return slots_[i];
   }
   [[nodiscard]] const std::vector<WindowSlot>& slots() const { return slots_; }
-
-  // The live slots covering the `n` most recent epochs
-  // (latest_epoch − n, latest_epoch], newest first. Stale and empty slots
-  // are skipped, so the result may hold fewer than n entries.
-  [[nodiscard]] std::vector<const WindowSlot*> last(std::size_t n) const;
 
  private:
   WindowConfig config_;

@@ -84,13 +84,6 @@ void TopKDroop::update(std::uint32_t site, double droop) {
   sift_down(0);
 }
 
-std::vector<TopKDroop::Entry> TopKDroop::top() const {
-  std::vector<Entry> out;
-  out.reserve(heap_.size());
-  top_into(out);
-  return out;
-}
-
 void TopKDroop::top_into(std::vector<Entry>& out) const {
   out.clear();
   for (const std::uint32_t site : heap_) {
@@ -100,13 +93,6 @@ void TopKDroop::top_into(std::vector<Entry>& out) const {
     if (a.droop != b.droop) return a.droop > b.droop;
     return a.site < b.site;
   });
-}
-
-void TopKDroop::reset() {
-  std::fill(worst_.begin(), worst_.end(),
-            -std::numeric_limits<double>::infinity());
-  std::fill(pos_.begin(), pos_.end(), kAbsent);
-  heap_.clear();
 }
 
 }  // namespace psnt::serve

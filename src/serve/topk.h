@@ -8,8 +8,8 @@
 // beating the current K-th worst, and per-site worsts are tracked exactly in
 // a flat array sized by the (known, fixed) site count.
 //
-// Single writer; copy the tracker (or call top()) to read. The store
-// publishes top() into its immutable snapshots.
+// Single writer; copy the tracker (or call top_into()) to read. The store
+// publishes top_into() into its immutable snapshots.
 #pragma once
 
 #include <cstddef>
@@ -31,10 +31,9 @@ class TopKDroop {
   // negative (overshoot) — they simply never displace a worse site.
   void update(std::uint32_t site, double droop);
 
-  // The up-to-K worst sites, droop descending (ties: lower site id first).
-  [[nodiscard]] std::vector<Entry> top() const;
-  // Same, written into `out` (reuses its capacity: allocation-free once
-  // `out` has held K entries).
+  // The up-to-K worst sites, droop descending (ties: lower site id first),
+  // written into `out` (reuses its capacity: allocation-free once `out` has
+  // held K entries).
   void top_into(std::vector<Entry>& out) const;
 
   [[nodiscard]] std::size_t k() const { return k_; }
@@ -43,8 +42,6 @@ class TopKDroop {
   [[nodiscard]] double worst(std::uint32_t site) const {
     return worst_[site];
   }
-
-  void reset();
 
  private:
   static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);

@@ -4,23 +4,16 @@ namespace psnt::sim {
 
 DelayLine::DelayLine(Simulator& sim, std::string name, Net& in,
                      std::vector<Picoseconds> stage_delays)
-    : Component(sim, name), stage_delays_(std::move(stage_delays)) {
-  PSNT_CHECK(!stage_delays_.empty(), "delay line needs at least one stage");
+    : Component(sim, name) {
+  PSNT_CHECK(!stage_delays.empty(), "delay line needs at least one stage");
   Net* prev = &in;
-  for (std::size_t k = 0; k < stage_delays_.size(); ++k) {
+  for (std::size_t k = 0; k < stage_delays.size(); ++k) {
     Net& tap_net = sim.net(name + ".t" + std::to_string(k));
     sim.add<BufGate>(name + ".dly" + std::to_string(k), *prev, tap_net,
-                     stage_delays_[k]);
+                     stage_delays[k]);
     taps_.push_back(&tap_net);
     prev = &tap_net;
   }
-}
-
-Picoseconds DelayLine::cumulative_delay(std::size_t k) const {
-  PSNT_CHECK(k < stage_delays_.size(), "tap index out of range");
-  Picoseconds total{0.0};
-  for (std::size_t i = 0; i <= k; ++i) total += stage_delays_[i];
-  return total;
 }
 
 }  // namespace psnt::sim

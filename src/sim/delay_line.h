@@ -23,11 +23,9 @@ class DelayLine : public Component {
 
   [[nodiscard]] std::size_t stages() const { return taps_.size(); }
   [[nodiscard]] Net& tap(std::size_t k) { return *taps_.at(k); }
-  [[nodiscard]] Picoseconds cumulative_delay(std::size_t k) const;
 
  private:
   std::vector<Net*> taps_;
-  std::vector<Picoseconds> stage_delays_;
 };
 
 }  // namespace psnt::sim

@@ -29,8 +29,6 @@ void CombGate::on_input_change() {
   output_.schedule_level(sim_.scheduler(), delay_, eval_(scratch_));
 }
 
-void CombGate::settle_initial() { on_input_change(); }
-
 InvGate::InvGate(Simulator& sim, std::string name, Net& a, Net& y,
                  Picoseconds delay)
     : CombGate(sim, std::move(name), {&a}, y, delay,
@@ -40,20 +38,6 @@ BufGate::BufGate(Simulator& sim, std::string name, Net& a, Net& y,
                  Picoseconds delay)
     : CombGate(sim, std::move(name), {&a}, y, delay,
                [](const std::vector<Logic>& v) { return normalize(v[0]); }) {}
-
-Nand2Gate::Nand2Gate(Simulator& sim, std::string name, Net& a, Net& b, Net& y,
-                     Picoseconds delay)
-    : CombGate(sim, std::move(name), {&a, &b}, y, delay,
-               [](const std::vector<Logic>& v) {
-                 return logic_not(logic_and(v[0], v[1]));
-               }) {}
-
-Nor2Gate::Nor2Gate(Simulator& sim, std::string name, Net& a, Net& b, Net& y,
-                   Picoseconds delay)
-    : CombGate(sim, std::move(name), {&a, &b}, y, delay,
-               [](const std::vector<Logic>& v) {
-                 return logic_not(logic_or(v[0], v[1]));
-               }) {}
 
 And2Gate::And2Gate(Simulator& sim, std::string name, Net& a, Net& b, Net& y,
                    Picoseconds delay)
@@ -67,13 +51,6 @@ Or2Gate::Or2Gate(Simulator& sim, std::string name, Net& a, Net& b, Net& y,
     : CombGate(sim, std::move(name), {&a, &b}, y, delay,
                [](const std::vector<Logic>& v) {
                  return logic_or(v[0], v[1]);
-               }) {}
-
-Xor2Gate::Xor2Gate(Simulator& sim, std::string name, Net& a, Net& b, Net& y,
-                   Picoseconds delay)
-    : CombGate(sim, std::move(name), {&a, &b}, y, delay,
-               [](const std::vector<Logic>& v) {
-                 return logic_xor(v[0], v[1]);
                }) {}
 
 Mux2Gate::Mux2Gate(Simulator& sim, std::string name, Net& a, Net& b, Net& sel,

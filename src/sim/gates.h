@@ -27,9 +27,6 @@ class CombGate : public Component {
   [[nodiscard]] Picoseconds delay() const { return to_ps(delay_); }
   [[nodiscard]] Net& output() { return output_; }
 
-  // Re-evaluates immediately (used at elaboration to settle initial values).
-  void settle_initial();
-
  private:
   void on_input_change();
 
@@ -52,18 +49,6 @@ class BufGate : public CombGate {
   BufGate(Simulator& sim, std::string name, Net& a, Net& y, Picoseconds delay);
 };
 
-class Nand2Gate : public CombGate {
- public:
-  Nand2Gate(Simulator& sim, std::string name, Net& a, Net& b, Net& y,
-            Picoseconds delay);
-};
-
-class Nor2Gate : public CombGate {
- public:
-  Nor2Gate(Simulator& sim, std::string name, Net& a, Net& b, Net& y,
-           Picoseconds delay);
-};
-
 class And2Gate : public CombGate {
  public:
   And2Gate(Simulator& sim, std::string name, Net& a, Net& b, Net& y,
@@ -74,12 +59,6 @@ class Or2Gate : public CombGate {
  public:
   Or2Gate(Simulator& sim, std::string name, Net& a, Net& b, Net& y,
           Picoseconds delay);
-};
-
-class Xor2Gate : public CombGate {
- public:
-  Xor2Gate(Simulator& sim, std::string name, Net& a, Net& b, Net& y,
-           Picoseconds delay);
 };
 
 // Y = sel ? b : a

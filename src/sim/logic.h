@@ -61,13 +61,6 @@ enum class Logic : std::uint8_t { L0 = 0, L1 = 1, X = 2, Z = 3 };
   return Logic::X;
 }
 
-[[nodiscard]] constexpr Logic logic_xor(Logic a, Logic b) {
-  a = normalize(a);
-  b = normalize(b);
-  if (!is_known(a) || !is_known(b)) return Logic::X;
-  return from_bool(a != b);
-}
-
 // 2:1 mux; select X yields X unless both data inputs agree.
 [[nodiscard]] constexpr Logic logic_mux(Logic a, Logic b, Logic sel) {
   sel = normalize(sel);

@@ -38,22 +38,4 @@ std::optional<Picoseconds> TransitionRecorder::first_fall_after(
   return std::nullopt;
 }
 
-void drive_clock(Simulator& sim, Net& net, Picoseconds phase,
-                 Picoseconds period, std::size_t cycles) {
-  PSNT_CHECK(period.value() > 0.0, "clock period must be positive");
-  for (std::size_t k = 0; k < cycles; ++k) {
-    const Picoseconds rise = phase + period * static_cast<double>(k);
-    const Picoseconds fall = rise + period * 0.5;
-    sim.drive(net, rise, Logic::L1);
-    sim.drive(net, fall, Logic::L0);
-  }
-}
-
-void drive_pulse(Simulator& sim, Net& net, Picoseconds t_start,
-                 Picoseconds t_end, Logic active, Logic idle) {
-  PSNT_CHECK(t_end.value() > t_start.value(), "pulse must have positive width");
-  sim.drive(net, t_start, active);
-  sim.drive(net, t_end, idle);
-}
-
 }  // namespace psnt::sim

@@ -38,14 +38,4 @@ class TransitionRecorder {
   std::vector<Transition> transitions_;
 };
 
-// Drives a periodic clock on a net: rising edges at phase + k*period, 50%
-// duty, for `cycles` cycles.
-void drive_clock(Simulator& sim, Net& net, Picoseconds phase,
-                 Picoseconds period, std::size_t cycles);
-
-// Drives a square pulse: net goes to `active` at t_start and back at t_end.
-void drive_pulse(Simulator& sim, Net& net, Picoseconds t_start,
-                 Picoseconds t_end, Logic active = Logic::L1,
-                 Logic idle = Logic::L0);
-
 }  // namespace psnt::sim

@@ -154,25 +154,6 @@ void Scheduler::schedule_at(SimTime t, Action action) {
   insert(n);
 }
 
-void Scheduler::schedule_after(SimTime delay, Action action) {
-  PSNT_CHECK(delay >= 0, "negative event delay");
-  schedule_at(now_ + delay, std::move(action));
-}
-
-bool Scheduler::step() {
-  Node* n = peek_min();
-  if (n == nullptr) return false;
-  detach_min(n);
-  now_ = n->time;
-  ++executed_;
-  // Move the closure out and recycle the node before invoking: the action
-  // may itself schedule (and thus reuse) nodes.
-  Action action = std::move(n->action);
-  free_node(n);
-  action();
-  return true;
-}
-
 void Scheduler::run_until(SimTime t_end) {
   for (;;) {
     Node* n = peek_min();
@@ -185,11 +166,6 @@ void Scheduler::run_until(SimTime t_end) {
     action();
   }
   if (now_ < t_end) now_ = t_end;
-}
-
-void Scheduler::run_all() {
-  while (step()) {
-  }
 }
 
 }  // namespace psnt::sim

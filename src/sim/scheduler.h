@@ -62,9 +62,6 @@ class Scheduler {
   // Schedules `action` at absolute time `t` (>= now).
   void schedule_at(SimTime t, Action action);
 
-  // Schedules `action` `delay` after now.
-  void schedule_after(SimTime delay, Action action);
-
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] bool empty() const {
     return wheel_count_ == 0 && overflow_.empty();
@@ -98,12 +95,6 @@ class Scheduler {
   // at t_end when t_end is beyond the last event. Events exactly at t_end
   // execute.
   void run_until(SimTime t_end);
-
-  // Runs to quiescence.
-  void run_all();
-
-  // Executes the single next event (if any); returns whether one ran.
-  bool step();
 
  private:
   struct Node {

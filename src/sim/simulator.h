@@ -70,7 +70,6 @@ class Simulator {
   void drive(Net& net, Picoseconds at, Logic v);
 
   void run_until(Picoseconds t) { scheduler_.run_until(from_ps(t)); }
-  void run_all() { scheduler_.run_all(); }
 
   // Instrumentation gate. Components that keep per-event debug logs (DFF edge
   // history, sense-inverter transition traces) consult this at construction

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <queue>
-#include <sstream>
 
 #include "util/error.h"
 
@@ -12,13 +11,6 @@ namespace psnt::sta {
 
 namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-}
-
-std::string CriticalPath::to_string() const {
-  std::ostringstream os;
-  os << arrival.value() << " ps:";
-  for (const auto& n : nodes) os << " -> " << n;
-  return os.str();
 }
 
 NodeId TimingGraph::add_node(std::string name) {

@@ -20,8 +20,6 @@ using NodeId = std::uint32_t;
 struct CriticalPath {
   Picoseconds arrival{0.0};  // includes source launch and sink setup
   std::vector<std::string> nodes;
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 class TimingGraph {

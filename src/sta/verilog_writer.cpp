@@ -2,7 +2,6 @@
 
 #include <ostream>
 #include <set>
-#include <sstream>
 
 #include "util/error.h"
 
@@ -86,13 +85,6 @@ void write_verilog(std::ostream& os, const ControlNetlist& netlist,
     os << ".Y(" << vname(g.output) << "));\n";
   }
   os << "endmodule\n";
-}
-
-std::string verilog_string(const ControlNetlist& netlist,
-                           const VerilogOptions& options) {
-  std::ostringstream os;
-  write_verilog(os, netlist, options);
-  return os.str();
 }
 
 }  // namespace psnt::sta

@@ -23,7 +23,4 @@ struct VerilogOptions {
 void write_verilog(std::ostream& os, const ControlNetlist& netlist,
                    const VerilogOptions& options = {});
 
-[[nodiscard]] std::string verilog_string(const ControlNetlist& netlist,
-                                         const VerilogOptions& options = {});
-
 }  // namespace psnt::sta

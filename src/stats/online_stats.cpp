@@ -1,7 +1,6 @@
 #include "stats/online_stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace psnt::stats {
 
@@ -9,17 +8,9 @@ void OnlineStats::add(double x) {
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
 }
-
-double OnlineStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 void OnlineStats::merge(const OnlineStats& other) {
   if (other.n_ == 0) return;
@@ -32,7 +23,6 @@ void OnlineStats::merge(const OnlineStats& other) {
   const auto n2 = static_cast<double>(other.n_);
   const double n = n1 + n2;
   mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
   n_ += other.n_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);

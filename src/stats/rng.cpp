@@ -36,15 +36,6 @@ double Xoshiro256::uniform(double lo, double hi) {
   return lo + (hi - lo) * uniform01();
 }
 
-std::uint64_t Xoshiro256::uniform_index(std::uint64_t n) {
-  if (n == 0) return 0;
-  // Rejection sampling to remove modulo bias.
-  const std::uint64_t limit = max() - max() % n;
-  std::uint64_t x = next();
-  while (x >= limit) x = next();
-  return x % n;
-}
-
 double Xoshiro256::normal() {
   if (has_cached_normal_) {
     has_cached_normal_ = false;
@@ -65,27 +56,5 @@ double Xoshiro256::normal(double mean, double stddev) {
 }
 
 bool Xoshiro256::bernoulli(double p_true) { return uniform01() < p_true; }
-
-void Xoshiro256::jump() {
-  static constexpr std::uint64_t kJump[] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::array<std::uint64_t, 4> t{};
-  for (std::uint64_t jump_word : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump_word & (1ULL << b)) {
-        for (int i = 0; i < 4; ++i) t[static_cast<std::size_t>(i)] ^= s_[static_cast<std::size_t>(i)];
-      }
-      next();
-    }
-  }
-  s_ = t;
-}
-
-Xoshiro256 Xoshiro256::fork() {
-  Xoshiro256 child(next() ^ 0x9e3779b97f4a7c15ULL);
-  child.jump();
-  return child;
-}
 
 }  // namespace psnt::stats

@@ -30,15 +30,9 @@ class SplitMix64 {
 // Xoshiro256** by Blackman & Vigna — fast, high quality, 2^256-1 period.
 class Xoshiro256 {
  public:
-  using result_type = std::uint64_t;
-
   explicit Xoshiro256(std::uint64_t seed = 0x5eed5eed5eedULL);
 
-  [[nodiscard]] static constexpr result_type min() { return 0; }
-  [[nodiscard]] static constexpr result_type max() { return ~0ULL; }
-
-  result_type operator()() { return next(); }
-  result_type next();
+  std::uint64_t next();
 
   // Uniform double in [0, 1).
   double uniform01();
@@ -46,21 +40,12 @@ class Xoshiro256 {
   // Uniform double in [lo, hi).
   double uniform(double lo, double hi);
 
-  // Uniform integer in [0, n).
-  std::uint64_t uniform_index(std::uint64_t n);
-
   // Standard normal via Box–Muller (cached second variate).
   double normal();
   double normal(double mean, double stddev);
 
   // Bernoulli draw.
   bool bernoulli(double p_true);
-
-  // Jump function: advances 2^128 steps, for carving independent substreams.
-  void jump();
-
-  // Derives an independent child stream (seed mix + jump).
-  [[nodiscard]] Xoshiro256 fork();
 
  private:
   std::array<std::uint64_t, 4> s_{};

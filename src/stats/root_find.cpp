@@ -4,29 +4,6 @@
 
 namespace psnt::stats {
 
-std::optional<double> bisect(const std::function<double(double)>& f, double lo,
-                             double hi, RootOptions options) {
-  if (!(lo < hi)) return std::nullopt;
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (flo == 0.0) return lo;
-  if (fhi == 0.0) return hi;
-  if (flo * fhi > 0.0) return std::nullopt;
-
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    const double fmid = f(mid);
-    if (fmid == 0.0 || hi - lo < options.x_tolerance) return mid;
-    if (flo * fmid < 0.0) {
-      hi = mid;
-    } else {
-      lo = mid;
-      flo = fmid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
 std::optional<double> brent(const std::function<double(double)>& f, double lo,
                             double hi, RootOptions options) {
   double a = lo;

@@ -1,4 +1,4 @@
-// Scalar root finding (bisection and Brent's method).
+// Scalar root finding (Brent's method).
 //
 // Used to invert the analog models: given a cell's available timing window,
 // solve for the supply voltage at which the inverter delay exactly consumes
@@ -16,14 +16,9 @@ struct RootOptions {
   int max_iterations = 200;
 };
 
-// Root of f in [lo, hi]; requires f(lo) and f(hi) to have opposite signs
-// (or either to be exactly zero). Returns nullopt if the bracket is invalid
-// or convergence fails.
-[[nodiscard]] std::optional<double> bisect(
-    const std::function<double(double)>& f, double lo, double hi,
-    RootOptions options = {});
-
-// Brent's method: bisection safety with inverse-quadratic speed.
+// Root of f in [lo, hi] by Brent's method (bisection safety with
+// inverse-quadratic speed); requires f(lo) and f(hi) to have opposite signs
+// (or either to be exactly zero). Returns nullopt if the bracket is invalid.
 [[nodiscard]] std::optional<double> brent(
     const std::function<double(double)>& f, double lo, double hi,
     RootOptions options = {});

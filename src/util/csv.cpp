@@ -78,10 +78,4 @@ void CsvTable::write_pretty(std::ostream& os) const {
   for (const auto& row : rows_) emit_row(row);
 }
 
-std::string CsvTable::to_csv_string() const {
-  std::ostringstream os;
-  write_csv(os);
-  return os.str();
-}
-
 }  // namespace psnt::util

@@ -41,8 +41,6 @@ class CsvTable {
   // Writes an aligned fixed-width table for human-readable bench logs.
   void write_pretty(std::ostream& os) const;
 
-  [[nodiscard]] std::string to_csv_string() const;
-
  private:
   static std::string escape(const std::string& cell);
 

@@ -1,87 +1,13 @@
-// Minimal error-handling vocabulary for the library.
+// Precondition checks for the library.
 //
-// The simulator and control paths are exception-free on the hot path; fallible
-// construction/configuration returns Expected<T>. Logic errors (violated
-// preconditions inside the library itself) use PSNT_CHECK which throws.
+// Logic errors (violated preconditions inside the library itself) use
+// PSNT_CHECK, which throws std::logic_error in every build type.
 #pragma once
 
 #include <stdexcept>
 #include <string>
-#include <utility>
-#include <variant>
 
 namespace psnt::util {
-
-enum class ErrorCode {
-  kInvalidArgument,
-  kOutOfRange,
-  kFailedPrecondition,
-  kNotFound,
-  kAlreadyExists,
-  kUnavailable,
-  kInternal,
-};
-
-[[nodiscard]] std::string_view to_string(ErrorCode code);
-
-struct Error {
-  ErrorCode code = ErrorCode::kInternal;
-  std::string message;
-
-  [[nodiscard]] std::string to_string() const;
-};
-
-[[nodiscard]] inline Error invalid_argument(std::string msg) {
-  return Error{ErrorCode::kInvalidArgument, std::move(msg)};
-}
-[[nodiscard]] inline Error out_of_range(std::string msg) {
-  return Error{ErrorCode::kOutOfRange, std::move(msg)};
-}
-[[nodiscard]] inline Error failed_precondition(std::string msg) {
-  return Error{ErrorCode::kFailedPrecondition, std::move(msg)};
-}
-[[nodiscard]] inline Error not_found(std::string msg) {
-  return Error{ErrorCode::kNotFound, std::move(msg)};
-}
-[[nodiscard]] inline Error internal_error(std::string msg) {
-  return Error{ErrorCode::kInternal, std::move(msg)};
-}
-
-// A tiny expected<T, Error>: enough for configuration-time plumbing without
-// pulling in external dependencies. Accessing value() on an error throws.
-template <typename T>
-class Expected {
- public:
-  Expected(T value) : storage_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
-  Expected(Error error) : storage_(std::move(error)) {}  // NOLINT(google-explicit-constructor)
-
-  [[nodiscard]] bool ok() const { return std::holds_alternative<T>(storage_); }
-  explicit operator bool() const { return ok(); }
-
-  [[nodiscard]] const T& value() const& {
-    if (!ok()) throw std::runtime_error("Expected: " + error().to_string());
-    return std::get<T>(storage_);
-  }
-  [[nodiscard]] T& value() & {
-    if (!ok()) throw std::runtime_error("Expected: " + error().to_string());
-    return std::get<T>(storage_);
-  }
-  [[nodiscard]] T&& value() && {
-    if (!ok()) throw std::runtime_error("Expected: " + error().to_string());
-    return std::get<T>(std::move(storage_));
-  }
-
-  [[nodiscard]] const Error& error() const {
-    return std::get<Error>(storage_);
-  }
-
-  [[nodiscard]] T value_or(T fallback) const {
-    return ok() ? std::get<T>(storage_) : std::move(fallback);
-  }
-
- private:
-  std::variant<T, Error> storage_;
-};
 
 // Precondition check that survives NDEBUG builds: model invariants here are
 // correctness-critical (a negative capacitance would silently corrupt every

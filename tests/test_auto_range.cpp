@@ -85,16 +85,6 @@ TEST(AutoRange, HighEdgeStreakStepsDown) {
   EXPECT_EQ(ctrl.observe(reading_of(6), 7), DelayCode{2});
 }
 
-TEST(AutoRange, ResetRestoresInitialState) {
-  AutoRangeController ctrl;
-  (void)ctrl.observe(reading_of(0), 7);
-  (void)ctrl.observe(reading_of(0), 7);
-  EXPECT_EQ(ctrl.code(), DelayCode{5});
-  ctrl.reset();
-  EXPECT_EQ(ctrl.code(), DelayCode{3});
-  EXPECT_EQ(ctrl.steps_taken(), 0u);
-}
-
 TEST(AutoRange, ChasesADriftingRailBackIntoRange) {
   // Closed loop against the real thermometer: the rail sits at 1.15 V,
   // far above the code-011 window; the controller must walk the code down

@@ -78,16 +78,6 @@ TEST(CellLibrary, DffIsSequentialWithPlausibleTiming) {
             dff.seq->t_setup.value());
 }
 
-TEST(CellLibrary, ArcLookupByPin) {
-  const auto& lib = default_90nm_library();
-  const Cell& nand = lib.at("NAND2_X1");
-  EXPECT_NE(nand.find_arc("A", "Y"), nullptr);
-  EXPECT_NE(nand.find_arc("B", "Y"), nullptr);
-  EXPECT_EQ(nand.find_arc("C", "Y"), nullptr);
-  EXPECT_TRUE(nand.find_arc("A", "Y")->inverting);
-  EXPECT_FALSE(lib.at("BUF_X1").find_arc("A", "Y")->inverting);
-}
-
 TEST(CellLibrary, VoltageDerateIsOneAtNominal) {
   const auto& lib = default_90nm_library();
   EXPECT_NEAR(lib.voltage_derate(lib.nominal_voltage()), 1.0, 1e-12);

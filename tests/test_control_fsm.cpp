@@ -128,27 +128,6 @@ TEST(ControlFsm, ContinuousStopsWhenEnableDrops) {
   EXPECT_EQ(fsm.state(), FsmState::kIdle);
 }
 
-TEST(ControlFsm, ResetClearsProgress) {
-  ControlFsm fsm;
-  fsm.step(FsmInputs{});
-  for (int i = 0; i < 6; ++i) fsm.step(enabled());
-  EXPECT_EQ(fsm.completed_measures(), 1u);
-  fsm.reset();
-  EXPECT_EQ(fsm.state(), FsmState::kReset);
-  EXPECT_EQ(fsm.completed_measures(), 0u);
-}
-
-TEST(ControlFsm, StateNames) {
-  EXPECT_EQ(to_string(FsmState::kReset), "RESET");
-  EXPECT_EQ(to_string(FsmState::kIdle), "IDLE");
-  EXPECT_EQ(to_string(FsmState::kReady), "READY");
-  EXPECT_EQ(to_string(FsmState::kInit), "INIT");
-  EXPECT_EQ(to_string(FsmState::kPrepareLow), "S_PRP0");
-  EXPECT_EQ(to_string(FsmState::kPrepareHigh), "S_PRP");
-  EXPECT_EQ(to_string(FsmState::kSenseLow), "S_SNS0");
-  EXPECT_EQ(to_string(FsmState::kSenseHigh), "S_SNS");
-}
-
 TEST(ControlFsm, BusyFlagTracksTransaction) {
   ControlFsm fsm;
   fsm.step(FsmInputs{});

@@ -7,6 +7,12 @@
 namespace psnt::util {
 namespace {
 
+std::string csv_text(const CsvTable& t) {
+  std::ostringstream os;
+  t.write_csv(os);
+  return os.str();
+}
+
 TEST(Csv, BuildsRowsAndCounts) {
   CsvTable t({"code", "delay_ps"});
   t.new_row().add("011").add(65.0);
@@ -19,14 +25,14 @@ TEST(Csv, BuildsRowsAndCounts) {
 TEST(Csv, WritesHeaderAndRows) {
   CsvTable t({"a", "b"});
   t.new_row().add("x").add(1LL);
-  EXPECT_EQ(t.to_csv_string(), "a,b\nx,1\n");
+  EXPECT_EQ(csv_text(t), "a,b\nx,1\n");
 }
 
 TEST(Csv, EscapesSpecialCharacters) {
   CsvTable t({"name"});
   t.new_row().add("volts, measured");
   t.new_row().add("say \"hi\"");
-  const std::string out = t.to_csv_string();
+  const std::string out = csv_text(t);
   EXPECT_NE(out.find("\"volts, measured\""), std::string::npos);
   EXPECT_NE(out.find("\"say \"\"hi\"\"\""), std::string::npos);
 }
@@ -34,7 +40,7 @@ TEST(Csv, EscapesSpecialCharacters) {
 TEST(Csv, DoublePrecisionControl) {
   CsvTable t({"v"});
   t.new_row().add(0.93604567, 4);
-  EXPECT_EQ(t.to_csv_string(), "v\n0.936\n");
+  EXPECT_EQ(csv_text(t), "v\n0.936\n");
 }
 
 TEST(Csv, RejectsTooManyCells) {

@@ -55,21 +55,5 @@ TEST(CurrentProfile, TracePerCycleLookup) {
   EXPECT_DOUBLE_EQ(t.at(10000.0_ps).value(), 0.3);
 }
 
-TEST(CurrentProfile, CompositeSums) {
-  CompositeCurrent comp;
-  comp.add(std::make_unique<ConstantCurrent>(Ampere{0.5}));
-  comp.add(std::make_unique<StepCurrent>(Ampere{0.0}, Ampere{1.0},
-                                         100.0_ps));
-  EXPECT_EQ(comp.parts(), 2u);
-  EXPECT_DOUBLE_EQ(comp.at(50.0_ps).value(), 0.5);
-  EXPECT_DOUBLE_EQ(comp.at(150.0_ps).value(), 1.5);
-  EXPECT_THROW(comp.add(nullptr), std::logic_error);
-}
-
-TEST(CurrentProfile, Callback) {
-  CallbackCurrent c{[](Picoseconds t) { return Ampere{t.value() * 1e-3}; }};
-  EXPECT_DOUBLE_EQ(c.at(500.0_ps).value(), 0.5);
-}
-
 }  // namespace
 }  // namespace psnt::psn

@@ -32,7 +32,7 @@ TEST(Dff, CleanCaptureOfStableData) {
   f.sim.drive(f.d, 0.0_ps, Logic::L1);
   f.sim.drive(f.cp, 0.0_ps, Logic::L0);
   f.sim.drive(f.cp, 500.0_ps, Logic::L1);
-  f.sim.run_all();
+  f.sim.run_until(10000.0_ps);
   EXPECT_EQ(f.q.value(), Logic::L1);
   ASSERT_EQ(f.ff.history().size(), 1u);
   EXPECT_EQ(f.ff.history()[0].outcome.region, analog::SampleRegion::kClean);
@@ -45,7 +45,7 @@ TEST(Dff, QAppearsAfterClkToQ) {
   f.sim.drive(f.cp, 0.0_ps, Logic::L0);
   f.sim.drive(f.cp, 500.0_ps, Logic::L1);
   TransitionRecorder rec(f.q);
-  f.sim.run_all();
+  f.sim.run_until(10000.0_ps);
   ASSERT_TRUE(rec.last_rise().has_value());
   EXPECT_DOUBLE_EQ(rec.last_rise()->value(),
                    500.0 + f.ff.model().params().t_clk_to_q.value());
@@ -61,7 +61,7 @@ TEST(Dff, LateDataViolatesSetupAndKeepsOldValue) {
   // D flips 10 ps before the second edge: within the 35 ps setup window.
   f.sim.drive(f.d, 890.0_ps, Logic::L1);
   f.sim.drive(f.cp, 900.0_ps, Logic::L1);
-  f.sim.run_all();
+  f.sim.run_until(10000.0_ps);
   EXPECT_EQ(f.q.value(), Logic::L0);  // old value retained
   EXPECT_EQ(f.ff.setup_violations(), 1u);
   ASSERT_EQ(f.ff.history().size(), 2u);
@@ -77,7 +77,7 @@ TEST(Dff, MetastableMarginSlowsClkToQ) {
   f.sim.drive(f.d, 860.0_ps, Logic::L1);
   f.sim.drive(f.cp, 900.0_ps, Logic::L1);
   TransitionRecorder rec(f.q);
-  f.sim.run_all();
+  f.sim.run_until(10000.0_ps);
   EXPECT_EQ(f.q.value(), Logic::L1);
   EXPECT_EQ(f.ff.metastable_samples(), 1u);
   ASSERT_TRUE(rec.last_rise().has_value());
@@ -90,7 +90,7 @@ TEST(Dff, IgnoresFallingEdges) {
   f.sim.drive(f.d, 0.0_ps, Logic::L1);
   f.sim.drive(f.cp, 0.0_ps, Logic::L1);  // X→1 is not 0→1
   f.sim.drive(f.cp, 100.0_ps, Logic::L0);
-  f.sim.run_all();
+  f.sim.run_until(10000.0_ps);
   EXPECT_TRUE(f.ff.history().empty());
   EXPECT_EQ(f.q.value(), Logic::X);
 }
@@ -100,7 +100,7 @@ TEST(Dff, XDataPropagatesXToQ) {
   // D never driven: stays X.
   f.sim.drive(f.cp, 0.0_ps, Logic::L0);
   f.sim.drive(f.cp, 200.0_ps, Logic::L1);
-  f.sim.run_all();
+  f.sim.run_until(10000.0_ps);
   EXPECT_EQ(f.q.value(), Logic::X);
   ASSERT_EQ(f.ff.history().size(), 1u);
 }
@@ -119,7 +119,7 @@ TEST(Dff, XCapturePropagatesThroughDownstreamGate) {
   // D goes unknown; the next edge captures X and the inverter passes it on.
   f.sim.drive(f.d, 1500.0_ps, Logic::X);
   f.sim.drive(f.cp, 2000.0_ps, Logic::L1);
-  f.sim.run_all();
+  f.sim.run_until(10000.0_ps);
   EXPECT_EQ(f.q.value(), Logic::X);
   EXPECT_EQ(y.value(), Logic::X);
 }
@@ -146,7 +146,7 @@ TEST(Dff, EdgeOrderingAcrossSetupHoldWindows) {
     f.sim.drive(f.d, Picoseconds{edge - d_lead}, Logic::L1);
     f.sim.drive(f.cp, Picoseconds{edge}, Logic::L1);
     TransitionRecorder rec(f.q);
-    f.sim.run_all();
+    f.sim.run_until(10000.0_ps);
     ASSERT_EQ(f.ff.history().size(), 2u) << "d_lead=" << d_lead;
     const DFlipFlop::EdgeRecord& r = f.ff.history()[1];
 
@@ -186,7 +186,7 @@ TEST(Dff, HoldViolationDetected) {
   f.sim.drive(f.cp, 500.0_ps, Logic::L1);
   // D moves 3 ps after the edge: inside the 10 ps hold window.
   f.sim.drive(f.d, 503.0_ps, Logic::L0);
-  f.sim.run_all();
+  f.sim.run_until(10000.0_ps);
   EXPECT_EQ(f.ff.hold_violations(), 1u);
   EXPECT_EQ(f.q.value(), Logic::X);
   ASSERT_EQ(f.ff.history().size(), 1u);
@@ -199,7 +199,7 @@ TEST(Dff, DataChangeWellAfterEdgeIsNoViolation) {
   f.sim.drive(f.cp, 0.0_ps, Logic::L0);
   f.sim.drive(f.cp, 500.0_ps, Logic::L1);
   f.sim.drive(f.d, 600.0_ps, Logic::L0);
-  f.sim.run_all();
+  f.sim.run_until(10000.0_ps);
   EXPECT_EQ(f.ff.hold_violations(), 0u);
   EXPECT_EQ(f.q.value(), Logic::L1);
 }
@@ -209,7 +209,7 @@ TEST(Dff, HistoryClearWorks) {
   f.sim.drive(f.d, 0.0_ps, Logic::L1);
   f.sim.drive(f.cp, 0.0_ps, Logic::L0);
   f.sim.drive(f.cp, 500.0_ps, Logic::L1);
-  f.sim.run_all();
+  f.sim.run_until(10000.0_ps);
   EXPECT_EQ(f.ff.history().size(), 1u);
   f.ff.clear_history();
   EXPECT_TRUE(f.ff.history().empty());

@@ -74,16 +74,18 @@ TEST(Encoder, RangeFlagPairingRegression) {
     Encoder enc{policy};
     const auto lo = enc.encode(ThermoWord::of_count(0, 7));
     EXPECT_EQ(lo.count, 0);
-    EXPECT_TRUE(lo.underflow) << to_string(policy);
-    EXPECT_FALSE(lo.overflow) << to_string(policy);
+    EXPECT_TRUE(lo.underflow) << "policy " << static_cast<int>(policy);
+    EXPECT_FALSE(lo.overflow) << "policy " << static_cast<int>(policy);
     const auto hi = enc.encode(ThermoWord::of_count(7, 7));
     EXPECT_EQ(hi.count, 7);
-    EXPECT_TRUE(hi.overflow) << to_string(policy);
-    EXPECT_FALSE(hi.underflow) << to_string(policy);
+    EXPECT_TRUE(hi.overflow) << "policy " << static_cast<int>(policy);
+    EXPECT_FALSE(hi.underflow) << "policy " << static_cast<int>(policy);
     for (std::size_t ones = 1; ones <= 6; ++ones) {
       const auto mid = enc.encode(ThermoWord::of_count(ones, 7));
-      EXPECT_FALSE(mid.underflow) << to_string(policy) << " ones=" << ones;
-      EXPECT_FALSE(mid.overflow) << to_string(policy) << " ones=" << ones;
+      EXPECT_FALSE(mid.underflow)
+          << "policy " << static_cast<int>(policy) << " ones=" << ones;
+      EXPECT_FALSE(mid.overflow)
+          << "policy " << static_cast<int>(policy) << " ones=" << ones;
     }
   }
 }
@@ -113,12 +115,6 @@ TEST(Encoder, FirstZeroBubbleAtBitZeroUnderflows) {
   EXPECT_EQ(out.count, 0);
   EXPECT_TRUE(out.underflow);
   EXPECT_FALSE(out.overflow);
-}
-
-TEST(Encoder, PolicyNames) {
-  EXPECT_STREQ(to_string(BubblePolicy::kReject), "reject");
-  EXPECT_STREQ(to_string(BubblePolicy::kMajority), "majority");
-  EXPECT_STREQ(to_string(BubblePolicy::kFirstZero), "first-zero");
 }
 
 }  // namespace

@@ -5,39 +5,6 @@
 namespace psnt::util {
 namespace {
 
-TEST(Error, CodeNames) {
-  EXPECT_EQ(to_string(ErrorCode::kInvalidArgument), "invalid_argument");
-  EXPECT_EQ(to_string(ErrorCode::kNotFound), "not_found");
-  EXPECT_EQ(to_string(ErrorCode::kInternal), "internal");
-}
-
-TEST(Error, ToStringIncludesCodeAndMessage) {
-  const Error e = invalid_argument("bad cap");
-  EXPECT_EQ(e.to_string(), "invalid_argument: bad cap");
-}
-
-TEST(Expected, HoldsValue) {
-  Expected<int> ok{42};
-  ASSERT_TRUE(ok.ok());
-  ASSERT_TRUE(static_cast<bool>(ok));
-  EXPECT_EQ(ok.value(), 42);
-  EXPECT_EQ(ok.value_or(7), 42);
-}
-
-TEST(Expected, HoldsError) {
-  Expected<int> bad{out_of_range("code 9 does not exist")};
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.error().code, ErrorCode::kOutOfRange);
-  EXPECT_EQ(bad.value_or(7), 7);
-  EXPECT_THROW((void)bad.value(), std::runtime_error);
-}
-
-TEST(Expected, MoveOutValue) {
-  Expected<std::string> ok{std::string("payload")};
-  const std::string s = std::move(ok).value();
-  EXPECT_EQ(s, "payload");
-}
-
 TEST(Check, ThrowsOnViolation) {
   EXPECT_NO_THROW(PSNT_CHECK(1 + 1 == 2, "math works"));
   EXPECT_THROW(PSNT_CHECK(false, "must fail"), std::logic_error);

@@ -214,16 +214,6 @@ TEST(FaultInjector, AppendEventsEmitsOneEventPerRealizedFault) {
   EXPECT_EQ(trace.size(), 3u) << "a clean measure adds no events";
 }
 
-TEST(FaultInjector, OffsetRailForwardsPlusOffset) {
-  const analog::ConstantRail inner(Volt{1.0});
-  OffsetRail rail(&inner);
-  EXPECT_DOUBLE_EQ(rail.at(Picoseconds{0.0}).value(), 1.0);
-  rail.set_offset(-0.12);
-  EXPECT_DOUBLE_EQ(rail.at(Picoseconds{5.0}).value(), 0.88);
-  rail.set_offset(0.0);
-  EXPECT_DOUBLE_EQ(rail.at(Picoseconds{9.0}).value(), 1.0);
-}
-
 TEST(FaultInjector, PdnDroopDepthScalesWithStimulus) {
   psn::LumpedPdnParams pdn;
   const Volt small = pdn_droop_depth(pdn, 1.0);

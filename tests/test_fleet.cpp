@@ -60,8 +60,8 @@ TEST(Partition, EverySiteAssignedExactlyOnce) {
       for (const auto site : part) seen[site]++;
     }
     for (std::size_t s = 0; s < seen.size(); ++s) {
-      EXPECT_EQ(seen[s], 1) << "site " << s << " under "
-                            << to_string(strategy);
+      EXPECT_EQ(seen[s], 1) << "site " << s << " under strategy "
+                            << static_cast<int>(strategy);
     }
   }
 }

@@ -108,16 +108,6 @@ TEST(FlipFlop, DeepMetaResolverTakesOver) {
   EXPECT_EQ(calls, 2);
 }
 
-TEST(FlipFlop, TimingScaledCopy) {
-  const auto ff = typical();
-  const auto slow = ff.with_timing_scaled(1.1);
-  EXPECT_NEAR(slow.params().t_setup.value(),
-              ff.params().t_setup.value() * 1.1, 1e-12);
-  EXPECT_NEAR(slow.params().t_clk_to_q.value(),
-              ff.params().t_clk_to_q.value() * 1.1, 1e-12);
-  EXPECT_THROW((void)ff.with_timing_scaled(-1.0), std::logic_error);
-}
-
 TEST(FlipFlop, RejectsUnphysicalParams) {
   FlipFlopParams p;
   p.tau = Picoseconds{-1.0};

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "calib/fit.h"
+#include "fsm_code_probe.h"
 #include "sim/probe.h"
 
 namespace psnt::core {
@@ -80,7 +81,7 @@ TEST(FullSystem, RegisteredCommandsPreserveTheSkew) {
 TEST(FullSystem, FsmCodeRegisterLoadedViaInit) {
   SystemRig rig(1.0, DelayCode{5});
   (void)rig.system.run_measures(1);
-  EXPECT_EQ(rig.system.fsm().decoded_code(), DelayCode{5});
+  EXPECT_EQ(held_code(rig.system.fsm()), DelayCode{5});
 }
 
 TEST(FullSystem, RetargetsCodeThroughLiveSelects) {
@@ -92,7 +93,7 @@ TEST(FullSystem, RetargetsCodeThroughLiveSelects) {
   for (const std::uint8_t c : {3, 5, 2, 7, 0}) {
     rig.system.set_code(DelayCode{c});
     const auto words = rig.system.run_measures(2, /*configure_first=*/false);
-    EXPECT_EQ(rig.system.fsm().decoded_code(), DelayCode{c});
+    EXPECT_EQ(held_code(rig.system.fsm()), DelayCode{c});
     SystemRig fresh(0.97, DelayCode{c});
     const auto expected = fresh.system.run_measures(2);
     ASSERT_EQ(words.size(), expected.size());

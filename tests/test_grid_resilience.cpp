@@ -10,6 +10,7 @@
 
 #include "calib/fit.h"
 #include "grid/scan_grid.h"
+#include "grid_rails.h"
 #include "scan/scan_chain.h"
 
 namespace psnt::grid {
@@ -271,10 +272,10 @@ TEST(GridResilience, StuckBitSurvivesVotingAndIsTraced) {
                       .stuck_value = false});
   config.injector = injector;
   config.resilience.votes = 3;
-  ScanGrid grid{fp, config, ScanGrid::constant_rails(1.0_V)};
+  ScanGrid grid{fp, config, constant_rails(1.0_V)};
   const auto result = grid.run();
 
-  ScanGrid clean{fp, base_config(1), ScanGrid::constant_rails(1.0_V)};
+  ScanGrid clean{fp, base_config(1), constant_rails(1.0_V)};
   const auto reference = clean.run();
   ASSERT_TRUE(reference.sites[0].samples[0].word.bit(0))
       << "test premise: a healthy word at nominal VDD has bit 0 set";
@@ -311,10 +312,10 @@ TEST(GridResilience, RingOverflowStormIsLosslessUnderBlockPolicy) {
                         .detail = 4});
   }
   config.injector = injector;
-  ScanGrid grid{fp, config, ScanGrid::constant_rails(1.0_V)};
+  ScanGrid grid{fp, config, constant_rails(1.0_V)};
   const auto result = grid.run();
 
-  ScanGrid clean{fp, base_config(2), ScanGrid::constant_rails(1.0_V)};
+  ScanGrid clean{fp, base_config(2), constant_rails(1.0_V)};
   const auto reference = clean.run();
 
   EXPECT_EQ(result.lost, 0u);
@@ -343,7 +344,7 @@ TEST(GridResilience, CodeDriftIsAppliedAndRecorded) {
                       .kind = fault::FaultKind::kCodeDrift,
                       .detail = 1});
   config.injector = injector;
-  ScanGrid grid{fp, config, ScanGrid::constant_rails(1.0_V)};
+  ScanGrid grid{fp, config, constant_rails(1.0_V)};
   const auto result = grid.run();
 
   const auto& site = result.sites[1];
@@ -373,7 +374,7 @@ TEST(GridResilience, RailDroopSpikeSagsTheWordThenRecovers) {
                       .kind = fault::FaultKind::kRailDroop,
                       .droop_volts = Volt{0.08}});
   config.injector = injector;
-  ScanGrid grid{fp, config, ScanGrid::constant_rails(1.0_V)};
+  ScanGrid grid{fp, config, constant_rails(1.0_V)};
   const auto result = grid.run();
 
   const auto& site = result.sites[0];
@@ -411,8 +412,8 @@ TEST(GridResilience, StructuralChaosQuarantinesAndStaysDeterministic) {
     return config;
   };
 
-  ScanGrid serial{fp, make_config(1), ScanGrid::constant_rails(1.0_V)};
-  ScanGrid parallel{fp, make_config(2), ScanGrid::constant_rails(1.0_V)};
+  ScanGrid serial{fp, make_config(1), constant_rails(1.0_V)};
+  ScanGrid parallel{fp, make_config(2), constant_rails(1.0_V)};
   const auto a = serial.run();
   const auto b = parallel.run();
 
@@ -474,14 +475,14 @@ TEST(GridResilience, RejectsInvalidResilienceConfigurations) {
   const auto fp = scan::Floorplan::grid(1000.0, 1000.0, 1, 2);
   auto even_votes = base_config(1);
   even_votes.resilience.votes = 2;
-  EXPECT_THROW((ScanGrid{fp, even_votes, ScanGrid::constant_rails(1.0_V)}),
+  EXPECT_THROW((ScanGrid{fp, even_votes, constant_rails(1.0_V)}),
                std::logic_error);
 
   auto structural_votes = base_config(1);
   structural_votes.fidelity = SiteFidelity::kStructural;
   structural_votes.resilience.votes = 3;
   EXPECT_THROW(
-      (ScanGrid{fp, structural_votes, ScanGrid::constant_rails(1.0_V)}),
+      (ScanGrid{fp, structural_votes, constant_rails(1.0_V)}),
       std::logic_error);
 }
 

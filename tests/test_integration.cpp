@@ -21,6 +21,17 @@ psn::LumpedPdnParams pdn_params() {
   return p;
 }
 
+// One GND-n transaction through the thermometer's engine.
+core::Measurement measure_gnd(core::NoiseThermometer& t,
+                              const analog::RailSource& gnd,
+                              Picoseconds start, core::DelayCode code) {
+  core::MeasureRequest req;
+  req.start = start;
+  req.target = core::SenseTarget::kGnd;
+  req.code = code;
+  return t.engine().measure(req, analog::RailPair{nullptr, &gnd});
+}
+
 TEST(Integration, ThermometerTracksAPdnDroopWaveform) {
   // A current step excites the PDN; iterated measures across the transient
   // must (a) bracket the true rail voltage at each sampling instant and
@@ -64,7 +75,7 @@ TEST(Integration, GroundBounceMeasuredByLowSense) {
                            .time_of_worst;
   // Start the transaction so the sense lands near the worst point.
   const Picoseconds start{worst_t.value() - 6.5 * 1250.0};
-  const auto m = t.measure_gnd(gnd, start, core::DelayCode{3});
+  const auto m = measure_gnd(t, gnd, start, core::DelayCode{3});
   const double truth = bounce.value_at(m.timestamp);
   if (m.bin.lo) {
     EXPECT_LE(m.bin.lo->value(), truth + 1e-9);
@@ -128,7 +139,7 @@ TEST(Integration, SimultaneousVddAndGndMeasurement) {
   auto t = calib::make_paper_thermometer(calib::calibrated().model);
   const auto mv = t.measure_vdd(analog::RailPair{&vdd, &gnd},
                                 20000.0_ps, core::DelayCode{3});
-  const auto mg = t.measure_gnd(gnd, 20000.0_ps, core::DelayCode{3});
+  const auto mg = measure_gnd(t, gnd, 20000.0_ps, core::DelayCode{3});
   EXPECT_EQ(mv.target, core::SenseTarget::kVdd);
   EXPECT_EQ(mg.target, core::SenseTarget::kGnd);
   // HS saw vdd - gnd at its sampling instant.

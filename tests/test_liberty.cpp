@@ -7,12 +7,14 @@
 namespace psnt::analog {
 namespace {
 
-std::string default_lib_text() {
-  return liberty_string(default_90nm_library());
+std::string lib_text(const LibertyOptions& options = {}) {
+  std::ostringstream os;
+  write_liberty(os, default_90nm_library(), options);
+  return os.str();
 }
 
 TEST(Liberty, HeaderDeclaresUnitsAndConditions) {
-  const std::string lib = default_lib_text();
+  const std::string lib = lib_text();
   EXPECT_NE(lib.find("library (psnt90_tt_1p00v_25c)"), std::string::npos);
   EXPECT_NE(lib.find("delay_model : table_lookup;"), std::string::npos);
   EXPECT_NE(lib.find("time_unit : \"1ps\";"), std::string::npos);
@@ -21,14 +23,14 @@ TEST(Liberty, HeaderDeclaresUnitsAndConditions) {
 }
 
 TEST(Liberty, EveryCellEmitted) {
-  const std::string lib = default_lib_text();
+  const std::string lib = lib_text();
   for (const auto& name : default_90nm_library().cell_names()) {
     EXPECT_NE(lib.find("cell (" + name + ")"), std::string::npos) << name;
   }
 }
 
 TEST(Liberty, CombinationalArcsCarryUnatenessAndTables) {
-  const std::string lib = default_lib_text();
+  const std::string lib = lib_text();
   EXPECT_NE(lib.find("timing_sense : negative_unate"), std::string::npos);
   EXPECT_NE(lib.find("timing_sense : positive_unate"), std::string::npos);
   EXPECT_NE(lib.find("cell_rise ("), std::string::npos);
@@ -38,7 +40,7 @@ TEST(Liberty, CombinationalArcsCarryUnatenessAndTables) {
 }
 
 TEST(Liberty, SequentialCellCarriesConstraints) {
-  const std::string lib = default_lib_text();
+  const std::string lib = lib_text();
   EXPECT_NE(lib.find("ff (IQ, IQN)"), std::string::npos);
   EXPECT_NE(lib.find("timing_type : setup_rising"), std::string::npos);
   EXPECT_NE(lib.find("timing_type : hold_rising"), std::string::npos);
@@ -58,11 +60,11 @@ TEST(Liberty, TableValuesMatchLookups) {
                          .value();
   std::ostringstream expect;
   expect << v00;
-  EXPECT_NE(default_lib_text().find(expect.str()), std::string::npos);
+  EXPECT_NE(lib_text().find(expect.str()), std::string::npos);
 }
 
 TEST(Liberty, BalancedBraces) {
-  const std::string lib = default_lib_text();
+  const std::string lib = lib_text();
   long depth = 0;
   for (char c : lib) {
     if (c == '{') ++depth;
@@ -77,8 +79,7 @@ TEST(Liberty, CustomOptions) {
   options.library_name = "custom_lib";
   options.voltage = 0.9;
   options.temperature = 125.0;
-  const std::string lib =
-      liberty_string(default_90nm_library(), options);
+  const std::string lib = lib_text(options);
   EXPECT_NE(lib.find("library (custom_lib)"), std::string::npos);
   EXPECT_NE(lib.find("nom_voltage : 0.9"), std::string::npos);
   EXPECT_NE(lib.find("nom_temperature : 125"), std::string::npos);

@@ -47,13 +47,6 @@ TEST(Logic, OrControllingOne) {
   EXPECT_EQ(logic_or(Logic::L0, Logic::X), Logic::X);
 }
 
-TEST(Logic, XorPropagatesUnknown) {
-  EXPECT_EQ(logic_xor(Logic::L0, Logic::L1), Logic::L1);
-  EXPECT_EQ(logic_xor(Logic::L1, Logic::L1), Logic::L0);
-  EXPECT_EQ(logic_xor(Logic::L1, Logic::X), Logic::X);
-  EXPECT_EQ(logic_xor(Logic::Z, Logic::L0), Logic::X);
-}
-
 TEST(Logic, MuxSelectsBySel) {
   EXPECT_EQ(logic_mux(Logic::L0, Logic::L1, Logic::L0), Logic::L0);
   EXPECT_EQ(logic_mux(Logic::L0, Logic::L1, Logic::L1), Logic::L1);

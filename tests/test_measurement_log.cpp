@@ -70,24 +70,6 @@ TEST(MeasurementLog, CountsBubbledWords) {
   EXPECT_EQ(log.count_histogram()[5], 1u);
 }
 
-TEST(MeasurementLog, TableHasOneRowPerCount) {
-  MeasurementLog log{7};
-  log.record(make_measurement(3, 0.93, 0.96));
-  const auto table = log.to_table();
-  EXPECT_EQ(table.row_count(), 8u);  // counts 0..7
-  EXPECT_EQ(table.rows()[3][2], "1");
-  EXPECT_EQ(table.rows()[3][1], "0000111");
-}
-
-TEST(MeasurementLog, ClearResets) {
-  MeasurementLog log{7};
-  log.record(make_measurement(3, 0.93, 0.96));
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_FALSE(log.worst().has_value());
-  EXPECT_EQ(log.count_histogram()[3], 0u);
-}
-
 TEST(MeasurementLog, RejectsWidthMismatch) {
   MeasurementLog log{7};
   Measurement m;

@@ -3,11 +3,32 @@
 #include "sim/gates.h"
 #include "sim/probe.h"
 #include "sim/simulator.h"
+#include "util/error.h"
 
 namespace psnt::sim {
 namespace {
 
 using namespace psnt::literals;
+
+// Drives a periodic clock on a net: rising edges at phase + k*period, 50%
+// duty, for `cycles` cycles.
+void drive_clock(Simulator& sim, Net& net, Picoseconds phase,
+                 Picoseconds period, std::size_t cycles) {
+  PSNT_CHECK(period.value() > 0.0, "clock period must be positive");
+  for (std::size_t k = 0; k < cycles; ++k) {
+    const Picoseconds rise = phase + period * static_cast<double>(k);
+    sim.drive(net, rise, Logic::L1);
+    sim.drive(net, rise + period * 0.5, Logic::L0);
+  }
+}
+
+// Drives a square pulse: net goes high at t_start and back low at t_end.
+void drive_pulse(Simulator& sim, Net& net, Picoseconds t_start,
+                 Picoseconds t_end) {
+  PSNT_CHECK(t_end.value() > t_start.value(), "pulse must have positive width");
+  sim.drive(net, t_start, Logic::L1);
+  sim.drive(net, t_end, Logic::L0);
+}
 
 TEST(Net, StartsUnknown) {
   Simulator sim;
@@ -72,7 +93,7 @@ TEST(Gates, InverterTruthAndDelay) {
   sim.add<InvGate>("u1", a, y, 14.0_ps);
   TransitionRecorder rec(y);
   sim.drive(a, 10.0_ps, Logic::L0);
-  sim.run_all();
+  sim.run_until(100.0_ps);
   EXPECT_EQ(y.value(), Logic::L1);
   ASSERT_EQ(rec.count(), 1u);
   EXPECT_DOUBLE_EQ(rec.transitions()[0].time.value(), 24.0);
@@ -88,7 +109,7 @@ TEST(Gates, InverterSwallowsShortGlitch) {
   // 5 ps pulse, shorter than the gate delay: inertial filtering.
   sim.drive(a, 100.0_ps, Logic::L1);
   sim.drive(a, 105.0_ps, Logic::L0);
-  sim.run_all();
+  sim.run_until(200.0_ps);
   // Only the initial 0→(inverted)1 transition is visible.
   ASSERT_EQ(rec.count(), 1u);
   EXPECT_EQ(y.value(), Logic::L1);
@@ -129,55 +150,24 @@ TEST(Gates, ShortPulseSwallowedLongPulsePropagatesThroughChain) {
   EXPECT_EQ(z.value(), Logic::L1);
 }
 
-TEST(Gates, NandNorTruthTables) {
-  Simulator sim;
-  Net& a = sim.net("a");
-  Net& b = sim.net("b");
-  Net& y_nand = sim.net("y_nand");
-  Net& y_nor = sim.net("y_nor");
-  sim.add<Nand2Gate>("u_nand", a, b, y_nand, 1.0_ps);
-  sim.add<Nor2Gate>("u_nor", a, b, y_nor, 1.0_ps);
-
-  const struct {
-    Logic a, b, nand_y, nor_y;
-  } rows[] = {
-      {Logic::L0, Logic::L0, Logic::L1, Logic::L1},
-      {Logic::L0, Logic::L1, Logic::L1, Logic::L0},
-      {Logic::L1, Logic::L0, Logic::L1, Logic::L0},
-      {Logic::L1, Logic::L1, Logic::L0, Logic::L0},
-  };
-  double t = 10.0;
-  for (const auto& row : rows) {
-    sim.drive(a, Picoseconds{t}, row.a);
-    sim.drive(b, Picoseconds{t}, row.b);
-    sim.run_until(Picoseconds{t + 5.0});
-    EXPECT_EQ(y_nand.value(), row.nand_y) << to_char(row.a) << to_char(row.b);
-    EXPECT_EQ(y_nor.value(), row.nor_y) << to_char(row.a) << to_char(row.b);
-    t += 10.0;
-  }
-}
-
-TEST(Gates, AndOrXorMux) {
+TEST(Gates, AndOrMux) {
   Simulator sim;
   Net& a = sim.net("a");
   Net& b = sim.net("b");
   Net& s = sim.net("s");
   Net& y_and = sim.net("y_and");
   Net& y_or = sim.net("y_or");
-  Net& y_xor = sim.net("y_xor");
   Net& y_mux = sim.net("y_mux");
   sim.add<And2Gate>("u0", a, b, y_and, 1.0_ps);
   sim.add<Or2Gate>("u1", a, b, y_or, 1.0_ps);
-  sim.add<Xor2Gate>("u2", a, b, y_xor, 1.0_ps);
   sim.add<Mux2Gate>("u3", a, b, s, y_mux, 1.0_ps);
 
   sim.drive(a, 0.0_ps, Logic::L1);
   sim.drive(b, 0.0_ps, Logic::L0);
   sim.drive(s, 0.0_ps, Logic::L1);
-  sim.run_all();
+  sim.run_until(10.0_ps);
   EXPECT_EQ(y_and.value(), Logic::L0);
   EXPECT_EQ(y_or.value(), Logic::L1);
-  EXPECT_EQ(y_xor.value(), Logic::L1);
   EXPECT_EQ(y_mux.value(), Logic::L0);  // sel=1 → b
 }
 
@@ -190,7 +180,7 @@ TEST(Gates, BufferChainAccumulatesDelay) {
   sim.add<BufGate>("u1", m, y, 45.0_ps);
   TransitionRecorder rec(y);
   sim.drive(a, 0.0_ps, Logic::L1);
-  sim.run_all();
+  sim.run_until(200.0_ps);
   ASSERT_EQ(rec.count(), 1u);
   EXPECT_DOUBLE_EQ(rec.transitions()[0].time.value(), 75.0);
 }
@@ -208,7 +198,7 @@ TEST(Probe, DriveClockProducesEdges) {
   Net& clk = sim.net("clk");
   TransitionRecorder rec(clk);
   drive_clock(sim, clk, 100.0_ps, 200.0_ps, 3);
-  sim.run_all();
+  sim.run_until(1000.0_ps);
   // 3 cycles → 6 transitions; rises at 100, 300, 500.
   EXPECT_EQ(rec.count(), 6u);
   EXPECT_DOUBLE_EQ(rec.first_rise_after(0.0_ps)->value(), 100.0);
@@ -223,7 +213,7 @@ TEST(Probe, DrivePulse) {
   TransitionRecorder rec(n);
   sim.drive(n, 0.0_ps, Logic::L0);
   drive_pulse(sim, n, 50.0_ps, 90.0_ps);
-  sim.run_all();
+  sim.run_until(90.0_ps);
   EXPECT_DOUBLE_EQ(rec.first_rise_after(0.0_ps)->value(), 50.0);
   EXPECT_DOUBLE_EQ(rec.first_fall_after(50.0_ps)->value(), 90.0);
   EXPECT_THROW(drive_pulse(sim, n, 100.0_ps, 100.0_ps), std::logic_error);

@@ -48,12 +48,6 @@ TEST(Regression, RejectsDegenerateInputs) {
   EXPECT_THROW((void)fit_line(xs, ys), std::logic_error);
 }
 
-TEST(RootFind, BisectFindsSqrt2) {
-  const auto root = bisect([](double x) { return x * x - 2.0; }, 0.0, 2.0);
-  ASSERT_TRUE(root.has_value());
-  EXPECT_NEAR(*root, std::sqrt(2.0), 1e-9);
-}
-
 TEST(RootFind, BrentFindsSqrt2Fast) {
   const auto root = brent([](double x) { return x * x - 2.0; }, 0.0, 2.0);
   ASSERT_TRUE(root.has_value());
@@ -69,9 +63,7 @@ TEST(RootFind, BrentHandlesTranscendental) {
 }
 
 TEST(RootFind, InvalidBracketReturnsNullopt) {
-  EXPECT_FALSE(bisect([](double x) { return x * x + 1.0; }, -1.0, 1.0));
   EXPECT_FALSE(brent([](double x) { return x * x + 1.0; }, -1.0, 1.0));
-  EXPECT_FALSE(bisect([](double x) { return x; }, 2.0, 1.0));
 }
 
 TEST(RootFind, EndpointRootReturnedDirectly) {

@@ -10,6 +10,7 @@
 
 #include "calib/fit.h"
 #include "grid/scan_grid.h"
+#include "grid_rails.h"
 #include "scan/scan_chain.h"
 
 namespace psnt::grid {
@@ -145,7 +146,7 @@ TEST(ScanGrid, MatchesSerialScanChainBroadcastSiteForSite) {
 
 TEST(ScanGrid, RunIsSingleShot) {
   const auto fp = scan::Floorplan::grid(1000.0, 1000.0, 1, 2);
-  ScanGrid grid{fp, base_config(2), ScanGrid::constant_rails(1.0_V)};
+  ScanGrid grid{fp, base_config(2), constant_rails(1.0_V)};
   (void)grid.run();
   EXPECT_THROW((void)grid.run(), std::logic_error);
 }
@@ -177,8 +178,8 @@ TEST(ScanGrid, AutoRangePolicyTrimsPerSiteAndStaysDeterministic) {
   config.code_policy = CodePolicy::kAutoRange;
   // 0.85 V sits outside code 011's window: the per-site controller must
   // walk the code until readings come back in range.
-  ScanGrid first{fp, config, ScanGrid::constant_rails(Volt{0.85})};
-  ScanGrid again{fp, config, ScanGrid::constant_rails(Volt{0.85})};
+  ScanGrid first{fp, config, constant_rails(Volt{0.85})};
+  ScanGrid again{fp, config, constant_rails(Volt{0.85})};
   const auto a = first.run();
   const auto b = again.run();
   for (std::size_t i = 0; i < a.sites.size(); ++i) {
@@ -226,7 +227,7 @@ TEST(ScanGrid, FinalCsvSnapshotIsExported) {
   const auto fp = scan::Floorplan::grid(1000.0, 1000.0, 1, 2);
   auto config = base_config(2);
   config.snapshot_csv_path = ::testing::TempDir() + "psnt_grid_snapshot.csv";
-  ScanGrid grid{fp, config, ScanGrid::constant_rails(1.0_V)};
+  ScanGrid grid{fp, config, constant_rails(1.0_V)};
   (void)grid.run();
   std::ifstream in(config.snapshot_csv_path);
   ASSERT_TRUE(in.good());
@@ -240,10 +241,10 @@ TEST(ScanGrid, StructuralFidelityAgreesWithBehavioralOnQuietRails) {
   const auto fp = scan::Floorplan::grid(1000.0, 1000.0, 1, 2);
   auto config = base_config(2);
   config.samples_per_site = 2;
-  ScanGrid behavioral{fp, config, ScanGrid::constant_rails(1.0_V)};
+  ScanGrid behavioral{fp, config, constant_rails(1.0_V)};
   auto structural_config = config;
   structural_config.fidelity = SiteFidelity::kStructural;
-  ScanGrid structural{fp, structural_config, ScanGrid::constant_rails(1.0_V)};
+  ScanGrid structural{fp, structural_config, constant_rails(1.0_V)};
   const auto b = behavioral.run();
   const auto s = structural.run();
   for (std::size_t i = 0; i < 2; ++i) {
@@ -265,7 +266,7 @@ TEST(ScanGrid, StructuralSitesSurviveMultipleBatches) {
   config.fidelity = SiteFidelity::kStructural;
   config.batch = 8;  // pin below samples_per_site so several batches run
   config.samples_per_site = 20;
-  ScanGrid grid{fp, config, ScanGrid::constant_rails(1.0_V)};
+  ScanGrid grid{fp, config, constant_rails(1.0_V)};
   const auto result = grid.run();
   EXPECT_EQ(result.produced, 2u * 20u);
   for (const auto& site : result.sites) {
@@ -289,11 +290,11 @@ TEST(ScanGrid, StructuralAutoRangeMatchesBehavioralAutoRange) {
   auto config = base_config(2);
   config.code_policy = CodePolicy::kAutoRange;
   config.samples_per_site = 10;
-  ScanGrid behavioral{fp, config, ScanGrid::constant_rails(0.84_V)};
+  ScanGrid behavioral{fp, config, constant_rails(0.84_V)};
   auto structural_config = config;
   structural_config.fidelity = SiteFidelity::kStructural;
   ScanGrid structural{fp, structural_config,
-                      ScanGrid::constant_rails(0.84_V)};
+                      constant_rails(0.84_V)};
   const auto b = behavioral.run();
   const auto s = structural.run();
   bool stepped = false;
@@ -340,7 +341,7 @@ TEST(ScanGrid, RejectsInvalidConfigurations) {
   auto config = base_config(1);
   config.samples_per_site = 0;
   EXPECT_THROW(
-      (ScanGrid{fp, config, ScanGrid::constant_rails(1.0_V)}),
+      (ScanGrid{fp, config, constant_rails(1.0_V)}),
       std::logic_error);
 
   EXPECT_THROW((ScanGrid{fp, base_config(1), nullptr}), std::logic_error);
@@ -352,14 +353,14 @@ TEST(ScanGrid, RejectsInvalidConfigurations) {
   for (const double start : {kNaN, kInf, -kInf}) {
     auto bad = base_config(1);
     bad.start = Picoseconds{start};
-    EXPECT_THROW((ScanGrid{fp, bad, ScanGrid::constant_rails(1.0_V)}),
+    EXPECT_THROW((ScanGrid{fp, bad, constant_rails(1.0_V)}),
                  std::logic_error)
         << "start " << start;
   }
   for (const double interval : {0.0, -1.0, kNaN, kInf}) {
     auto bad = base_config(1);
     bad.interval = Picoseconds{interval};
-    EXPECT_THROW((ScanGrid{fp, bad, ScanGrid::constant_rails(1.0_V)}),
+    EXPECT_THROW((ScanGrid{fp, bad, constant_rails(1.0_V)}),
                  std::logic_error)
         << "interval " << interval;
   }

@@ -18,7 +18,7 @@ TEST(Scheduler, ExecutesInTimeOrder) {
   s.schedule_at(30, [&] { order.push_back(3); });
   s.schedule_at(10, [&] { order.push_back(1); });
   s.schedule_at(20, [&] { order.push_back(2); });
-  s.run_all();
+  s.run_until(30);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(s.now(), 30);
   EXPECT_EQ(s.executed_events(), 3u);
@@ -30,18 +30,8 @@ TEST(Scheduler, SameTimeFifoOrder) {
   for (int i = 0; i < 5; ++i) {
     s.schedule_at(100, [&order, i] { order.push_back(i); });
   }
-  s.run_all();
+  s.run_until(100);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Scheduler, ScheduleAfterIsRelative) {
-  Scheduler s;
-  SimTime seen = -1;
-  s.schedule_at(50, [&] {
-    s.schedule_after(25, [&] { seen = s.now(); });
-  });
-  s.run_all();
-  EXPECT_EQ(seen, 75);
 }
 
 TEST(Scheduler, RunUntilStopsAtBoundaryInclusive) {
@@ -54,7 +44,7 @@ TEST(Scheduler, RunUntilStopsAtBoundaryInclusive) {
   EXPECT_EQ(count, 2);
   EXPECT_EQ(s.now(), 20);
   EXPECT_EQ(s.pending(), 1u);
-  s.run_all();
+  s.run_until(21);
   EXPECT_EQ(count, 3);
 }
 
@@ -68,10 +58,10 @@ TEST(Scheduler, EventsCanScheduleMoreEvents) {
   Scheduler s;
   int depth = 0;
   std::function<void()> chain = [&] {
-    if (++depth < 10) s.schedule_after(1, chain);
+    if (++depth < 10) s.schedule_at(s.now() + 1, chain);
   };
   s.schedule_at(0, chain);
-  s.run_all();
+  s.run_until(9);
   EXPECT_EQ(depth, 10);
   EXPECT_EQ(s.now(), 9);
 }
@@ -79,17 +69,8 @@ TEST(Scheduler, EventsCanScheduleMoreEvents) {
 TEST(Scheduler, RejectsPastEvents) {
   Scheduler s;
   s.schedule_at(100, [] {});
-  s.run_all();
+  s.run_until(100);
   EXPECT_THROW(s.schedule_at(50, [] {}), std::logic_error);
-  EXPECT_THROW(s.schedule_after(-1, [] {}), std::logic_error);
-}
-
-TEST(Scheduler, StepReturnsFalseWhenEmpty) {
-  Scheduler s;
-  EXPECT_FALSE(s.step());
-  s.schedule_at(5, [] {});
-  EXPECT_TRUE(s.step());
-  EXPECT_FALSE(s.step());
 }
 
 TEST(Scheduler, FarFutureEventsParkInOverflowThenMigrate) {
@@ -102,7 +83,7 @@ TEST(Scheduler, FarFutureEventsParkInOverflowThenMigrate) {
   s.schedule_at(horizon + 5, [&] { order.push_back(1); });
   s.schedule_at(3 * horizon + 7, [&] { order.push_back(2); });
   EXPECT_EQ(s.overflow_pending(), 2u);
-  s.run_all();
+  s.run_until(3 * horizon + 7);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(s.now(), 3 * horizon + 7);
   EXPECT_EQ(s.overflow_pending(), 0u);
@@ -126,7 +107,7 @@ TEST(Scheduler, ExecutedEventsCountsEveryDispatch) {
   for (int i = 0; i < 7; ++i) s.schedule_at(10 * i, [] {});
   s.run_until(30);
   EXPECT_EQ(s.executed_events(), 4u);  // t = 0, 10, 20, 30
-  s.run_all();
+  s.run_until(60);
   EXPECT_EQ(s.executed_events(), 7u);
   // run_until past the last event must not invent dispatches.
   s.run_until(s.now() + 1000);
@@ -152,7 +133,7 @@ TEST(Scheduler, StressOrderMatchesStableSortReference) {
                    [](const auto& a, const auto& b) {
                      return a.first < b.first;
                    });
-  s.run_all();
+  s.run_until(expected.back().first);
   ASSERT_EQ(actual.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(actual[i], expected[i].second) << "position " << i;
@@ -164,13 +145,13 @@ TEST(Scheduler, ArenaIsRecycledInSteadyState) {
   // Bounded in-flight events: after the first chunk is carved the free list
   // satisfies every later schedule, so allocation_count stops growing.
   for (int i = 0; i < 50; ++i) s.schedule_at(i, [] {});
-  s.run_all();
+  s.run_until(49);
   const std::uint64_t after_warmup = s.allocation_count();
   EXPECT_GE(after_warmup, 1u);
   SimTime t = s.now();
   for (int round = 0; round < 100; ++round) {
     for (int i = 0; i < 50; ++i) s.schedule_at(++t, [] {});
-    s.run_all();
+    s.run_until(t);
   }
   EXPECT_EQ(s.allocation_count(), after_warmup);
   EXPECT_EQ(s.heap_callbacks(), 0u);
@@ -185,7 +166,7 @@ TEST(Scheduler, OversizedCallablesSpillToHeapAndAreCounted) {
   EXPECT_EQ(s.heap_callbacks(), 1u);
   s.schedule_at(2, [&seen] { ++seen; });  // small: stays inline
   EXPECT_EQ(s.heap_callbacks(), 1u);
-  s.run_all();
+  s.run_until(2);
   EXPECT_EQ(seen, 43u);
 }
 

@@ -2,13 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "sensor_ladder.h"
+
 namespace psnt::core {
 namespace {
 
 using namespace psnt::literals;
 
 SensorArray make_array() {
-  return SensorArray::linear(analog::AlphaPowerDelayModel{},
+  return linear_array(analog::AlphaPowerDelayModel{},
                              analog::FlipFlopTimingModel{}, 1.6_pF, 0.12_pF,
                              7);
 }

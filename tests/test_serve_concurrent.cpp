@@ -187,10 +187,9 @@ std::uint64_t view_digest(const StoreView& view) {
   const auto mix_real = [&mix](double v) {
     mix(std::bit_cast<std::uint64_t>(v));
   };
-  const auto mix_sketch = [&mix, &mix_real](const HistogramSketch& s) {
+  const auto mix_sketch = [&mix](const HistogramSketch& s) {
     mix(s.count());
     mix(s.zero_count());
-    mix_real(s.sum());
     for (std::size_t i = 0; i < s.config().bucket_count; ++i) {
       mix(s.bucket_count_at(i));
     }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "serve/store.h"
+#include "rng_index.h"
 #include "stats/rng.h"
 
 namespace psnt::serve {
@@ -39,8 +40,7 @@ StoreConfig small_config(std::size_t shards, std::size_t publish_every) {
 // First mismatch between two snapshots, or "" when equal field by field.
 std::string diff_stats(const stats::OnlineStats& a,
                        const stats::OnlineStats& b) {
-  if (a.count() != b.count() || a.mean() != b.mean() ||
-      a.variance() != b.variance() || a.min() != b.min() ||
+  if (a.count() != b.count() || a.mean() != b.mean() || a.min() != b.min() ||
       a.max() != b.max()) {
     return "stats";
   }
@@ -49,8 +49,9 @@ std::string diff_stats(const stats::OnlineStats& a,
 
 std::string diff_sketch(const HistogramSketch& a, const HistogramSketch& b) {
   if (!(a.config() == b.config()) || a.count() != b.count() ||
-      a.zero_count() != b.zero_count() || a.sum() != b.sum() ||
-      a.min() != b.min() || a.max() != b.max()) {
+      a.zero_count() != b.zero_count() ||
+      a.quantile(0.0) != b.quantile(0.0) ||
+      a.quantile(1.0) != b.quantile(1.0)) {
     return "sketch totals";
   }
   for (std::size_t i = 0; i < a.config().bucket_count; ++i) {
@@ -130,7 +131,7 @@ std::vector<Op> random_schedule(std::uint64_t seed, std::size_t length,
     const double u = rng.uniform01();
     if (u < 0.02) {
       op.kind = Op::Kind::kPublish;
-      op.shard = rng.uniform_index(config.shards);
+      op.shard = uniform_index(rng, config.shards);
       ops.push_back(op);
       continue;
     }
@@ -143,13 +144,13 @@ std::vector<Op> random_schedule(std::uint64_t seed, std::size_t length,
                                     : Op::Kind::kIngest;
     // A few hot sites keep most sites clean between publishes.
     const std::uint32_t site = static_cast<std::uint32_t>(
-        rng.uniform01() < 0.6 ? rng.uniform_index(3)
-                              : rng.uniform_index(config.site_count));
+        rng.uniform01() < 0.6 ? uniform_index(rng, 3)
+                              : uniform_index(rng, config.site_count));
     double& t = clock[site];
     const double step = rng.uniform01();
     double stamp = t;
     if (step < 0.05) {
-      t += width * static_cast<double>(2 + rng.uniform_index(8));  // gap
+      t += width * static_cast<double>(2 + uniform_index(rng, 8));  // gap
       stamp = t;
     } else if (step < 0.10) {
       stamp = std::max(0.0, t - width * 6.0);  // older than the horizon
@@ -235,7 +236,7 @@ void check_schedule(std::size_t shards, std::size_t publish_every,
     }
     // The reader keeps 0–3 views pinned across publishes.
     pinned.push_back(std::move(view));
-    const std::size_t keep = reader_rng.uniform_index(4);
+    const std::size_t keep = uniform_index(reader_rng, 4);
     while (pinned.size() > keep) pinned.pop_front();
   }
   EXPECT_GT(checked, 0u);

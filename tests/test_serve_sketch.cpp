@@ -14,10 +14,19 @@
 #include <vector>
 
 #include "serve/histogram_sketch.h"
+#include "rng_index.h"
 #include "stats/rng.h"
 
 namespace psnt::serve {
 namespace {
+
+// Largest value the sketch buckets without clamping:
+// min_value·gamma^(bucket_count-1).
+double max_trackable(const SketchConfig& config) {
+  const double gamma = (1.0 + config.alpha) / (1.0 - config.alpha);
+  return config.min_value *
+         std::pow(gamma, static_cast<double>(config.bucket_count) - 1.0);
+}
 
 double exact_quantile(std::vector<double> sorted, double q) {
   const auto rank = static_cast<std::size_t>(
@@ -89,8 +98,6 @@ TEST(HistogramSketch, MergeIsExact) {
   a.merge(b);
   EXPECT_EQ(a.count(), both.count());
   EXPECT_EQ(a.zero_count(), both.zero_count());
-  EXPECT_DOUBLE_EQ(a.min(), both.min());
-  EXPECT_DOUBLE_EQ(a.max(), both.max());
   for (std::size_t i = 0; i < config.bucket_count; ++i) {
     EXPECT_EQ(a.bucket_count_at(i), both.bucket_count_at(i)) << "bucket " << i;
   }
@@ -106,7 +113,6 @@ TEST(HistogramSketch, NonPositiveValuesLandInZeroBucket) {
   sketch.add(1.0);
   EXPECT_EQ(sketch.count(), 3u);
   EXPECT_EQ(sketch.zero_count(), 2u);
-  EXPECT_DOUBLE_EQ(sketch.min(), -2.5);
   // The bottom quantiles report 0 (the zero bucket), clamped to min.
   EXPECT_LE(sketch.quantile(0.0), 0.0);
 }
@@ -114,7 +120,7 @@ TEST(HistogramSketch, NonPositiveValuesLandInZeroBucket) {
 TEST(HistogramSketch, ClampsOutsideTrackableRange) {
   const SketchConfig config{0.01, 0.5, 32};  // deliberately tiny range
   HistogramSketch sketch{config};
-  const double huge = sketch.max_trackable() * 100.0;
+  const double huge = max_trackable(config) * 100.0;
   sketch.add(0.01);  // below min_value -> bucket 0
   sketch.add(huge);  // above max_trackable -> last bucket
   EXPECT_EQ(sketch.count(), 2u);
@@ -132,20 +138,7 @@ TEST(HistogramSketch, EmptyAndReset) {
   sketch.add(1.0);
   sketch.reset();
   EXPECT_EQ(sketch.count(), 0u);
-  EXPECT_DOUBLE_EQ(sketch.sum(), 0.0);
   EXPECT_DOUBLE_EQ(sketch.quantile(0.5), 0.0);
-}
-
-TEST(HistogramSketch, MeanMatchesExactSum) {
-  HistogramSketch sketch{SketchConfig{0.02, 0.5, 64}};
-  double sum = 0.0;
-  stats::Xoshiro256 rng(11);
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.uniform(0.8, 1.2);
-    sum += v;
-    sketch.add(v);
-  }
-  EXPECT_NEAR(sketch.mean(), sum / 1000.0, 1e-12);  // sum is exact, not bucketed
 }
 
 // The dense sketch: every bucket is touched by reset, copy and merge, and
@@ -179,7 +172,6 @@ class DenseSketch {
       max_ = std::max(max_, v);
     }
     ++count_;
-    sum_ += v;
     if (v <= 0.0) {
       ++zero_count_;
       return;
@@ -198,7 +190,6 @@ class DenseSketch {
     }
     count_ += other.count_;
     zero_count_ += other.zero_count_;
-    sum_ += other.sum_;
     for (std::size_t i = 0; i < buckets_.size(); ++i) {
       buckets_[i] += other.buckets_[i];
     }
@@ -208,7 +199,6 @@ class DenseSketch {
     std::fill(buckets_.begin(), buckets_.end(), 0);
     count_ = 0;
     zero_count_ = 0;
-    sum_ = 0.0;
     min_ = 0.0;
     max_ = 0.0;
   }
@@ -237,9 +227,6 @@ class DenseSketch {
   const SketchConfig& config() const { return config_; }
   std::uint64_t count() const { return count_; }
   std::uint64_t zero_count() const { return zero_count_; }
-  double sum() const { return sum_; }
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
   const std::vector<std::uint64_t>& buckets() const { return buckets_; }
 
  private:
@@ -250,12 +237,11 @@ class DenseSketch {
   std::vector<std::uint64_t> buckets_;
   std::uint64_t count_ = 0;
   std::uint64_t zero_count_ = 0;
-  double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
 
-// NaN sums and extremes must match too, so reals compare by bit pattern.
+// NaN quantiles must match too, so reals compare by bit pattern.
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
@@ -265,9 +251,6 @@ std::string diff(const HistogramSketch& s, const DenseSketch& ref) {
   if (!(s.config() == ref.config())) return "config";
   if (s.count() != ref.count()) return "count";
   if (s.zero_count() != ref.zero_count()) return "zero_count";
-  if (!same_bits(s.sum(), ref.sum())) return "sum";
-  if (!same_bits(s.min(), ref.min())) return "min";
-  if (!same_bits(s.max(), ref.max())) return "max";
   for (std::size_t i = 0; i < ref.buckets().size(); ++i) {
     if (s.bucket_count_at(i) != ref.buckets()[i]) {
       return "bucket " + std::to_string(i);
@@ -296,7 +279,7 @@ void run_mirrored_ops(const SketchConfig& config, std::uint64_t seed) {
   HistogramSketch other{foreign};
   DenseSketch other_dense{foreign};
 
-  const double top = HistogramSketch{config}.max_trackable();
+  const double top = max_trackable(config);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   // Decoded-volt-like bin estimates that repeat, plus the edge cases.
@@ -315,7 +298,7 @@ void run_mirrored_ops(const SketchConfig& config, std::uint64_t seed) {
   std::size_t phase = 0;
 
   for (int step = 0; step < 4000; ++step) {
-    const std::size_t i = rng.uniform_index(2);
+    const std::size_t i = uniform_index(rng, 2);
     const std::size_t j = 1 - i;
     const double u = rng.uniform01();
     std::string op;
@@ -323,16 +306,16 @@ void run_mirrored_ops(const SketchConfig& config, std::uint64_t seed) {
       const double w = rng.uniform01();
       double v = 0.0;
       if (w < 0.35) {
-        v = repeated[rng.uniform_index(std::size(repeated))];
+        v = repeated[uniform_index(rng, std::size(repeated))];
       } else if (w < 0.60) {
         v = alternate[phase++ % 2];
       } else if (w < 0.75) {
-        v = edges[rng.uniform_index(std::size(edges))];
+        v = edges[uniform_index(rng, std::size(edges))];
       } else {
         v = rng.uniform(0.0, 2.0 * top);
       }
       // A run of repeats of one value, the memo's best case.
-      const std::uint64_t run = rng.bernoulli(0.2) ? 1 + rng.uniform_index(6)
+      const std::uint64_t run = rng.bernoulli(0.2) ? 1 + uniform_index(rng, 6)
                                                    : 1;
       for (std::uint64_t r = 0; r < run; ++r) {
         sketch[i].add(v);
@@ -396,7 +379,7 @@ void run_mirrored_ops(const SketchConfig& config, std::uint64_t seed) {
       }
       op = "copy-assign back";
     } else {
-      alternate[0] = repeated[rng.uniform_index(std::size(repeated))];
+      alternate[0] = repeated[uniform_index(rng, std::size(repeated))];
       alternate[1] = rng.uniform(0.5, 1.5);
       op = "new alternation";
     }

@@ -1,6 +1,5 @@
 // Corner-path coverage for the simulator utilities: SOP synthesis constants,
-// minimized covers, reduction trees, VCD identifier encoding at scale,
-// initial settling.
+// minimized covers, reduction trees, VCD identifier encoding at scale.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -33,10 +32,10 @@ TEST(Synth, ReduceAndComputesConjunction) {
   }
   Net& y = reduce_and(sim, "and5", ins, 5.0_ps);
   for (auto* n : ins) sim.drive(*n, 0.0_ps, Logic::L1);
-  sim.run_all();
+  sim.run_until(50.0_ps);
   EXPECT_EQ(y.value(), Logic::L1);
   sim.drive(*ins[3], 100.0_ps, Logic::L0);
-  sim.run_all();
+  sim.run_until(200.0_ps);
   EXPECT_EQ(y.value(), Logic::L0);
 }
 
@@ -48,10 +47,10 @@ TEST(Synth, ReduceOrComputesDisjunction) {
   }
   Net& y = reduce_or(sim, "or7", ins, 5.0_ps);
   for (auto* n : ins) sim.drive(*n, 0.0_ps, Logic::L0);
-  sim.run_all();
+  sim.run_until(50.0_ps);
   EXPECT_EQ(y.value(), Logic::L0);
   sim.drive(*ins[6], 100.0_ps, Logic::L1);
-  sim.run_all();
+  sim.run_until(200.0_ps);
   EXPECT_EQ(y.value(), Logic::L1);
 }
 
@@ -64,7 +63,7 @@ TEST(Synth, SopConstantsTieTheOutput) {
   Net& one = synth.synthesize("f1", {0, 1, 2, 3});
   sim.drive(a, 0.0_ps, Logic::L0);
   sim.drive(b, 0.0_ps, Logic::L1);
-  sim.run_all();
+  sim.run_until(1000.0_ps);
   EXPECT_EQ(zero.value(), Logic::L0);
   EXPECT_EQ(one.value(), Logic::L1);
 }
@@ -201,25 +200,13 @@ TEST(Vcd, ManyNetsGetDistinctIds) {
   std::remove(path.c_str());
 }
 
-TEST(Gates, SettleInitialPropagatesWithoutInputEvent) {
-  Simulator sim;
-  Net& a = sim.net("a");
-  Net& y = sim.net("y");
-  auto& gate = sim.add<InvGate>("u", a, y, 10.0_ps);
-  a.force(sim.scheduler(), Logic::L0);  // no listener existed at force time?
-  // force() does notify; but settle_initial covers elaboration-order cases.
-  gate.settle_initial();
-  sim.run_all();
-  EXPECT_EQ(y.value(), Logic::L1);
-}
-
 TEST(Net, CancelPendingSuppressesScheduledLevel) {
   Simulator sim;
   Net& n = sim.net("n");
   n.force(sim.scheduler(), Logic::L0);
   n.schedule_level(sim.scheduler(), from_ps(50.0), Logic::L1);
   n.cancel_pending();
-  sim.run_all();
+  sim.run_until(100.0_ps);
   EXPECT_EQ(n.value(), Logic::L0);
 }
 

@@ -111,7 +111,7 @@ TEST(ControlNetlist, CriticalPathGoesThroughTheEncoder) {
   for (const auto& n : path.nodes) {
     if (n.rfind("enc.", 0) == 0) through_enc = true;
   }
-  EXPECT_TRUE(through_enc) << path.to_string();
+  EXPECT_TRUE(through_enc) << path.nodes.size() << " nodes";
   // Launches from a sensor output register, captures in a code register.
   EXPECT_EQ(path.nodes.front().rfind("hs.out", 0), 0u);
   EXPECT_EQ(path.nodes.back().rfind("code.d", 0), 0u);

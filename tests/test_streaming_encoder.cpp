@@ -21,9 +21,11 @@ constexpr BubblePolicy kAllPolicies[] = {
 
 void expect_identical(const EncodedWord& a, const EncodedWord& b,
                       const ThermoWord& word, BubblePolicy policy) {
-  EXPECT_EQ(a.count, b.count) << word.to_string() << " " << to_string(policy);
+  EXPECT_EQ(a.count, b.count)
+      << word.to_string() << " policy " << static_cast<int>(policy);
   EXPECT_EQ(a.binary, b.binary) << word.to_string();
-  EXPECT_EQ(a.valid, b.valid) << word.to_string() << " " << to_string(policy);
+  EXPECT_EQ(a.valid, b.valid)
+      << word.to_string() << " policy " << static_cast<int>(policy);
   EXPECT_EQ(a.bubble_errors, b.bubble_errors) << word.to_string();
   EXPECT_EQ(a.underflow, b.underflow) << word.to_string();
   EXPECT_EQ(a.overflow, b.overflow) << word.to_string();

@@ -9,6 +9,7 @@
 #include "calib/fit.h"
 #include "fault/fault_injector.h"
 #include "grid/scan_grid.h"
+#include "grid_rails.h"
 
 namespace psnt::grid {
 namespace {
@@ -77,7 +78,7 @@ TEST(StreamingGrid, StructuralSitesStreamRawWords) {
   auto config = base_config(1);
   config.samples_per_site = 2;
   config.fidelity = SiteFidelity::kStructural;
-  ScanGrid grid{fp, config, ScanGrid::constant_rails(1.0_V)};
+  ScanGrid grid{fp, config, constant_rails(1.0_V)};
   const auto result = grid.run();
 
   const auto& model = calib::calibrated().model;
@@ -142,8 +143,8 @@ TEST(StreamingGrid, ChaosAutoRangeTrimsOncePerPublishedSample) {
   chaos_config.resilience.votes = 3;
   chaos_config.resilience.max_retries = 1;
   // 0.85 V sits outside code 011's window: the controller must walk.
-  ScanGrid plain{fp, plain_config, ScanGrid::constant_rails(Volt{0.85})};
-  ScanGrid chaos{fp, chaos_config, ScanGrid::constant_rails(Volt{0.85})};
+  ScanGrid plain{fp, plain_config, constant_rails(Volt{0.85})};
+  ScanGrid chaos{fp, chaos_config, constant_rails(Volt{0.85})};
   const auto a = plain.run();
   const auto b = chaos.run();
   expect_runs_identical(a, b, 12, "chaos-vs-plain auto-range");

@@ -176,11 +176,6 @@ TEST(AlphaPower, LoadForBudgetImpossibleCases) {
   EXPECT_FALSE(model.load_for_budget(0.2_V, Picoseconds{100.0}));
 }
 
-TEST(AlphaPower, SlopeIsNegative) {
-  const auto model = typical();
-  EXPECT_LT(model.delay_slope_ps_per_volt(1.0_V, 2.0_pF), 0.0);
-}
-
 TEST(AlphaPower, DriveScalingSpeedsUp) {
   const auto model = typical();
   const auto faster = model.with_drive_scaled(1.2);

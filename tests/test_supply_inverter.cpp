@@ -24,7 +24,7 @@ TEST(SupplyInverter, DelayMatchesBehavioralModel) {
   TransitionRecorder rec(y);
   sim.drive(a, 0.0_ps, Logic::L1);   // settle DS low
   sim.drive(a, 1000.0_ps, Logic::L0);  // sense edge
-  sim.run_all();
+  sim.run_until(100000.0_ps);
 
   const double expected = model.delay(1.0_V, 2.0_pF).value();
   ASSERT_TRUE(rec.last_rise().has_value());
@@ -43,7 +43,7 @@ TEST(SupplyInverter, LowerSupplyIsSlower) {
     TransitionRecorder rec(y);
     sim.drive(a, 0.0_ps, Logic::L1);
     sim.drive(a, 1000.0_ps, Logic::L0);
-    sim.run_all();
+    sim.run_until(100000.0_ps);
     return rec.last_rise()->value();
   };
   EXPECT_GT(run_at(0.90), run_at(1.00));
@@ -61,7 +61,7 @@ TEST(SupplyInverter, LargerLoadIsSlower) {
     TransitionRecorder rec(y);
     sim.drive(a, 0.0_ps, Logic::L1);
     sim.drive(a, 1000.0_ps, Logic::L0);
-    sim.run_all();
+    sim.run_until(100000.0_ps);
     return rec.last_rise()->value();
   };
   EXPECT_LT(run_with(1.0), run_with(2.0));
@@ -82,7 +82,7 @@ TEST(SupplyInverter, SamplesRailAtEventTime) {
                               analog::RailPair{&vdd, nullptr}, 2.0_pF);
   sim.drive(a, 0.0_ps, Logic::L1);
   sim.drive(a, 1000.0_ps, Logic::L0);
-  sim.run_all();
+  sim.run_until(100000.0_ps);
   ASSERT_EQ(inv.transitions().size(), 2u);
   EXPECT_DOUBLE_EQ(inv.transitions()[0].supply.value(), 1.0);
   EXPECT_DOUBLE_EQ(inv.transitions()[1].supply.value(), 0.9);
@@ -111,7 +111,7 @@ TEST(SupplyInverter, DelayTracksTimeVaryingRail) {
     sim.drive(a, Picoseconds{t}, i % 2 == 0 ? Logic::L0 : Logic::L1);
     t += 431.0;  // long enough for the (slow) sense edge to land
   }
-  sim.run_all();
+  sim.run_until(100000.0_ps);
 
   ASSERT_EQ(inv.transitions().size(), 41u);
   ASSERT_EQ(rec.count(), 41u);
@@ -141,7 +141,7 @@ TEST(SupplyInverter, GroundBounceReducesOverdrive) {
       sim.add<SupplyInverter>("inv", a, y, analog::AlphaPowerDelayModel{},
                               analog::RailPair{&vdd, &gnd}, 2.0_pF);
   sim.drive(a, 0.0_ps, Logic::L1);
-  sim.run_all();
+  sim.run_until(100000.0_ps);
   ASSERT_EQ(inv.transitions().size(), 1u);
   EXPECT_NEAR(inv.transitions()[0].supply.value(), 0.95, 1e-12);
 }

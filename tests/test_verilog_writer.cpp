@@ -2,15 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "sta/control_netlist.h"
 
 namespace psnt::sta {
 namespace {
 
+std::string verilog_text(const ControlNetlist& netlist,
+                         const VerilogOptions& options = {}) {
+  std::ostringstream os;
+  write_verilog(os, netlist, options);
+  return os.str();
+}
+
 std::string control_verilog() {
   const auto netlist =
       build_control_netlist(analog::default_90nm_library());
-  return verilog_string(netlist);
+  return verilog_text(netlist);
 }
 
 TEST(VerilogWriter, ModuleHeaderAndClockPort) {
@@ -22,7 +31,7 @@ TEST(VerilogWriter, ModuleHeaderAndClockPort) {
 
 TEST(VerilogWriter, EveryGateInstanceEmitted) {
   const auto netlist = build_control_netlist(analog::default_90nm_library());
-  const std::string v = verilog_string(netlist);
+  const std::string v = verilog_text(netlist);
   for (const auto& g : netlist.gates) {
     EXPECT_NE(v.find(g.cell), std::string::npos) << g.cell;
     EXPECT_NE(v.find("\\" + g.name + " "), std::string::npos) << g.name;
@@ -43,7 +52,7 @@ TEST(VerilogWriter, EveryGateInstanceEmitted) {
 
 TEST(VerilogWriter, RegistersEmittedWithClock) {
   const auto netlist = build_control_netlist(analog::default_90nm_library());
-  const std::string v = verilog_string(netlist);
+  const std::string v = verilog_text(netlist);
   std::size_t dffs = 0;
   std::size_t pos = 0;
   while ((pos = v.find("  DFF_X1 ", pos)) != std::string::npos) {
@@ -76,7 +85,7 @@ TEST(VerilogWriter, CustomModuleName) {
   const auto netlist = build_control_netlist(analog::default_90nm_library());
   VerilogOptions options;
   options.module_name = "my_cntr";
-  EXPECT_NE(verilog_string(netlist, options).find("module my_cntr"),
+  EXPECT_NE(verilog_text(netlist, options).find("module my_cntr"),
             std::string::npos);
 }
 
