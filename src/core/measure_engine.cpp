@@ -73,6 +73,15 @@ DelayCode resolve_code(const MeasureRequest& req, const EngineContext& ctx) {
   return req.code ? *req.code : ctx.current_code();
 }
 
+// The supply the `target` array's inverters see at `launch`.
+inline double sense_volts(SenseTarget target, Picoseconds launch,
+                          const analog::RailPair& rails, Volt v_nominal) {
+  if (target == SenseTarget::kVdd) return rails.effective(launch).value();
+  // LOW-SENSE inverter: nominal VDD against the noisy ground.
+  PSNT_CHECK(rails.gnd != nullptr, "GND sense needs a ground rail");
+  return (v_nominal - rails.gnd->at(launch)).value();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -146,6 +155,10 @@ void BehavioralEngine::measure_raw_batch(const MeasureRequest& first,
                                          std::size_t count,
                                          const analog::RailPair& rails,
                                          std::vector<RawSample>& out) {
+  if (!first.code && ctx_.auto_ranging()) {
+    measure_auto_ranged(first, interval, count, rails, out);
+    return;
+  }
   const DelayCode code = resolve_code(first, ctx_);
   const SenseTarget target = first.target;
   const Picoseconds skew = pg_.skew(code);
@@ -168,13 +181,7 @@ void BehavioralEngine::measure_raw_batch(const MeasureRequest& first,
                             static_cast<double>(k) * interval.value()},
                 code);
     batch_launch_[k] = launch;
-    if (target == SenseTarget::kVdd) {
-      batch_v_[k] = rails.effective(launch).value();
-    } else {
-      // LOW-SENSE inverter: nominal VDD against the noisy ground.
-      PSNT_CHECK(rails.gnd != nullptr, "GND sense needs a ground rail");
-      batch_v_[k] = (config_.v_nominal - rails.gnd->at(launch)).value();
-    }
+    batch_v_[k] = sense_volts(target, launch, rails, config_.v_nominal);
     fsm_.step(FsmInputs{});  // the done cycle
   }
 
@@ -199,6 +206,38 @@ void BehavioralEngine::measure_raw_batch(const MeasureRequest& first,
     raw.code = code;
     raw.word = batch_words_[k];
     ctx_.apply_word(raw.word);
+    out.push_back(raw);
+  }
+}
+
+void BehavioralEngine::measure_auto_ranged(const MeasureRequest& first,
+                                           Picoseconds interval,
+                                           std::size_t count,
+                                           const analog::RailPair& rails,
+                                           std::vector<RawSample>& out) {
+  const SenseTarget target = first.target;
+  const SensorArray& array =
+      target == SenseTarget::kVdd ? high_sense_ : low_sense_;
+  BatchedSenseKernel& kernel =
+      target == SenseTarget::kVdd ? high_kernel_ : low_kernel_;
+  out.reserve(out.size() + count);
+  for (std::size_t k = 0; k < count; ++k) {
+    RawSample raw;
+    raw.target = target;
+    raw.code = ctx_.current_code();
+    const Picoseconds skew = pg_.skew(raw.code);
+    raw.timestamp =
+        prepare(Picoseconds{first.start.value() +
+                            static_cast<double>(k) * interval.value()},
+                raw.code);
+    const double v =
+        sense_volts(target, raw.timestamp, rails, config_.v_nominal);
+    fsm_.step(FsmInputs{});  // the done cycle
+    if (!kernel.measure_one(array, v, raw.code, skew, raw.word)) {
+      raw.word = array.measure(Volt{v}, skew);
+    }
+    ctx_.apply_word(raw.word);
+    ctx_.observe(encoder_.encode(raw.word), raw.word.width());
     out.push_back(raw);
   }
 }
@@ -241,9 +280,7 @@ DynamicRange BehavioralEngine::vdd_range(DelayCode code) const {
 }
 
 void BehavioralEngine::prewarm_sense_ladders(DelayCode code) {
-  const Picoseconds skew = pg_.skew(code);
-  high_kernel_.prewarm(code, skew);
-  low_kernel_.prewarm(code, skew);
+  high_kernel_.prewarm(code, pg_.skew(code));
 }
 
 std::size_t BehavioralEngine::adopt_sense_ladders(const BehavioralEngine& src) {
@@ -295,8 +332,9 @@ class BehavioralEngineHandle final : public IMeasureEngine {
 // netlist. One netlist transaction covers prepare+sense, so a batch maps
 // onto one run_measures(count), amortizing FSM idle realignment across the
 // whole batch. The PG MUX selects are the FSM's live code register, so
-// auto-range works at gate level: each call resolves its code from the
-// context policy and a change reloads the register through INIT.
+// auto-range works at gate level: an auto-ranged batch runs one
+// run_measures(1) per sample at the context's code, observing each word,
+// and a code change reloads the register through INIT.
 // Thread-confined: build and capture on one thread.
 class StructuralEngineHandle final : public IMeasureEngine {
  public:
@@ -327,21 +365,20 @@ class StructuralEngineHandle final : public IMeasureEngine {
   void measure_raw_batch(const MeasureRequest& first, Picoseconds interval,
                          std::size_t count,
                          std::vector<RawSample>& out) override {
-    const DelayCode code = resolve_code(first, ctx_);
-    system_->set_code(code);
-    const auto words =
-        system_->run_measures(count, /*configure_first=*/!configured_);
-    configured_ = true;
+    if (first.code || !ctx_.auto_ranging()) {
+      capture(resolve_code(first, ctx_), first.start, interval, count, out);
+      return;
+    }
+    // CNTR's internal policy: one netlist transaction per sample, each
+    // observed before the next one's code is loaded.
     out.reserve(out.size() + count);
     for (std::size_t k = 0; k < count; ++k) {
-      RawSample raw;
-      raw.timestamp = Picoseconds{first.start.value() +
-                                  static_cast<double>(k) * interval.value()};
-      raw.target = SenseTarget::kVdd;
-      raw.code = code;
-      raw.word = words[k];
-      ctx_.apply_word(raw.word);
-      out.push_back(raw);
+      capture(ctx_.current_code(),
+              Picoseconds{first.start.value() +
+                          static_cast<double>(k) * interval.value()},
+              interval, 1, out);
+      const ThermoWord& word = out.back().word;
+      ctx_.observe(encoder_.encode(word), word.width());
     }
   }
 
@@ -360,6 +397,26 @@ class StructuralEngineHandle final : public IMeasureEngine {
   }
 
  private:
+  // `count` netlist transactions at `code` in one run_measures call.
+  void capture(DelayCode code, Picoseconds start, Picoseconds interval,
+               std::size_t count, std::vector<RawSample>& out) {
+    system_->set_code(code);
+    const auto words =
+        system_->run_measures(count, /*configure_first=*/!configured_);
+    configured_ = true;
+    out.reserve(out.size() + count);
+    for (std::size_t k = 0; k < count; ++k) {
+      RawSample raw;
+      raw.timestamp = Picoseconds{start.value() +
+                                  static_cast<double>(k) * interval.value()};
+      raw.target = SenseTarget::kVdd;
+      raw.code = code;
+      raw.word = words[k];
+      ctx_.apply_word(raw.word);
+      out.push_back(raw);
+    }
+  }
+
   sim::Simulator sim_;
   SensorArray array_;
   PulseGenerator pg_;

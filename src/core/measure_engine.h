@@ -24,9 +24,14 @@
 //     - rail offset: a settable supply offset read by ContextOffsetRail, the
 //       droop-spike injection point (offset 0.0 is bit-identical: x + 0.0);
 //     - delay-code policy: fixed code, RangeTuner window resolution (once, at
-//       engine construction), or an AutoRangeController — consumers query
-//       `current_code()` and feed published words back via `observe()`
-//       instead of re-deriving policy themselves.
+//       engine construction), or an AutoRangeController. Like the paper's
+//       CNTR, which sets the Delay Code "internally according to a policy"
+//       (Sec. III-B), an auto-ranged engine runs the feedback itself: a
+//       capture without an explicit `MeasureRequest::code` encodes and
+//       `observe()`s each word before the next PREPARE. A capture with an
+//       explicit code overrides the policy for that call and leaves it
+//       untouched; such callers (the grid's resilient loop) feed the words
+//       they publish back through `observe()` themselves.
 //   fault::FaultSession is the one binding between a FaultInjector and this
 //   context; nothing else installs hooks.
 #pragma once
@@ -130,7 +135,8 @@ class ContextOffsetRail final : public analog::RailSource {
 };
 
 // One measure transaction. `code` overrides the context's code policy for
-// this transaction only (drifted-code injection, explicit-code callers).
+// this transaction only (drifted-code injection, explicit-code callers): the
+// capture runs at it and does not feed the auto-range policy.
 struct MeasureRequest {
   Picoseconds start{0.0};
   SenseTarget target = SenseTarget::kVdd;
@@ -172,6 +178,10 @@ class BehavioralEngine {
   // hook does not read rail state mid-batch (the one hook installer,
   // fault::FaultSession, arms one sample at a time: the grid's resilient
   // loop captures with count 1).
+  //
+  // An auto-ranged context with no `first.code` runs measure_auto_ranged
+  // instead: each sample at the policy's current code, its hooked word
+  // encoded and observed before the next PREPARE.
   void measure_raw_batch(const MeasureRequest& first, Picoseconds interval,
                          std::size_t count, const analog::RailPair& rails,
                          std::vector<RawSample>& out);
@@ -188,9 +198,10 @@ class BehavioralEngine {
 
   // Scan-grid amortization hooks. The firing-ladder solve is lazy on the
   // first batch per code (~7 bisections); a grid of identical site arrays
-  // would pay it once per site. prewarm forces the solve for `code` on both
-  // kernels now; adopt copies every ladder `src` has already solved when the
-  // arrays are value-identical (returns the ladder count, 0 on mismatch).
+  // would pay it once per site. prewarm forces the solve for `code` on the
+  // HIGH-SENSE kernel now (a grid senses only VDD; a LOW-SENSE capture still
+  // solves lazily); adopt copies every ladder `src` has already solved when
+  // the arrays are value-identical (returns the ladder count, 0 on mismatch).
   void prewarm_sense_ladders(DelayCode code);
   std::size_t adopt_sense_ladders(const BehavioralEngine& src);
 
@@ -213,6 +224,14 @@ class BehavioralEngine {
   // PREPARE: walks the FSM to S_SNS for a transaction leaving IDLE at
   // `start`; returns the sense launch instant (S_SNS edge + PG p_delay).
   Picoseconds prepare(Picoseconds start, DelayCode code);
+  // The auto-ranged capture loop: per sample, PREPARE at the context code,
+  // SENSE on the compare ladder (BatchedSenseKernel::measure_one, with
+  // SensorArray::measure for a flagged sample), word hook, then ENC and
+  // observe. Bit-identical to count-1 explicit-code captures each followed
+  // by an observe of the captured word.
+  void measure_auto_ranged(const MeasureRequest& first, Picoseconds interval,
+                           std::size_t count, const analog::RailPair& rails,
+                           std::vector<RawSample>& out);
   // The decode ladder of one array, built on first use: a grid captures
   // through this engine but decodes in its drain, so it never pays for one.
   [[nodiscard]] const DecodeLadder& ladder(SenseTarget target) const;
@@ -259,13 +278,17 @@ class IMeasureEngine {
   // against the bound rails, starting at `first.start` and spaced by
   // `interval`, appended to `out` as capture-only RawSamples (word, code,
   // launch instant; no ENC, no bin). The word hook has already run.
-  // `first.code` overrides the context's code policy for the whole call.
+  // `first.code` overrides the context's code policy for the whole call and
+  // feeds it nothing. Without it, an auto-ranging context observes every
+  // captured (hooked) word before the next sample's PREPARE, so one call of
+  // any count walks the same trim sequence as `count` count-1 calls.
   virtual void measure_raw_batch(const MeasureRequest& first,
                                  Picoseconds interval, std::size_t count,
                                  std::vector<RawSample>& out) = 0;
 
-  // The ENC the context's auto-range policy observes a published word
-  // through (EngineContext::observe).
+  // The ENC the context's auto-range policy observes a word through
+  // (EngineContext::observe): in-engine for policy-coded captures, by the
+  // caller for the explicit-code captures it publishes.
   [[nodiscard]] virtual EncodedWord encode(const ThermoWord& word) const = 0;
 
   // Majority voting re-measures the same sample; false when the backend
@@ -306,8 +329,9 @@ std::size_t share_sense_ladders(IMeasureEngine& dst, const IMeasureEngine& src);
 // FullStructuralSystem netlist around copies of `array`/`pg`. The PG MUX
 // selects are the FSM's live code register, so the code policy runs
 // structurally: window tuning picks the starting code, per-measure
-// resolution follows the context (auto_range included — a code change
-// reloads the register through INIT).
+// resolution follows the context (auto_range included — an auto-ranged
+// batch runs one netlist transaction per sample, and a code change reloads
+// the register through INIT).
 // Build on the thread that will capture through it: the netlist is
 // thread-confined.
 [[nodiscard]] EngineHandle make_structural_engine(

@@ -68,11 +68,14 @@ struct ScanGrid::Shard {
   // single worker thread.
   std::vector<core::RawSample> scratch;
   std::vector<GridSample> sample_scratch;
+  // The resilient loop's vote panel, reused across published samples.
+  std::vector<core::RawSample> vote_raws;
+  std::vector<core::ThermoWord> vote_words;
   // The worker's exception, if it threw; run() rethrows it after the join.
   std::exception_ptr error;
   // Polled by the drain on every idle pass: on its own line, so the
   // worker's per-sample writes to the scratch vectors above never evict it.
-  alignas(kCacheLine) std::atomic<bool> done{false};
+  alignas(util::kCacheLine) std::atomic<bool> done{false};
 
   explicit Shard(std::size_t ring_capacity) : ring(ring_capacity) {}
 };
@@ -199,15 +202,22 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
   // Cross-site firing-ladder sharing: all behavioral sites wrap the same
   // calibrated array, so the per-code ladder solve (a ~7-bisection pass per
   // kernel, ~10 us) would otherwise be repaid once per site inside run().
-  // Solve it once on site 0 for the configured code and adopt the tables
-  // everywhere else; share_sense_ladders fingerprints the array parameters
-  // and copies nothing if they differ, so this is amortization only, never a
-  // behavior change. Auto-ranged grids walk codes at runtime; their first
-  // step per code still solves lazily (and correctly) as before.
+  // Solve it once on site 0 for the configured code — for every code when
+  // the sites auto-range, since each may walk to any of them — and adopt the
+  // tables everywhere else; share_sense_ladders fingerprints the array
+  // parameters and copies nothing if they differ, so this is amortization
+  // only, never a behavior change.
   if (config_.fidelity == SiteFidelity::kBehavioral && sites_.size() > 1) {
     core::IMeasureEngine& first = *sites_.front()->engine;
-    if (core::prewarm_sense_ladders(first,
-                                    first.context().current_code())) {
+    const core::EngineContext& ctx = first.context();
+    bool prewarmed = false;
+    for (std::uint8_t c = 0; c < core::DelayCode::kCount; ++c) {
+      const core::DelayCode code{c};
+      if (ctx.auto_ranging() || code == ctx.current_code()) {
+        prewarmed = core::prewarm_sense_ladders(first, code);
+      }
+    }
+    if (prewarmed) {
       for (std::size_t i = 1; i < sites_.size(); ++i) {
         (void)core::share_sense_ladders(*sites_[i]->engine, first);
       }
@@ -281,19 +291,19 @@ void ScanGrid::run_site_batch(Site& site, std::size_t first, std::size_t count,
   core::EngineContext& ctx = engine.context();
   const ResiliencePolicy& policy = config_.resilience;
   shard.scratch.clear();
-  core::MeasureRequest req;
   const double t0 = now_seconds();
-  if (!chaos_ && !ctx.auto_ranging()) {
-    // Nothing to do between two captures: one engine call for the whole
-    // batch — the vectorized behavioral SoA capture or one netlist run.
+  if (!chaos_) {
+    // One engine call for the whole batch: the vectorized behavioral SoA
+    // capture, one netlist run, or the engine's own auto-range loop.
+    core::MeasureRequest req;
     req.start = sample_time(first);
     engine.measure_raw_batch(req, config_.interval, count, shard.scratch);
     for (std::size_t k = 0; k < count; ++k) {
       shard.scratch[k].sample_index = static_cast<std::uint32_t>(first + k);
     }
   } else {
-    // Per-sample loop: auto-range observes each published word before the
-    // next PREPARE; retry, vote and quarantine wrap each count-1 capture.
+    // Per-sample loop: retry, vote and quarantine wrap each count-1
+    // explicit-code capture.
     for (std::size_t k = first; k < first + count; ++k) {
       if (site.quarantined) {
         ++site.lost;
@@ -301,28 +311,22 @@ void ScanGrid::run_site_batch(Site& site, std::size_t first, std::size_t count,
         continue;
       }
       std::uint32_t forced_full_pushes = 0;
-      if (chaos_) {
-        core::RawSample raw;
-        if (!resilient_capture(site, k, raw, forced_full_pushes)) {
-          ++site.lost;
-          chaos_->lost.increment();
-          ++site.fail_streak;
-          if (policy.quarantine_after > 0 &&
-              site.fail_streak >= policy.quarantine_after) {
-            site.quarantined = true;
-            site.quarantine_sample = static_cast<std::uint32_t>(k + 1);
-            chaos_->quarantined.increment();
-          }
-          continue;
+      core::RawSample raw;
+      if (!resilient_capture(site, k, shard, raw, forced_full_pushes)) {
+        ++site.lost;
+        chaos_->lost.increment();
+        ++site.fail_streak;
+        if (policy.quarantine_after > 0 &&
+            site.fail_streak >= policy.quarantine_after) {
+          site.quarantined = true;
+          site.quarantine_sample = static_cast<std::uint32_t>(k + 1);
+          chaos_->quarantined.increment();
         }
-        site.fail_streak = 0;
-        shard.scratch.push_back(raw);
-      } else {
-        req.start = sample_time(k);
-        engine.measure_raw_batch(req, config_.interval, 1, shard.scratch);
+        continue;
       }
-      core::RawSample& raw = shard.scratch.back();
+      site.fail_streak = 0;
       raw.sample_index = static_cast<std::uint32_t>(k);
+      shard.scratch.push_back(raw);
       // Auto-range feedback: once per published sample, on the published
       // (majority) word — never per capture, so votes and retries leave
       // the trim sequence untouched.
@@ -397,7 +401,7 @@ void apply_backoff(const ResiliencePolicy& policy, std::size_t attempt,
 }  // namespace
 
 bool ScanGrid::resilient_capture(Site& site, std::size_t sample,
-                                 core::RawSample& out,
+                                 Shard& shard, core::RawSample& out,
                                  std::uint32_t& forced_full_pushes) {
   const ResiliencePolicy& policy = config_.resilience;
   ChaosCounters& counters = *chaos_;
@@ -410,8 +414,8 @@ bool ScanGrid::resilient_capture(Site& site, std::size_t sample,
   const std::size_t attempts_per_vote = policy.max_retries + 1;
   const std::size_t width = engine.word_bits();
 
-  std::vector<core::RawSample> vote_raws;
-  vote_raws.reserve(votes);
+  std::vector<core::RawSample>& vote_raws = shard.vote_raws;
+  vote_raws.clear();
   bool needed_retry = false;
   const auto retry_after_failure = [&](std::size_t a) {
     if (a + 1 < attempts_per_vote) {
@@ -456,8 +460,8 @@ bool ScanGrid::resilient_capture(Site& site, std::size_t sample,
     // Lost votes shrink the panel; keep it odd so majority stays defined.
     std::size_t panel = vote_raws.size();
     if (panel % 2 == 0) --panel;
-    std::vector<core::ThermoWord> words;
-    words.reserve(panel);
+    std::vector<core::ThermoWord>& words = shard.vote_words;
+    words.clear();
     for (std::size_t i = 0; i < panel; ++i) words.push_back(vote_raws[i].word);
     const core::ThermoWord winner = majority_word(words);
     bool overridden = false;

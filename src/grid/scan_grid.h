@@ -108,8 +108,9 @@ enum class SiteFidelity { kBehavioral, kStructural };
 // sample; kAutoRange seeds each site engine's context with an
 // AutoRangeController at config.code that re-trims after every published
 // sample (still deterministic: the controller only sees the site's own
-// sample sequence). The policy lives in the engine's EngineContext — the
-// grid only feeds published words back through it.
+// sample sequence). The policy lives in the engine's EngineContext and the
+// engine runs it inside each batch capture; only the resilient loop, whose
+// captures carry explicit codes, feeds its published words back itself.
 enum class CodePolicy { kFixed, kAutoRange };
 
 // Builds one site's rail source, deterministically, from the site record and
@@ -274,15 +275,18 @@ class ScanGrid {
   // their worker thread (the netlist is thread-confined).
   void ensure_engine(Site& site);
   // The one site-batch worker: captures samples [first, first + count) of
-  // `site` — one engine call for the batch, or a per-sample loop under
-  // auto-range or resilience — and ships RawSamples into the shard's ring.
+  // `site` — one engine call for the batch (auto-ranged sites included: the
+  // engine runs the feedback), or a per-sample loop under resilience — and
+  // ships RawSamples into the shard's ring.
   void run_site_batch(Site& site, std::size_t first, std::size_t count,
                       Shard& shard);
   // One published sample under the resilience policy, backend-agnostic: up
   // to `votes` successful count-1 captures (voting only when the engine
   // supports it), each with bounded retry; the published word is their
   // bitwise majority. Returns false when every attempt of every vote failed.
-  bool resilient_capture(Site& site, std::size_t sample, core::RawSample& out,
+  // The vote panel lives in `shard`'s reused buffers.
+  bool resilient_capture(Site& site, std::size_t sample, Shard& shard,
+                         core::RawSample& out,
                          std::uint32_t& forced_full_pushes);
   void record_fault_events(Site& site, const fault::MeasureFaults& faults,
                            std::size_t sample, std::uint32_t attempt);

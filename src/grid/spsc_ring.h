@@ -18,20 +18,13 @@
 
 #include <atomic>
 #include <cstddef>
-#include <new>
 #include <utility>
 #include <vector>
 
+#include "util/cache_line.h"
 #include "util/error.h"
 
 namespace psnt::grid {
-
-#ifdef __cpp_lib_hardware_interference_size
-inline constexpr std::size_t kCacheLine =
-    std::hardware_destructive_interference_size;
-#else
-inline constexpr std::size_t kCacheLine = 64;
-#endif
 
 template <typename T>
 class SpscRing {
@@ -138,18 +131,18 @@ class SpscRing {
   // neighbouring allocation can share the line and every push invalidates
   // the consumer's cache (false sharing).
   // Producer-owned index plus its cached view of the consumer's index.
-  alignas(kCacheLine) std::atomic<std::size_t> tail_{0};
+  alignas(util::kCacheLine) std::atomic<std::size_t> tail_{0};
   std::size_t cached_head_ = 0;
-  char producer_pad_[kCacheLine - sizeof(std::atomic<std::size_t>) -
+  char producer_pad_[util::kCacheLine - sizeof(std::atomic<std::size_t>) -
                      sizeof(std::size_t)]{};
   // Consumer-owned index plus its cached view of the producer's index.
-  alignas(kCacheLine) std::atomic<std::size_t> head_{0};
+  alignas(util::kCacheLine) std::atomic<std::size_t> head_{0};
   std::size_t cached_tail_ = 0;
-  char consumer_pad_[kCacheLine - sizeof(std::atomic<std::size_t>) -
+  char consumer_pad_[util::kCacheLine - sizeof(std::atomic<std::size_t>) -
                      sizeof(std::size_t)]{};
 
   static_assert(sizeof(std::atomic<std::size_t>) + sizeof(std::size_t) <
-                    kCacheLine,
+                    util::kCacheLine,
                 "index pair must leave room for padding");
 };
 

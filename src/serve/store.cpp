@@ -5,12 +5,12 @@
 #include <new>
 #include <utility>
 
+#include "util/cache_line.h"
 #include "util/error.h"
 
 namespace psnt::serve {
 
 namespace {
-constexpr std::size_t kCacheLine = 64;
 
 // Hands released snapshots back to the shard that published them. Owned
 // jointly by the shard and by every snapshot it published (through the
@@ -166,7 +166,7 @@ struct RecyclingAllocator {
 
 // Writer-exclusive state of one ingest lane plus its published snapshot.
 // Heap-allocated and cache-line aligned so lanes never false-share.
-struct alignas(kCacheLine) TelemetryStore::Shard {
+struct alignas(util::kCacheLine) TelemetryStore::Shard {
   // --- writer-only (the shard's single ingest thread) -------------------
   struct SiteState {
     SiteLatest latest;

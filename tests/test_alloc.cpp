@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "alloc_probe.h"
+#include "fault/fault_injector.h"
 #include "grid/scan_grid.h"
 #include "serve/store.h"
 
@@ -57,19 +58,26 @@ std::uint64_t run_allocations(const scan::Floorplan& fp,
 TEST(Allocations, BehavioralGridRunIsIndependentOfSampleCount) {
   // 16 sites: 96 samples is one capture batch per site, 960 is ten. Every
   // buffer is sized up front or reused across batches, so ten times the
-  // samples costs exactly the same allocations.
+  // samples costs exactly the same allocations. Auto-ranged sites included:
+  // the grid solves every code's firing ladder before run(), so walking to
+  // a new code allocates nothing.
   const auto fp = scan::Floorplan::grid(4000.0, 4000.0, 4, 4);
-  for (const std::size_t threads : {1u, 2u}) {
-    for (const bool with_store : {false, true}) {
-      std::uint64_t counts[2] = {};
-      const std::size_t samples[2] = {96, 960};
-      for (int i = 0; i < 2; ++i) {
-        auto config = alloc_config(threads, samples[i]);
-        if (with_store) config.store = grid_store(fp.site_count());
-        counts[i] = run_allocations(fp, config);
+  for (const CodePolicy policy : {CodePolicy::kFixed, CodePolicy::kAutoRange}) {
+    for (const std::size_t threads : {1u, 2u}) {
+      for (const bool with_store : {false, true}) {
+        std::uint64_t counts[2] = {};
+        const std::size_t samples[2] = {96, 960};
+        for (int i = 0; i < 2; ++i) {
+          auto config = alloc_config(threads, samples[i]);
+          config.code_policy = policy;
+          if (with_store) config.store = grid_store(fp.site_count());
+          counts[i] = run_allocations(fp, config);
+        }
+        EXPECT_EQ(counts[0], counts[1])
+            << (policy == CodePolicy::kFixed ? "fixed" : "auto-ranged")
+            << ", " << threads << " thread(s), store "
+            << (with_store ? "on" : "off");
       }
-      EXPECT_EQ(counts[0], counts[1])
-          << threads << " thread(s), store " << (with_store ? "on" : "off");
     }
   }
 }
@@ -90,6 +98,39 @@ TEST(Allocations, StructuralGridGrowsUnderOneAllocationPer20Measures) {
     const double growth =
         (static_cast<double>(long_run) - static_cast<double>(short_run)) /
         extra_measures;
+    EXPECT_LE(growth, 0.05) << threads << " thread(s): " << short_run
+                            << " -> " << long_run << " allocations";
+  }
+}
+
+TEST(Allocations, ChaosGridGrowsOnlyByItsFaultTrace) {
+  // Every fault lane, 3 votes, retries and quarantine. The vote panel lives
+  // in reused shard buffers, so what may grow with the sample count is the
+  // fault trace's amortized growth — logarithmic, far under one allocation
+  // per published sample.
+  const auto fp = scan::Floorplan::grid(2000.0, 2000.0, 2, 2);
+  fault::FaultStormConfig storm;
+  storm.p_stuck_site = 0.15;
+  storm.p_metastable = 0.1;
+  storm.p_code_drift = 0.08;
+  storm.p_rail_droop = 0.08;
+  storm.p_dead_site = 0.02;
+  storm.p_hung = 0.2;
+  storm.p_ring_storm = 0.05;
+  for (const std::size_t threads : {1u, 2u}) {
+    auto config = alloc_config(threads, 64);
+    config.injector = std::make_shared<fault::FaultInjector>(7, storm);
+    config.resilience.max_retries = 6;
+    config.resilience.votes = 3;
+    config.resilience.quarantine_after = 3;
+    const std::uint64_t short_run = run_allocations(fp, config);
+    config.samples_per_site = 1024;
+    const std::uint64_t long_run = run_allocations(fp, config);
+    const double extra_samples = static_cast<double>(
+        fp.site_count() * (1024 - 64));
+    const double growth =
+        (static_cast<double>(long_run) - static_cast<double>(short_run)) /
+        extra_samples;
     EXPECT_LE(growth, 0.05) << threads << " thread(s): " << short_run
                             << " -> " << long_run << " allocations";
   }

@@ -385,8 +385,12 @@ TEST(BatchEngine, FaultHookedHandleStaysIdenticalThroughBatch) {
 void expect_same_bin(const VoltageBin& a, const VoltageBin& b) {
   ASSERT_EQ(a.lo.has_value(), b.lo.has_value());
   ASSERT_EQ(a.hi.has_value(), b.hi.has_value());
-  if (a.lo) EXPECT_EQ(a.lo->value(), b.lo->value());
-  if (a.hi) EXPECT_EQ(a.hi->value(), b.hi->value());
+  if (a.lo) {
+    EXPECT_EQ(a.lo->value(), b.lo->value());
+  }
+  if (a.hi) {
+    EXPECT_EQ(a.hi->value(), b.hi->value());
+  }
 }
 
 struct NamedArray {

@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <memory>
+#include <numbers>
 #include <string>
 #include <vector>
 
@@ -209,6 +211,77 @@ TEST_P(MeasureEngineConformance, BatchMatchesSingleMeasuresOnQuietRails) {
   }
 }
 
+// ±100 mV around 1 V over a 40-sample period: the rail leaves code 011's
+// window on both sides, so an auto-range policy keeps walking.
+analog::CallbackRail swinging_rail() {
+  return analog::CallbackRail{[](Picoseconds t) {
+    return Volt{1.0 + 0.1 * std::sin(2.0 * std::numbers::pi * t.value() /
+                                     400000.0)};
+  }};
+}
+
+TEST_P(MeasureEngineConformance, AutoRangedBatchEqualsExplicitCodeLoop) {
+  // An auto-ranged capture without an explicit code runs the feedback in
+  // the engine: one call of any count must walk exactly the trim sequence
+  // of count-1 captures at the policy's code, each observed by hand.
+  const analog::CallbackRail vdd = swinging_rail();
+  EngineSiteOptions options;
+  options.code_policy.auto_range = true;
+  const Picoseconds interval{10000.0};
+  for (const std::size_t count : {1u, 7u, 96u, 4096u}) {
+    auto batched = GetParam().build({&vdd, nullptr}, options);
+    auto looped = GetParam().build({&vdd, nullptr}, options);
+    std::vector<RawSample> got;
+    batched->measure_raw_batch(request_at(0.0), interval, count, got);
+    std::vector<RawSample> want;
+    for (std::size_t k = 0; k < count; ++k) {
+      MeasureRequest req = request_at(static_cast<double>(k) * interval.value());
+      req.code = looped->context().current_code();
+      looped->measure_raw_batch(req, interval, 1, want);
+      looped->context().observe(looped->encode(want.back().word),
+                                want.back().word.width());
+    }
+    ASSERT_EQ(got.size(), count);
+    for (std::size_t k = 0; k < count; ++k) {
+      EXPECT_EQ(got[k].word, want[k].word) << count << ": sample " << k;
+      EXPECT_EQ(got[k].code, want[k].code) << count << ": sample " << k;
+      EXPECT_EQ(got[k].timestamp.value(), want[k].timestamp.value())
+          << count << ": sample " << k;
+    }
+    EXPECT_EQ(batched->context().code_steps(), looped->context().code_steps())
+        << "count " << count;
+    EXPECT_EQ(batched->context().current_code(),
+              looped->context().current_code())
+        << "count " << count;
+    if (count >= 96) {
+      EXPECT_GT(looped->context().code_steps(), 0u)
+          << "the rail must force range steps";
+    }
+  }
+}
+
+TEST_P(MeasureEngineConformance, ExplicitCodeCaptureLeavesThePolicyUntouched) {
+  // 0.84 V sits at code 011's low edge: the same 16 captures step the
+  // policy when it codes them, and leave it alone when they name a code.
+  const analog::ConstantRail vdd{0.84_V};
+  EngineSiteOptions options;
+  options.code_policy.auto_range = true;
+  auto engine = GetParam().build({&vdd, nullptr}, options);
+  const DelayCode initial = engine->context().current_code();
+
+  MeasureRequest req = request_at(0.0);
+  req.code = initial;
+  std::vector<RawSample> out;
+  engine->measure_raw_batch(req, Picoseconds{10000.0}, 16, out);
+  EXPECT_EQ(engine->context().code_steps(), 0u);
+  EXPECT_EQ(engine->context().current_code(), initial);
+
+  engine->measure_raw_batch(request_at(160000.0), Picoseconds{10000.0}, 16,
+                            out);
+  EXPECT_GT(engine->context().code_steps(), 0u)
+      << "the same rail steps the policy without an explicit code";
+}
+
 // --- backend-specific contract points ----------------------------------
 
 TEST(MeasureEngineCapabilities, BehavioralSupportsTrimAndVoting) {
@@ -308,7 +381,8 @@ TEST(MeasureEngineCapabilities, StructuralAutoRangeConvergesLikeBehavioral) {
   // The same closed loop — measure, encode, observe — over identical rails
   // must walk both backends through the same code sequence: the structural
   // engine now resolves its code per measure and retargets the PG tap
-  // through the live MUX selects.
+  // through the live MUX selects. Each capture names the policy's code, so
+  // the engines leave the feedback to the explicit observe below.
   const auto& model = calib::calibrated().model;
   const analog::ConstantRail vdd{0.84_V};  // saturates the initial code
   EngineSiteOptions options;
@@ -323,9 +397,11 @@ TEST(MeasureEngineCapabilities, StructuralAutoRangeConvergesLikeBehavioral) {
   for (std::size_t k = 0; k < 12; ++k) {
     MeasureRequest req;
     req.start = Picoseconds{static_cast<double>(k) * 10000.0};
+    req.code = behavioral->context().current_code();
     const auto mb = measure_one(*behavioral, req);
     behavioral->context().observe(behavioral->encode(mb.word),
                                   mb.word.width());
+    req.code = structural->context().current_code();
     const auto ms = measure_one(*structural, req);
     structural->context().observe(structural->encode(ms.word),
                                   ms.word.width());

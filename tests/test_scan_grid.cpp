@@ -193,9 +193,9 @@ TEST(ScanGrid, AutoRangePolicyTrimsPerSiteAndStaysDeterministic) {
   }
 
   // Serial reference: one behavioral engine per site running the same
-  // closed loop (count-1 measure with in-engine decode, then observe), so
-  // the grid's words, codes and exact bins are checked against a per-site
-  // decode along the whole trim sequence.
+  // closed loop (count-1 measure at the policy's code with in-engine decode,
+  // then observe), so the grid's words, codes and exact bins are checked
+  // against a per-site decode along the whole trim sequence.
   const auto& model = calib::calibrated().model;
   const analog::ConstantRail vdd{Volt{0.85}};
   for (std::size_t i = 0; i < a.sites.size(); ++i) {
@@ -208,6 +208,7 @@ TEST(ScanGrid, AutoRangePolicyTrimsPerSiteAndStaysDeterministic) {
     for (std::size_t k = 0; k < config.samples_per_site; ++k) {
       core::MeasureRequest req;
       req.start = first.sample_time(k);
+      req.code = engine.context().current_code();
       const core::Measurement want = engine.measure(req, {&vdd, nullptr});
       engine.context().observe(engine.encode(want.word), want.word.width());
       const auto& got = a.sites[i].samples[k];

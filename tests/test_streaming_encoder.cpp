@@ -117,8 +117,12 @@ TEST(StreamingEncoder, RejectPolicyCountsRejectedWords) {
 void expect_same_bin(const VoltageBin& a, const VoltageBin& b) {
   ASSERT_EQ(a.lo.has_value(), b.lo.has_value());
   ASSERT_EQ(a.hi.has_value(), b.hi.has_value());
-  if (a.lo) EXPECT_EQ(a.lo->value(), b.lo->value());
-  if (a.hi) EXPECT_EQ(a.hi->value(), b.hi->value());
+  if (a.lo) {
+    EXPECT_EQ(a.lo->value(), b.lo->value());
+  }
+  if (a.hi) {
+    EXPECT_EQ(a.hi->value(), b.hi->value());
+  }
 }
 
 TEST(DecodeLadder, BitIdenticalToArrayDecodeAcrossAllCodes) {
@@ -217,8 +221,12 @@ TEST(RawPath, BehavioralMeasureRawPlusLadderReassemblesMeasure) {
     EXPECT_EQ(rebuilt.word, m.word);
     ASSERT_EQ(rebuilt.bin.lo.has_value(), m.bin.lo.has_value());
     ASSERT_EQ(rebuilt.bin.hi.has_value(), m.bin.hi.has_value());
-    if (m.bin.lo) EXPECT_EQ(rebuilt.bin.lo->value(), m.bin.lo->value());
-    if (m.bin.hi) EXPECT_EQ(rebuilt.bin.hi->value(), m.bin.hi->value());
+    if (m.bin.lo) {
+      EXPECT_EQ(rebuilt.bin.lo->value(), m.bin.lo->value());
+    }
+    if (m.bin.hi) {
+      EXPECT_EQ(rebuilt.bin.hi->value(), m.bin.hi->value());
+    }
   }
 }
 
