@@ -233,7 +233,10 @@ void BehavioralEngine::measure_auto_ranged(const MeasureRequest& first,
     const double v =
         sense_volts(target, raw.timestamp, rails, config_.v_nominal);
     fsm_.step(FsmInputs{});  // the done cycle
-    if (!kernel.measure_one(array, v, raw.code, skew, raw.word)) {
+    std::uint8_t need_scalar = 0;
+    if (!kernel.measure_batch(array, &v, 1, raw.code, skew, &raw.word,
+                              &need_scalar) ||
+        need_scalar != 0) {
       raw.word = array.measure(Volt{v}, skew);
     }
     ctx_.apply_word(raw.word);

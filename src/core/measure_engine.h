@@ -225,10 +225,12 @@ class BehavioralEngine {
   // `start`; returns the sense launch instant (S_SNS edge + PG p_delay).
   Picoseconds prepare(Picoseconds start, DelayCode code);
   // The auto-ranged capture loop: per sample, PREPARE at the context code,
-  // SENSE on the compare ladder (BatchedSenseKernel::measure_one, with
-  // SensorArray::measure for a flagged sample), word hook, then ENC and
-  // observe. Bit-identical to count-1 explicit-code captures each followed
-  // by an observe of the captured word.
+  // SENSE through a one-sample BatchedSenseKernel::measure_batch on stack
+  // locals (SensorArray::measure for a flagged sample), word hook, then ENC
+  // and observe. Bit-identical to count-1 explicit-code captures each
+  // followed by an observe of the captured word; a loop of such
+  // measure_raw_batch calls is the simpler form, but it measured ~20 %
+  // fewer grid_autorange samples/s (DESIGN.md, "Grid wiring").
   void measure_auto_ranged(const MeasureRequest& first, Picoseconds interval,
                            std::size_t count, const analog::RailPair& rails,
                            std::vector<RawSample>& out);

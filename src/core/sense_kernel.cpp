@@ -182,21 +182,4 @@ bool BatchedSenseKernel::measure_batch(const SensorArray& array,
   return true;
 }
 
-bool BatchedSenseKernel::measure_one(const SensorArray& array,
-                                     double v_eff_volts, DelayCode code,
-                                     Picoseconds skew, ThermoWord& word) {
-  check_same_array(array);
-  if (!vector_ok_) return false;
-  const FiringLadder& ladder = firing_ladder(code, skew);
-  const std::size_t bits = c_total_pf_.size();
-  std::uint32_t bits_set = 0;
-  std::uint8_t need_scalar = 0;
-  simd::sense_compare(&v_eff_volts, 1, ladder.lo.data(), ladder.hi.data(),
-                      bits, win_lo_volts_, win_hi_volts_, &bits_set,
-                      &need_scalar);
-  if (need_scalar != 0) return false;
-  word = ThermoWord{bits_set, bits};
-  return true;
-}
-
 }  // namespace psnt::core

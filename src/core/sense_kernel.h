@@ -54,13 +54,6 @@ class BatchedSenseKernel {
                      std::size_t n, DelayCode code, Picoseconds skew,
                      ThermoWord* words, std::uint8_t* need_scalar);
 
-  // measure_batch for one sample, without the batch scratch: true with
-  // `word` sensed, or false (word untouched) when the sample is flagged or
-  // the array is not vectorizable. The auto-ranged capture senses this way,
-  // since each sample's code depends on the word before it.
-  bool measure_one(const SensorArray& array, double v_eff_volts,
-                   DelayCode code, Picoseconds skew, ThermoWord& word);
-
   // Forces the firing-ladder solve for `code` now (it is otherwise lazy on
   // the first measure_batch with that code): a scan grid prewarms one
   // kernel, then shares the solved ladders across its sites. No-op when the
