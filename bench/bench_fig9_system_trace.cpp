@@ -93,10 +93,12 @@ void report() {
     cfg.code = core::DelayCode{3};
     core::FullStructuralSystem sys1(fsim, "sys", array, pg,
                                     analog::RailPair{&v1, nullptr}, cfg);
+    std::vector<core::ThermoWord> words;
+    sys1.run_measures(1, words);
     full.new_row()
         .add(1LL)
         .add(1.0, 3)
-        .add(sys1.run_measures(1)[0].to_string())
+        .add(words[0].to_string())
         .add(std::string("0011111"));
   }
   {
@@ -106,10 +108,12 @@ void report() {
     cfg.code = core::DelayCode{3};
     core::FullStructuralSystem sys2(fsim, "sys", array, pg,
                                     analog::RailPair{&v2, nullptr}, cfg);
+    std::vector<core::ThermoWord> words;
+    sys2.run_measures(1, words);
     full.new_row()
         .add(2LL)
         .add(0.9, 3)
-        .add(sys2.run_measures(1)[0].to_string())
+        .add(words[0].to_string())
         .add(std::string("0000011"));
   }
   bench::print_table(full);

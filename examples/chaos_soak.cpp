@@ -12,6 +12,11 @@
 // (seed, site, sample, attempt), rerunning this binary reproduces the same
 // storm, the same traces, and the same words at any thread count.
 //
+// The soak checks itself and exits 1 when the registry counters (which the
+// workers publish once per site batch) disagree with the RunResult sums,
+// when the store's degradation mirror disagrees with them, or when delivery
+// falls below the documented 60 % floor for this storm (DESIGN.md §10).
+//
 // Note on capture: attaching an injector switches every site to per-sample
 // capture — retry/vote/quarantine wrap each single-sample engine call — but
 // decode is unchanged: the published (majority) words stream through the
@@ -20,6 +25,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 
 #include "fault/fault_injector.h"
@@ -140,5 +146,46 @@ int main() {
   grid.telemetry().write_text(std::cout);
   std::printf("\ntelemetry snapshot exported to %s\n",
               config.snapshot_csv_path.c_str());
+
+  int failures = 0;
+  const auto check = [&](bool ok, const std::string& what) {
+    if (ok) return;
+    std::printf("CHECK FAILED: %s\n", what.c_str());
+    ++failures;
+  };
+  const auto counter = [&](const std::string& name) {
+    return grid.telemetry().counter(name).value();
+  };
+  check(counter("grid.fault.injected") == result.faults_injected,
+        "grid.fault.injected != RunResult::faults_injected");
+  for (std::size_t k = 0; k < fault::kFaultKindCount; ++k) {
+    const std::string kind = fault::to_string(static_cast<fault::FaultKind>(k));
+    check(counter("grid.fault." + kind) == by_kind[kind],
+          "grid.fault." + kind + " != its trace events");
+  }
+  check(counter("grid.measure_timeouts") ==
+            by_kind[fault::to_string(fault::FaultKind::kHungSite)],
+        "grid.measure_timeouts != hung_site trace events");
+  check(counter("grid.retries") == result.retries,
+        "grid.retries != RunResult::retries");
+  check(counter("grid.samples_recovered") == result.recovered,
+        "grid.samples_recovered != RunResult::recovered");
+  check(counter("grid.samples_lost") == result.lost,
+        "grid.samples_lost != RunResult::lost");
+  check(counter("grid.sites_quarantined") == result.quarantined_sites,
+        "grid.sites_quarantined != RunResult::quarantined_sites");
+  check(counter("grid.vote_overrides") == result.vote_overrides,
+        "grid.vote_overrides != RunResult::vote_overrides");
+  const serve::DegradationStatus status = store->degradation();
+  check(status.faults_injected == result.faults_injected &&
+            status.retries == result.retries &&
+            status.samples_recovered == result.recovered &&
+            status.samples_lost == result.lost &&
+            status.sites_quarantined == result.quarantined_sites,
+        "store degradation mirror != RunResult");
+  check(static_cast<double>(result.produced) >= 0.6 * total,
+        "delivery below the documented 60% floor");
+  if (failures > 0) return 1;
+  std::printf("chaos soak checks passed\n");
   return 0;
 }

@@ -77,8 +77,9 @@ void FullStructuralSystem::clock_one_cycle() {
   t_ += period;
 }
 
-std::vector<ThermoWord> FullStructuralSystem::run_measures(
-    std::size_t count, bool configure_first) {
+void FullStructuralSystem::run_measures(std::size_t count,
+                                        std::vector<ThermoWord>& out,
+                                        bool configure_first) {
   PSNT_CHECK(count > 0, "need at least one measure");
   const double period = config_.control_period.value();
 
@@ -121,11 +122,11 @@ std::vector<ThermoWord> FullStructuralSystem::run_measures(
     needs_configure_ = false;
   }
 
-  std::vector<ThermoWord> words;
-  words.reserve(count);
+  const std::size_t target = out.size() + count;
+  out.reserve(target);
   std::size_t guard = 0;
   const std::size_t guard_limit = count * 12 + 16;
-  while (words.size() < count) {
+  while (out.size() < target) {
     clock_one_cycle();
     PSNT_CHECK(++guard < guard_limit, "system failed to complete measures");
 
@@ -141,15 +142,14 @@ std::vector<ThermoWord> FullStructuralSystem::run_measures(
       clock_one_cycle();
       clock_one_cycle();
       sim_.run_until(Picoseconds{t_ + period / 4.0});
-      words.push_back(sensor_.read_word());
-      if (words.size() == count) {
+      out.push_back(sensor_.read_word());
+      if (out.size() == target) {
         // Drop enable before the next rising edge (we are at t_ + T/4).
         sim_.drive(fsm_.enable(), Picoseconds{t_ + period * 0.4},
                    sim::Logic::L0);
       }
     }
   }
-  return words;
 }
 
 }  // namespace psnt::core

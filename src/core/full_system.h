@@ -34,13 +34,15 @@ class FullStructuralSystem {
                        const SensorArray& array, const PulseGenerator& pg,
                        analog::RailPair rails, Config config);
 
-  // Runs complete measure transactions by clocking the FSM netlist with
-  // enable held high; returns one word per completed SENSE capture.
-  // `configure_first` loads the config's delay code through INIT before the
-  // first PREPARE (otherwise the FSM's current code — 000 at power-on —
-  // selects the tap, since the MUX selects follow the code register live).
-  std::vector<ThermoWord> run_measures(std::size_t count,
-                                       bool configure_first = true);
+  // Runs `count` complete measure transactions by clocking the FSM netlist
+  // with enable held high; appends one word per completed SENSE capture to
+  // `out` (a caller-owned buffer, so a reused one makes this allocation
+  // free). `configure_first` loads the config's delay code through INIT
+  // before the first PREPARE (otherwise the FSM's current code — 000 at
+  // power-on — selects the tap, since the MUX selects follow the code
+  // register live).
+  void run_measures(std::size_t count, std::vector<ThermoWord>& out,
+                    bool configure_first = true);
 
   // Retargets the delay code for subsequent measures: the next run batch
   // pulses configure so INIT reloads the code register, and the live MUX

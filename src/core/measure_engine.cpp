@@ -404,8 +404,8 @@ class StructuralEngineHandle final : public IMeasureEngine {
   void capture(DelayCode code, Picoseconds start, Picoseconds interval,
                std::size_t count, std::vector<RawSample>& out) {
     system_->set_code(code);
-    const auto words =
-        system_->run_measures(count, /*configure_first=*/!configured_);
+    words_.clear();
+    system_->run_measures(count, words_, /*configure_first=*/!configured_);
     configured_ = true;
     out.reserve(out.size() + count);
     for (std::size_t k = 0; k < count; ++k) {
@@ -414,7 +414,7 @@ class StructuralEngineHandle final : public IMeasureEngine {
                                   static_cast<double>(k) * interval.value()};
       raw.target = SenseTarget::kVdd;
       raw.code = code;
-      raw.word = words[k];
+      raw.word = words_[k];
       ctx_.apply_word(raw.word);
       out.push_back(raw);
     }
@@ -426,6 +426,9 @@ class StructuralEngineHandle final : public IMeasureEngine {
   EngineContext ctx_;
   std::optional<ContextOffsetRail> offset_vdd_;
   std::unique_ptr<FullStructuralSystem> system_;
+  // run_measures' output, reused across captures so an auto-ranged site's
+  // one-sample captures allocate nothing.
+  std::vector<ThermoWord> words_;
   Encoder encoder_;
   bool configured_ = false;
   std::uint64_t events_mark_ = 0;

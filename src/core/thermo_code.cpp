@@ -57,11 +57,6 @@ bool ThermoWord::is_valid_thermometer() const {
          bits_ == ~0u;  // width 32 all-ones wraps
 }
 
-std::size_t ThermoWord::bubble_error_count() const {
-  const ThermoWord canon = bubble_corrected();
-  return static_cast<std::size_t>(std::popcount(bits_ ^ canon.bits_));
-}
-
 ThermoWord ThermoWord::bubble_corrected() const {
   return of_count(count_ones(), width_);
 }

@@ -9,6 +9,7 @@
 // population count, the same policy flash converters use.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -36,8 +37,13 @@ class ThermoWord {
   // all-zeros and all-ones words).
   [[nodiscard]] bool is_valid_thermometer() const;
   // Number of positions that differ from the canonical word with the same
-  // population count (0 for a valid thermometer word).
-  [[nodiscard]] std::size_t bubble_error_count() const;
+  // population count (0 for a valid thermometer word). Inline: the encoder
+  // calls it on every captured word.
+  [[nodiscard]] std::size_t bubble_error_count() const {
+    const int ones = std::popcount(bits_);
+    const std::uint32_t canonical = ones >= 32 ? ~0u : (1u << ones) - 1u;
+    return static_cast<std::size_t>(std::popcount(bits_ ^ canonical));
+  }
   // Canonical word with this word's population count.
   [[nodiscard]] ThermoWord bubble_corrected() const;
 

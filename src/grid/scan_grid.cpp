@@ -71,6 +71,9 @@ struct ScanGrid::Shard {
   // The resilient loop's vote panel, reused across published samples.
   std::vector<core::RawSample> vote_raws;
   std::vector<core::ThermoWord> vote_words;
+  // Backoff slept by the resilient loop in the current site batch: the one
+  // degradation figure no Site field keeps. Published with the batch.
+  std::uint64_t backoff_us = 0;
   // The worker's exception, if it threw; run() rethrows it after the join.
   std::exception_ptr error;
   // Polled by the drain on every idle pass: on its own line, so the
@@ -81,16 +84,6 @@ struct ScanGrid::Shard {
 };
 
 namespace {
-
-// Ring-overflow-storm hook: `forced_full_pushes` pushes are treated as
-// having hit a full ring before the sample's real push — counted stalls;
-// the sample still ships.
-void absorb_forced_full(std::uint32_t forced_full_pushes, Counter& stalls) {
-  for (std::uint32_t i = 0; i < forced_full_pushes; ++i) {
-    stalls.increment();
-    std::this_thread::yield();
-  }
-}
 
 // Producer-side backpressure for one site batch: one try_push_span call
 // moves the whole batch through two atomics when the ring has room; the
@@ -111,7 +104,9 @@ void push_span_with_backpressure(SpscRing<GridSample>& ring,
 }  // namespace
 
 // Telemetry instruments of the resilient capture, resolved once at
-// construction.
+// construction. The resilient loop never touches them per sample: it keeps
+// its counts in the site's own fields, and publish() adds one site batch's
+// deltas to the shared counters before the batch's samples reach the ring.
 struct ScanGrid::ChaosCounters {
   explicit ChaosCounters(TelemetryRegistry& t)
       : injected(t.counter("grid.fault.injected")),
@@ -126,6 +121,50 @@ struct ScanGrid::ChaosCounters {
       by_kind[k] = &t.counter(std::string("grid.fault.") +
                               fault::to_string(static_cast<fault::FaultKind>(k)));
     }
+  }
+
+  // A site's degradation fields at the start of a site batch.
+  struct Mark {
+    explicit Mark(const Site& site)
+        : retries(site.retries),
+          recovered(site.recovered),
+          lost(site.lost),
+          vote_overrides(site.vote_overrides),
+          trace(site.trace.size()),
+          quarantined(site.quarantined) {}
+
+    std::uint64_t retries;
+    std::uint64_t recovered;
+    std::uint64_t lost;
+    std::uint64_t vote_overrides;
+    std::size_t trace;
+    bool quarantined;
+  };
+
+  // Adds what `site` accumulated since `before` to the shared counters: the
+  // per-kind and hung (= timeout) counts come from the trace events appended
+  // this batch. Zero deltas write nothing.
+  void publish(const Site& site, const Mark& before, std::uint64_t slept_us) {
+    add(retries, site.retries - before.retries);
+    add(recovered, site.recovered - before.recovered);
+    add(lost, site.lost - before.lost);
+    add(vote_overrides, site.vote_overrides - before.vote_overrides);
+    if (site.quarantined && !before.quarantined) quarantined.increment();
+    add(backoff_us, slept_us);
+    std::array<std::uint64_t, fault::kFaultKindCount> kinds{};
+    for (std::size_t i = before.trace; i < site.trace.size(); ++i) {
+      ++kinds[static_cast<std::size_t>(site.trace[i].kind)];
+    }
+    add(injected, site.trace.size() - before.trace);
+    for (std::size_t k = 0; k < fault::kFaultKindCount; ++k) {
+      add(*by_kind[k], kinds[k]);
+    }
+    add(timeouts,
+        kinds[static_cast<std::size_t>(fault::FaultKind::kHungSite)]);
+  }
+
+  static void add(Counter& counter, std::uint64_t n) {
+    if (n != 0) counter.increment(n);
   }
 
   Counter& injected;
@@ -303,24 +342,25 @@ void ScanGrid::run_site_batch(Site& site, std::size_t first, std::size_t count,
     }
   } else {
     // Per-sample loop: retry, vote and quarantine wrap each count-1
-    // explicit-code capture.
+    // explicit-code capture. Its telemetry stays in the site's fields until
+    // the batch is done.
+    const ChaosCounters::Mark before{site};
+    shard.backoff_us = 0;
+    std::uint64_t forced_stalls = 0;
     for (std::size_t k = first; k < first + count; ++k) {
       if (site.quarantined) {
-        ++site.lost;
-        chaos_->lost.increment();
-        continue;
+        site.lost += first + count - k;
+        break;
       }
       std::uint32_t forced_full_pushes = 0;
       core::RawSample raw;
       if (!resilient_capture(site, k, shard, raw, forced_full_pushes)) {
         ++site.lost;
-        chaos_->lost.increment();
         ++site.fail_streak;
         if (policy.quarantine_after > 0 &&
             site.fail_streak >= policy.quarantine_after) {
           site.quarantined = true;
           site.quarantine_sample = static_cast<std::uint32_t>(k + 1);
-          chaos_->quarantined.increment();
         }
         continue;
       }
@@ -333,8 +373,18 @@ void ScanGrid::run_site_batch(Site& site, std::size_t first, std::size_t count,
       if (ctx.auto_ranging()) {
         ctx.observe(engine.encode(raw.word), raw.word.width());
       }
-      absorb_forced_full(forced_full_pushes, *hot_.stalls);
+      // Ring-overflow storm: the sample's push is treated as having hit a
+      // full ring `forced_full_pushes` times first — counted stalls; the
+      // sample still ships.
+      for (std::uint32_t i = 0; i < forced_full_pushes; ++i) {
+        std::this_thread::yield();
+      }
+      forced_stalls += forced_full_pushes;
     }
+    // Published before the batch's samples are pushed, so the drain never
+    // sees a sample whose degradation counts are not yet in the registry.
+    chaos_->publish(site, before, shard.backoff_us);
+    ChaosCounters::add(*hot_.stalls, forced_stalls);
   }
   const double batch_seconds = now_seconds() - t0;
 
@@ -364,22 +414,6 @@ void ScanGrid::run_site_batch(Site& site, std::size_t first, std::size_t count,
                               *hot_.produced);
 }
 
-void ScanGrid::record_fault_events(Site& site,
-                                   const fault::MeasureFaults& faults,
-                                   std::size_t sample, std::uint32_t attempt) {
-  if (!faults.any()) return;
-  const std::size_t before = site.trace.size();
-  fault::FaultInjector::append_events(faults, site.id,
-                                      static_cast<std::uint32_t>(sample),
-                                      attempt, site.trace);
-  const std::size_t added = site.trace.size() - before;
-  chaos_->injected.increment(added);
-  for (std::size_t i = before; i < site.trace.size(); ++i) {
-    chaos_->by_kind[static_cast<std::size_t>(site.trace[i].kind)]
-        ->increment();
-  }
-}
-
 namespace {
 
 core::DelayCode drifted_code(core::DelayCode code, std::int32_t delta) {
@@ -391,10 +425,10 @@ core::DelayCode drifted_code(core::DelayCode code, std::int32_t delta) {
 // Deterministic-outcome backoff: the sleep affects wall time only, never
 // which faults strike next (those re-roll off the attempt index).
 void apply_backoff(const ResiliencePolicy& policy, std::size_t attempt,
-                   Counter& backoff_us_counter) {
+                   std::uint64_t& slept_us) {
   const std::uint32_t us = bounded_backoff_us(policy, attempt);
   if (us == 0) return;
-  backoff_us_counter.increment(us);
+  slept_us += us;
   std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 
@@ -404,7 +438,6 @@ bool ScanGrid::resilient_capture(Site& site, std::size_t sample,
                                  Shard& shard, core::RawSample& out,
                                  std::uint32_t& forced_full_pushes) {
   const ResiliencePolicy& policy = config_.resilience;
-  ChaosCounters& counters = *chaos_;
   core::IMeasureEngine& engine = *site.engine;
   // Voting re-measures the sample; engines that cannot (the live netlist)
   // run a single vote. Retrying a capture re-measures either way, exactly
@@ -420,8 +453,7 @@ bool ScanGrid::resilient_capture(Site& site, std::size_t sample,
   const auto retry_after_failure = [&](std::size_t a) {
     if (a + 1 < attempts_per_vote) {
       ++site.retries;
-      counters.retries.increment();
-      apply_backoff(policy, a + 1, counters.backoff_us);
+      apply_backoff(policy, a + 1, shard.backoff_us);
       needed_retry = true;
     }
   };
@@ -435,9 +467,12 @@ bool ScanGrid::resilient_capture(Site& site, std::size_t sample,
         f = site.fault_session->roll(static_cast<std::uint32_t>(sample),
                                      attempt, width);
       }
-      record_fault_events(site, f, sample, attempt);
+      if (f.any()) {
+        fault::FaultInjector::append_events(
+            f, site.id, static_cast<std::uint32_t>(sample), attempt,
+            site.trace);
+      }
       if (f.dead || f.hung) {
-        if (f.hung) counters.timeouts.increment();
         retry_after_failure(a);
         continue;
       }
@@ -478,15 +513,9 @@ bool ScanGrid::resilient_capture(Site& site, std::size_t sample,
     // schedule with the majority word. The drain decodes either.
     out = vote_raws[match < panel ? match : 0];
     out.word = winner;
-    if (overridden) {
-      ++site.vote_overrides;
-      counters.vote_overrides.increment();
-    }
+    if (overridden) ++site.vote_overrides;
   }
-  if (needed_retry) {
-    ++site.recovered;
-    counters.recovered.increment();
-  }
+  if (needed_retry) ++site.recovered;
   return true;
 }
 
@@ -513,7 +542,10 @@ void ScanGrid::aggregate(RunResult& result) {
 
   // Serving layer: the drain is the store's single writer. Ingest happens
   // per sample; the degradation mirror (resilience telemetry → store
-  // atomics) refreshes once per drain sweep, not per sample.
+  // atomics) refreshes after each drain pass that drained samples — the
+  // workers publish a batch's counters before pushing its samples, so the
+  // mirror never lags a sample a reader can see, and the final refresh
+  // below covers batches that published no sample.
   serve::TelemetryStore* store = config_.store.get();
   // The store may outlive this grid: count only the publishes of this run.
   const std::uint64_t publishes_before =
@@ -590,7 +622,7 @@ void ScanGrid::aggregate(RunResult& result) {
       }
       depth.set(static_cast<double>(shard->ring.size()));
     }
-    if (store != nullptr) mirror_degradation();
+    if (any && store != nullptr) mirror_degradation();
 
     if (!any) {
       if (all_done) break;

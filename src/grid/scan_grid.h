@@ -69,8 +69,9 @@
 //   ResiliencePolicy decides recovery — bounded-backoff retry, majority
 //   vote, and site quarantine. Degradation telemetry (grid.fault.*,
 //   grid.retries, grid.samples_lost, grid.sites_quarantined, ...) flows
-//   through the TelemetryRegistry and the per-site trace lands in
-//   SiteResult::fault_events. With no injector and the default policy no
+//   through the TelemetryRegistry, published once per site batch (exact
+//   after run(), up to one batch per shard behind while it runs), and the
+//   per-site trace lands in SiteResult::fault_events. With no injector and the default policy no
 //   fault lane exists and words stay bit-identical.
 #pragma once
 
@@ -150,7 +151,8 @@ struct ScanGridConfig {
   // publishes every sample into the store — latest/windowed per-site
   // rollups, global voltage/latency sketches, top-K droop — keyed by the
   // grid site *index* (matrix row), and mirrors the resilience telemetry
-  // into the store's degradation status each drain sweep. The store's
+  // into the store's degradation status after each drain pass that drained
+  // samples. The store's
   // site_count must cover the floorplan; the drain is its single writer
   // (the store must be configured with shards = 1 for grid use). Queries
   // (serve::QueryEngine) run concurrently against published snapshots and
@@ -288,8 +290,6 @@ class ScanGrid {
   bool resilient_capture(Site& site, std::size_t sample, Shard& shard,
                          core::RawSample& out,
                          std::uint32_t& forced_full_pushes);
-  void record_fault_events(Site& site, const fault::MeasureFaults& faults,
-                           std::size_t sample, std::uint32_t attempt);
   void aggregate(RunResult& result);
 
   const scan::Floorplan& floorplan_;

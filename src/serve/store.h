@@ -55,7 +55,7 @@
 //     them (TSan reports it).
 //   * Degradation status is a bank of relaxed atomics any thread may
 //     set/read (the drain mirrors the grid.fault.* telemetry counters into
-//     it each sweep).
+//     it after each sweep that drained samples).
 #pragma once
 
 #include <atomic>

@@ -82,24 +82,39 @@ TEST(Allocations, BehavioralGridRunIsIndependentOfSampleCount) {
   }
 }
 
-TEST(Allocations, StructuralGridGrowsUnderOneAllocationPer20Measures) {
-  // The gate-level engines are elaborated inside run(), so both counts
-  // carry the netlist build; what may grow with the sample count is only
-  // the scheduler's amortized arena growth.
+// Allocations per extra measure of a 4-site gate-level grid, 64 against
+// 1024 samples per site. The gate-level engines are elaborated inside
+// run(), so both counts carry the netlist build; what may grow with the
+// sample count is only the scheduler's amortized arena growth.
+double structural_growth_per_measure(CodePolicy policy, std::size_t threads) {
   const auto fp = scan::Floorplan::grid(2000.0, 2000.0, 2, 2);
+  auto config = alloc_config(threads, 64);
+  config.fidelity = SiteFidelity::kStructural;
+  config.code_policy = policy;
+  const std::uint64_t short_run = run_allocations(fp, config);
+  config.samples_per_site = 1024;
+  const std::uint64_t long_run = run_allocations(fp, config);
+  const double extra_measures =
+      static_cast<double>(fp.site_count() * (1024 - 64));
+  return (static_cast<double>(long_run) - static_cast<double>(short_run)) /
+         extra_measures;
+}
+
+TEST(Allocations, StructuralGridGrowsUnderOneAllocationPer20Measures) {
   for (const std::size_t threads : {1u, 2u}) {
-    auto config = alloc_config(threads, 64);
-    config.fidelity = SiteFidelity::kStructural;
-    const std::uint64_t short_run = run_allocations(fp, config);
-    config.samples_per_site = 1024;
-    const std::uint64_t long_run = run_allocations(fp, config);
-    const double extra_measures = static_cast<double>(
-        fp.site_count() * (1024 - 64));
-    const double growth =
-        (static_cast<double>(long_run) - static_cast<double>(short_run)) /
-        extra_measures;
-    EXPECT_LE(growth, 0.05) << threads << " thread(s): " << short_run
-                            << " -> " << long_run << " allocations";
+    EXPECT_LE(structural_growth_per_measure(CodePolicy::kFixed, threads),
+              0.05)
+        << threads << " thread(s)";
+  }
+}
+
+TEST(Allocations, AutoRangedStructuralGridGrowsUnderOneAllocationPer20Measures) {
+  // An auto-ranged gate-level site runs one netlist transaction per sample;
+  // the engine reuses its word buffer across them.
+  for (const std::size_t threads : {1u, 2u}) {
+    EXPECT_LE(structural_growth_per_measure(CodePolicy::kAutoRange, threads),
+              0.05)
+        << threads << " thread(s)";
   }
 }
 

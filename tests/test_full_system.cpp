@@ -42,21 +42,24 @@ struct SystemRig {
 
 TEST(FullSystem, Fig9FirstMeasureAtGateLevel) {
   SystemRig rig(1.0, DelayCode{3});
-  const auto words = rig.system.run_measures(1);
+  std::vector<ThermoWord> words;
+  rig.system.run_measures(1, words);
   ASSERT_EQ(words.size(), 1u);
   EXPECT_EQ(words[0].to_string(), "0011111");
 }
 
 TEST(FullSystem, Fig9SecondMeasureAtGateLevel) {
   SystemRig rig(0.9, DelayCode{3});
-  const auto words = rig.system.run_measures(1);
+  std::vector<ThermoWord> words;
+  rig.system.run_measures(1, words);
   ASSERT_EQ(words.size(), 1u);
   EXPECT_EQ(words[0].to_string(), "0000011");
 }
 
 TEST(FullSystem, BackToBackMeasuresAreStable) {
   SystemRig rig(0.97, DelayCode{3});
-  const auto words = rig.system.run_measures(3);
+  std::vector<ThermoWord> words;
+  rig.system.run_measures(3, words);
   ASSERT_EQ(words.size(), 3u);
   for (const auto& w : words) {
     EXPECT_EQ(w.to_string(), "0001111");
@@ -69,7 +72,8 @@ TEST(FullSystem, RegisteredCommandsPreserveTheSkew) {
   SystemRig rig(1.0, DelayCode{3});
   sim::TransitionRecorder p_rec(*rig.system.sensor().p);
   sim::TransitionRecorder cp_rec(*rig.system.sensor().cp);
-  (void)rig.system.run_measures(1);
+  std::vector<ThermoWord> words;
+  rig.system.run_measures(1, words);
   const auto p_fall = p_rec.last_fall();
   ASSERT_TRUE(p_fall.has_value());
   const auto cp_rise = cp_rec.first_rise_after(*p_fall);
@@ -80,7 +84,8 @@ TEST(FullSystem, RegisteredCommandsPreserveTheSkew) {
 
 TEST(FullSystem, FsmCodeRegisterLoadedViaInit) {
   SystemRig rig(1.0, DelayCode{5});
-  (void)rig.system.run_measures(1);
+  std::vector<ThermoWord> words;
+  rig.system.run_measures(1, words);
   EXPECT_EQ(held_code(rig.system.fsm()), DelayCode{5});
 }
 
@@ -89,13 +94,16 @@ TEST(FullSystem, RetargetsCodeThroughLiveSelects) {
   // the MUX selects follow it: each retargeted batch must read the same
   // words as a fresh system built at that code.
   SystemRig rig(0.97, DelayCode{3});
-  (void)rig.system.run_measures(1);
+  std::vector<ThermoWord> warmup;
+  rig.system.run_measures(1, warmup);
   for (const std::uint8_t c : {3, 5, 2, 7, 0}) {
     rig.system.set_code(DelayCode{c});
-    const auto words = rig.system.run_measures(2, /*configure_first=*/false);
+    std::vector<ThermoWord> words;
+    rig.system.run_measures(2, words, /*configure_first=*/false);
     EXPECT_EQ(held_code(rig.system.fsm()), DelayCode{c});
     SystemRig fresh(0.97, DelayCode{c});
-    const auto expected = fresh.system.run_measures(2);
+    std::vector<ThermoWord> expected;
+    fresh.system.run_measures(2, expected);
     ASSERT_EQ(words.size(), expected.size());
     for (std::size_t k = 0; k < words.size(); ++k) {
       EXPECT_EQ(words[k].to_string(), expected[k].to_string())
@@ -108,12 +116,13 @@ TEST(FullSystem, SteadyStateEventBudget) {
   // Event counts are deterministic: after warm-up, a code-011 measure costs
   // at most 300 scheduler events and the scheduler allocates nothing.
   SystemRig rig(1.0, DelayCode{3});
-  (void)rig.system.run_measures(16);
+  std::vector<ThermoWord> words;
+  rig.system.run_measures(16, words);
   const sim::Scheduler& sched = rig.sim.scheduler();
   const std::uint64_t events = sched.executed_events();
   const std::uint64_t allocs = sched.allocation_count();
   constexpr std::size_t kMeasures = 128;
-  (void)rig.system.run_measures(kMeasures, /*configure_first=*/false);
+  rig.system.run_measures(kMeasures, words, /*configure_first=*/false);
   EXPECT_LE(sched.executed_events() - events, 300u * kMeasures);
   EXPECT_EQ(sched.allocation_count(), allocs);
 }
@@ -121,7 +130,8 @@ TEST(FullSystem, SteadyStateEventBudget) {
 TEST(FullSystem, LowSensePolarityMeasuresGroundBounce) {
   // 100 mV bounce → effective 0.9 V → the Fig. 9 second word.
   SystemRig rig(0.10, DelayCode{3}, SensePolarity::kLowSense);
-  const auto words = rig.system.run_measures(1);
+  std::vector<ThermoWord> words;
+  rig.system.run_measures(1, words);
   ASSERT_EQ(words.size(), 1u);
   EXPECT_EQ(words[0].to_string(), "0000011");
 }
@@ -138,7 +148,8 @@ TEST_P(FullSystemVsBehavioral, WordsAgree) {
   const auto& model = calib::calibrated().model;
 
   SystemRig rig(volts, code);
-  const auto words = rig.system.run_measures(1);
+  std::vector<ThermoWord> words;
+  rig.system.run_measures(1, words);
   const auto behavioral =
       rig.array.measure(Volt{volts}, model.skew(code));
   EXPECT_EQ(words[0].to_string(), behavioral.to_string())
@@ -163,7 +174,8 @@ TEST(FullSystem, WordsMatchBehavioralAcrossEveryCodeAndSupply) {
     for (int mv = 780; mv <= 1220; mv += 2) {
       const double volts = mv / 1000.0;
       rig.vdd.set(Volt{volts});
-      const auto words = rig.system.run_measures(1, first);
+      std::vector<ThermoWord> words;
+      rig.system.run_measures(1, words, first);
       first = false;
       ASSERT_EQ(words.size(), 1u);
       EXPECT_EQ(words[0].to_string(),

@@ -39,7 +39,8 @@ TEST(FullSystemNoisy, GateLevelMeasuresInsidePdnDroop) {
   FullStructuralSystem system(sim, "sys", array, pg,
                               analog::RailPair{&rail, nullptr}, cfg);
 
-  const auto words = system.run_measures(8);
+  std::vector<ThermoWord> words;
+  system.run_measures(8, words);
   ASSERT_EQ(words.size(), 8u);
 
   // Each decoded bin must bracket the true rail at (or within one LSB of)
@@ -71,7 +72,8 @@ TEST(FullSystemNoisy, SlowRampMatchesBehavioralBins) {
   cfg.code = DelayCode{3};
   FullStructuralSystem system(sim, "sys", array, pg,
                               analog::RailPair{&vdd, nullptr}, cfg);
-  const auto words = system.run_measures(12);
+  std::vector<ThermoWord> words;
+  system.run_measures(12, words);
 
   // Behavioral comparison at the approximate sense instants: the exact
   // instants differ by a few ns of control sequencing, so compare counts

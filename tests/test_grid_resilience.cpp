@@ -4,14 +4,17 @@
 // policy outcomes under seeded storms and scheduled faults.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "calib/fit.h"
 #include "grid/scan_grid.h"
 #include "grid_rails.h"
 #include "scan/scan_chain.h"
+#include "serve/store.h"
 
 namespace psnt::grid {
 namespace {
@@ -469,6 +472,66 @@ TEST(GridResilience, StormLossesAreConfinedToQuarantinedSites) {
   // is the documented floor for this reference storm.
   EXPECT_GE(delivered, 0.6);
   EXPECT_EQ(result.produced + result.lost, 16u * config.samples_per_site);
+}
+
+// The workers publish their degradation counts once per site batch, from
+// the site's own fields and the trace events the batch appended. After
+// run() every registry counter must equal its RunResult / trace sum, and
+// the store's degradation mirror must equal the registry, at any thread
+// count. A small batch gives every site many batches, a partial last one
+// and mid-batch quarantines.
+TEST(GridResilience, RegistryCountersEqualRunResultSums) {
+  const auto fp = scan::Floorplan::grid(4000.0, 4000.0, 4, 4);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    auto config = base_config(threads);
+    config.samples_per_site = 40;
+    config.batch = 7;
+    config.injector = storm_injector(99);
+    config.resilience = full_policy();
+    serve::StoreConfig store_config;
+    store_config.site_count = fp.site_count();
+    store_config.shards = 1;
+    const auto store = std::make_shared<serve::TelemetryStore>(store_config);
+    config.store = store;
+    ScanGrid grid{fp, config, test_rails(fp)};
+    const auto result = grid.run();
+    SCOPED_TRACE(std::to_string(threads) + " thread(s)");
+
+    std::array<std::uint64_t, fault::kFaultKindCount> by_kind{};
+    for (const auto& site : result.sites) {
+      for (const auto& event : site.fault_events) {
+        ++by_kind[static_cast<std::size_t>(event.kind)];
+      }
+    }
+    const auto counter = [&](const std::string& name) {
+      return grid.telemetry().counter(name).value();
+    };
+    EXPECT_GT(result.faults_injected, 0u);
+    EXPECT_GT(result.quarantined_sites, 0u);
+    EXPECT_EQ(counter("grid.fault.injected"), result.faults_injected);
+    for (std::size_t k = 0; k < fault::kFaultKindCount; ++k) {
+      const auto kind = static_cast<fault::FaultKind>(k);
+      EXPECT_EQ(counter(std::string("grid.fault.") + fault::to_string(kind)),
+                by_kind[k])
+          << fault::to_string(kind);
+    }
+    EXPECT_EQ(counter("grid.retries"), result.retries);
+    EXPECT_EQ(counter("grid.samples_recovered"), result.recovered);
+    EXPECT_EQ(counter("grid.samples_lost"), result.lost);
+    EXPECT_EQ(counter("grid.sites_quarantined"), result.quarantined_sites);
+    EXPECT_EQ(counter("grid.vote_overrides"), result.vote_overrides);
+    EXPECT_EQ(counter("grid.measure_timeouts"),
+              by_kind[static_cast<std::size_t>(fault::FaultKind::kHungSite)]);
+    EXPECT_EQ(result.produced + result.lost,
+              fp.site_count() * config.samples_per_site);
+
+    const serve::DegradationStatus status = store->degradation();
+    EXPECT_EQ(status.faults_injected, result.faults_injected);
+    EXPECT_EQ(status.retries, result.retries);
+    EXPECT_EQ(status.samples_recovered, result.recovered);
+    EXPECT_EQ(status.samples_lost, result.lost);
+    EXPECT_EQ(status.sites_quarantined, result.quarantined_sites);
+  }
 }
 
 TEST(GridResilience, RejectsInvalidResilienceConfigurations) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 namespace psnt::core {
 namespace {
 
@@ -67,6 +70,27 @@ TEST(ThermoWord, ValidWordsHaveNoBubbleErrors) {
     const auto w = ThermoWord::of_count(ones, 7);
     EXPECT_EQ(w.bubble_error_count(), 0u);
     EXPECT_EQ(w.bubble_corrected(), w);
+  }
+}
+
+TEST(ThermoWord, BubbleErrorCountMatchesOfCountDefinitionOnEveryWord) {
+  // Definition: the Hamming distance to of_count(popcount, width). Every
+  // word of widths 1–12, plus width-32 words around the all-ones edge.
+  const auto reference = [](const ThermoWord& w) {
+    const auto canon = ThermoWord::of_count(w.count_ones(), w.width());
+    return static_cast<std::size_t>(std::popcount(w.raw() ^ canon.raw()));
+  };
+  for (std::size_t width = 1; width <= 12; ++width) {
+    for (std::uint32_t bits = 0; bits < (1u << width); ++bits) {
+      const ThermoWord w{bits, width};
+      ASSERT_EQ(w.bubble_error_count(), reference(w))
+          << "width " << width << " word " << w.to_string();
+    }
+  }
+  for (const std::uint32_t bits :
+       {0u, 1u, 0x7fffffffu, 0xfffffffeu, 0xffffffffu, 0x80000000u}) {
+    const ThermoWord w{bits, 32};
+    EXPECT_EQ(w.bubble_error_count(), reference(w)) << w.to_string();
   }
 }
 
