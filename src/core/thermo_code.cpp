@@ -7,7 +7,7 @@
 namespace psnt::core {
 
 ThermoWord::ThermoWord(std::uint32_t bits, std::size_t width)
-    : bits_(bits), width_(width) {
+    : bits_(bits), width_(static_cast<std::uint8_t>(width)) {
   PSNT_CHECK(width > 0 && width <= kMaxBits, "thermometer width out of range");
   PSNT_CHECK(width == kMaxBits || (bits >> width) == 0,
              "bits set beyond the declared width");

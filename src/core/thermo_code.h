@@ -61,7 +61,9 @@ class ThermoWord {
 
  private:
   std::uint32_t bits_ = 0;
-  std::size_t width_ = 0;
+  // kMaxBits fits a byte: a ThermoWord is 8 bytes, which keeps the capture
+  // records that carry one (core::RawSample, the grid's ring element) small.
+  std::uint8_t width_ = 0;
 };
 
 }  // namespace psnt::core

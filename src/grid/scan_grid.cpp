@@ -18,12 +18,14 @@ namespace psnt::grid {
 namespace {
 
 // One capture in flight from a worker to the aggregator. `raw.site_id`
-// carries the grid-internal site *index* (matrix row), `raw.sample_index`
-// the column; the drain pass owns ENC + voltage conversion.
+// carries the grid-internal site *index* (capture log row),
+// `raw.sample_index` the column; the drain pass owns ENC + voltage conversion.
 struct GridSample {
   core::RawSample raw;
   double wall_us = 0.0;  // producer-side capture wall time, batch average
 };
+static_assert(sizeof(core::RawSample) == 32 && sizeof(GridSample) == 40,
+              "ring elements stay wire-sized");
 
 double now_seconds() {
   return std::chrono::duration<double>(
@@ -178,6 +180,18 @@ struct ScanGrid::ChaosCounters {
   std::array<Counter*, fault::kFaultKindCount> by_kind{};
 };
 
+core::Measurement SampleColumn::operator[](std::size_t k) const {
+  const CaptureRecord& r = row_[k];
+  if (!r.valid) return {};
+  core::Measurement m;
+  m.timestamp = Picoseconds{r.timestamp_ps};
+  m.target = r.target;
+  m.code = core::DelayCode{r.code};
+  m.word = core::ThermoWord{r.bits, r.width};
+  m.bin = log_->ladder->decode(m.word, m.code);
+  return m;
+}
+
 void check_schedule(Picoseconds start, Picoseconds interval) {
   PSNT_CHECK(std::isfinite(start.value()), "schedule start must be finite");
   PSNT_CHECK(std::isfinite(interval.value()) && interval.value() > 0.0,
@@ -221,7 +235,8 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
   // Force the (thread-safe, but serial) calibration fit before any worker
   // can race to be first through the magic static.
   (void)calib::calibrated();
-  ladder_ = calib::make_paper_decode_ladder(calib::calibrated().model);
+  ladder_ = std::make_shared<const core::DecodeLadder>(
+      calib::make_paper_decode_ladder(calib::calibrated().model));
 
   // Sites are built in floorplan order on the caller thread so every
   // stochastic draw happens in a deterministic sequence per site.
@@ -536,7 +551,7 @@ void ScanGrid::worker_run_shard(Shard& shard) {
   }
 }
 
-void ScanGrid::aggregate(RunResult& result) {
+void ScanGrid::aggregate(CaptureLog& log) {
   auto& drained_counter = telemetry_.counter("grid.samples_drained");
   auto& depth = telemetry_.gauge("grid.ring_depth_last");
 
@@ -575,11 +590,15 @@ void ScanGrid::aggregate(RunResult& result) {
   };
 
   // Samples come off each ring in chunks; each sample then takes one pass:
-  // ENC + voltage conversion on the shared immutable ladder (a popcount
-  // table read), assembly into the result matrix, store ingest. The chunk
-  // buffer is sized once, so the steady state performs no allocation.
+  // its 16-byte record into the log, and with a store attached ENC +
+  // voltage conversion on the shared immutable ladder (a popcount table
+  // read) and ingest. The chunk buffer is sized once, so the steady state
+  // performs no allocation.
   constexpr std::size_t kDrainChunk = 256;
   std::vector<GridSample> chunk(kDrainChunk);
+  const core::DecodeLadder& ladder = *ladder_;
+  CaptureRecord* const records = log.records.data();
+  const std::size_t samples_per_site = log.samples_per_site;
 
   for (;;) {
     // Read the done flags BEFORE the drain pass: if every worker had
@@ -603,12 +622,12 @@ void ScanGrid::aggregate(RunResult& result) {
         drained_counter.increment(got);
         for (std::size_t i = 0; i < got; ++i) {
           const GridSample& s = chunk[i];
-          const core::VoltageBin bin = ladder_.decode(s.raw.word, s.raw.code);
-          auto& sr = result.sites[s.raw.site_id];
-          sr.samples[s.raw.sample_index] =
-              core::assemble_measurement(s.raw, bin);
-          sr.valid[s.raw.sample_index] = true;
+          records[s.raw.site_id * samples_per_site + s.raw.sample_index] =
+              CaptureRecord{s.raw.timestamp.value(), s.raw.word.raw(),
+                            static_cast<std::uint8_t>(s.raw.word.width()),
+                            s.raw.code.value(), s.raw.target, true};
           if (store != nullptr) {
+            const core::VoltageBin bin = ladder.decode(s.raw.word, s.raw.code);
             serve::IngestRecord rec;
             rec.site = s.raw.site_id;
             rec.timestamp = s.raw.timestamp;
@@ -644,14 +663,10 @@ RunResult ScanGrid::run() {
   PSNT_CHECK(!ran_, "ScanGrid::run is single-shot; build a fresh grid");
   ran_ = true;
 
-  RunResult result;
-  result.sites.resize(sites_.size());
-  for (std::size_t i = 0; i < sites_.size(); ++i) {
-    auto& sr = result.sites[i];
-    sr.site_id = sites_[i]->id;
-    sr.samples.resize(config_.samples_per_site);
-    sr.valid.assign(config_.samples_per_site, false);
-  }
+  auto log = std::make_shared<CaptureLog>();
+  log->records.resize(sites_.size() * config_.samples_per_site);
+  log->samples_per_site = config_.samples_per_site;
+  log->ladder = ladder_;
 
   const double t0 = now_seconds();
   {
@@ -663,16 +678,21 @@ RunResult ScanGrid::run() {
     for (auto& shard : shards_) {
       workers.emplace_back([this, s = shard.get()] { worker_run_shard(*s); });
     }
-    aggregate(result);
+    aggregate(*log);
   }
   for (const auto& shard : shards_) {
     if (shard->error) std::rethrow_exception(shard->error);
   }
+  RunResult result;
   result.wall_seconds = now_seconds() - t0;
 
+  result.sites.resize(sites_.size());
   for (std::size_t i = 0; i < sites_.size(); ++i) {
     auto& sr = result.sites[i];
     Site& site = *sites_[i];
+    sr.site_id = site.id;
+    sr.samples = SampleColumn{log, i};
+    sr.valid = ValidColumn{log, i};
     if (site.engine) {
       sr.final_code = site.engine->context().current_code();
       sr.code_steps = site.engine->context().code_steps();

@@ -5,11 +5,11 @@
 // site's captures stream through a bounded SPSC ring into a central
 // aggregator that keeps the runtime counters and gauges, publishes every
 // sample into an attached serve::TelemetryStore (the one per-site summary
-// and the one home of latency/voltage distributions) and assembles the
-// ordered result matrix. The ring carries wire-sized capture-only
-// core::RawSamples, and the aggregator's drain pass owns ENC + voltage
-// conversion — the paper's capture/encode split (Fig. 6: FF array → ENC →
-// OUTE) applied to the runtime.
+// and the one home of latency/voltage distributions) and logs one 16-byte
+// CaptureRecord per (site, sample), decoded on read. The ring carries
+// wire-sized capture-only core::RawSamples, and the aggregator's drain pass
+// owns ENC + voltage conversion — the paper's capture/encode split (Fig. 6:
+// FF array → ENC → OUTE) applied to the runtime.
 //
 // One capture path
 //   Workers capture through the one engine entry point,
@@ -24,9 +24,10 @@
 //       re-trimming from the drain would make code selection depend on
 //       aggregator timing — breaking the (site, sample) determinism below;
 //     * resilience: retry, vote and quarantine wrap each count-1 capture.
-//   The drain makes one pass per sample: one read of the shared immutable
-//   core::DecodeLadder (the ENC: popcount → bin), assembly into the result
-//   matrix, store ingest.
+//   The drain makes one pass per sample: its CaptureRecord into the run's
+//   site-major CaptureLog, then with a store attached one read of the shared
+//   immutable core::DecodeLadder (the ENC: popcount → bin) and store ingest.
+//   SiteResult's columns decode a record through the same ladder when read.
 //
 // Threading model
 //   * Sites are sharded round-robin across `threads` shards; each shard
@@ -50,7 +51,7 @@
 // Backpressure
 //   A full ring stalls the producing worker (yield loop; stalls counted in
 //   telemetry). The ring is lossless, so every scheduled sample reaches the
-//   result matrix — the completeness every determinism guarantee above
+//   capture log — the completeness every determinism guarantee above
 //   assumes.
 //
 // Measurement backends
@@ -80,6 +81,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analog/rail.h"
@@ -150,7 +152,7 @@ struct ScanGridConfig {
   // Always-on serving layer (null = off). When set, the aggregator's drain
   // publishes every sample into the store — latest/windowed per-site
   // rollups, global voltage/latency sketches, top-K droop — keyed by the
-  // grid site *index* (matrix row), and mirrors the resilience telemetry
+  // grid site *index* (capture log row), and mirrors the resilience telemetry
   // into the store's degradation status after each drain pass that drained
   // samples. The store's
   // site_count must cover the floorplan; the drain is its single writer
@@ -173,12 +175,97 @@ struct ScanGridConfig {
 // both validate their schedule through this one check.
 void check_schedule(Picoseconds start, Picoseconds interval);
 
+// One (site, sample) of a run as the drain logs it: the word the FF array
+// latched, the code and sense instant it was captured at, and whether it
+// arrived. The log is site-major, so the record's position is its (site,
+// sample) key. ENC and voltage conversion run when a column reads it.
+struct CaptureRecord {
+  double timestamp_ps = 0.0;  // time of the SENSE sampling edge
+  std::uint32_t bits = 0;
+  std::uint8_t width = 0;
+  std::uint8_t code = 0;
+  core::SenseTarget target = core::SenseTarget::kVdd;
+  bool valid = false;  // false: lost to faults or skipped after quarantine
+};
+static_assert(sizeof(CaptureRecord) == 16, "one capture record is 16 bytes");
+
+// A run's capture log, `samples_per_site` records per site in site order,
+// and the ladder that decodes it. Every column of every SiteResult of the
+// run shares it, so a copied SiteResult or RunResult never dangles.
+struct CaptureLog {
+  std::vector<CaptureRecord> records;
+  std::size_t samples_per_site = 0;
+  std::shared_ptr<const core::DecodeLadder> ladder;
+};
+
+// Read-only view of one site's row of a CaptureLog.
+class CaptureRow {
+ public:
+  CaptureRow() = default;
+  CaptureRow(std::shared_ptr<const CaptureLog> log, std::size_t site)
+      : log_(std::move(log)),
+        row_(log_->records.data() + site * log_->samples_per_site),
+        size_(log_->samples_per_site) {}
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ protected:
+  std::shared_ptr<const CaptureLog> log_;
+  const CaptureRecord* row_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+// A site's samples by sample number, decoded on read through the run's
+// shared DecodeLadder: bit-identical to the engine's own measure(). An
+// invalid sample reads as a default Measurement.
+class SampleColumn : public CaptureRow {
+ public:
+  using CaptureRow::CaptureRow;
+
+  [[nodiscard]] core::Measurement operator[](std::size_t k) const;
+  [[nodiscard]] core::Measurement back() const { return (*this)[size_ - 1]; }
+};
+
+// A site's validity bits by sample number.
+class ValidColumn : public CaptureRow {
+ public:
+  using CaptureRow::CaptureRow;
+
+  class Iterator {
+   public:
+    explicit Iterator(const CaptureRecord* at) : at_(at) {}
+    bool operator*() const { return at_->valid; }
+    Iterator& operator++() {
+      ++at_;
+      return *this;
+    }
+    bool operator==(const Iterator&) const = default;
+
+   private:
+    const CaptureRecord* at_;
+  };
+  using const_iterator = Iterator;
+
+  [[nodiscard]] bool operator[](std::size_t k) const { return row_[k].valid; }
+  [[nodiscard]] Iterator begin() const { return Iterator{row_}; }
+  [[nodiscard]] Iterator end() const { return Iterator{row_ + size_}; }
+
+  friend bool operator==(const ValidColumn& a, const ValidColumn& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      if (a[k] != b[k]) return false;
+    }
+    return true;
+  }
+};
+
 struct SiteResult {
   std::uint32_t site_id = 0;
-  // Indexed by sample number; `valid[k]` is false for samples lost to
-  // faults or skipped after quarantine.
-  std::vector<core::Measurement> samples;
-  std::vector<bool> valid;
+  // Indexed by sample number: read-only columns over the run's CaptureLog.
+  // `valid[k]` is false for samples lost to faults or skipped after
+  // quarantine.
+  SampleColumn samples;
+  ValidColumn valid;
   core::DelayCode final_code;
   std::uint64_t code_steps = 0;  // auto-range steps (0 under kFixed)
   // --- degradation accounting (all zero without faults) -----------------
@@ -290,7 +377,9 @@ class ScanGrid {
   bool resilient_capture(Site& site, std::size_t sample, Shard& shard,
                          core::RawSample& out,
                          std::uint32_t& forced_full_pushes);
-  void aggregate(RunResult& result);
+  // The caller thread's drain: every ring until all shards are done, one
+  // pass per sample — a CaptureRecord into `log`, decode and store ingest.
+  void aggregate(CaptureLog& log);
 
   const scan::Floorplan& floorplan_;
   ScanGridConfig config_;
@@ -299,7 +388,8 @@ class ScanGrid {
   std::vector<std::unique_ptr<Shard>> shards_;
   // The drain's voltage conversion: built once in the constructor,
   // immutable afterwards, so the drain never touches a worker's engine.
-  core::DecodeLadder ladder_;
+  // Shared with the run's CaptureLog, whose columns decode through it.
+  std::shared_ptr<const core::DecodeLadder> ladder_;
   HotCounters hot_;
   // Resilience telemetry; null unless an injector is attached or the
   // resilience policy is non-default (the per-sample resilient loop).

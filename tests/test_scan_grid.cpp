@@ -88,6 +88,37 @@ TEST(ScanGrid, DeterministicAcrossThreadCounts) {
   }
 }
 
+// Builds a grid, runs it and destroys it: the result outlives its grid.
+RunResult run_discarding_grid(const scan::Floorplan& fp, std::size_t threads) {
+  ScanGrid grid{fp, base_config(threads), test_rails(fp)};
+  return grid.run();
+}
+
+TEST(ScanGrid, CopiedSiteResultOutlivesItsGridAndRunResult) {
+  // A SiteResult's columns read a capture log shared by the whole run. A
+  // copy keeps that log and its decode ladder alive after the grid and the
+  // RunResult it came from are gone; the ASan job checks every read below.
+  const auto fp = scan::Floorplan::grid(4000.0, 4000.0, 4, 4);
+  auto original = std::make_unique<RunResult>(run_discarding_grid(fp, 2));
+  const SiteResult copy = original->sites[5];
+  original.reset();
+
+  const RunResult fresh = run_discarding_grid(fp, 2);
+  const SiteResult& want = fresh.sites[5];
+  EXPECT_EQ(copy.site_id, want.site_id);
+  ASSERT_EQ(copy.samples.size(), want.samples.size());
+  EXPECT_EQ(copy.valid, want.valid);
+  for (std::size_t k = 0; k < want.samples.size(); ++k) {
+    const core::Measurement got = copy.samples[k];
+    const core::Measurement expected = want.samples[k];
+    EXPECT_TRUE(copy.valid[k]) << "sample " << k;
+    EXPECT_EQ(got.word, expected.word) << "sample " << k;
+    EXPECT_EQ(got.code, expected.code) << "sample " << k;
+    EXPECT_EQ(got.timestamp.value(), expected.timestamp.value());
+    expect_same_bin(got.bin, expected.bin, "sample " + std::to_string(k));
+  }
+}
+
 TEST(ScanGrid, MatchesSerialScanChainBroadcastSiteForSite) {
   // The refactor's load-bearing guarantee: the grid's words AND bins are
   // bit-identical to the serial PsnScanChain reference at EVERY thread count.
