@@ -3,11 +3,11 @@
 // The distributed deployment end to end: a FleetCoordinator forks three
 // worker processes plus one standby spare, shards a 12-site floorplan across
 // them, and streams framed RawSample spans over the versioned wire format
-// into two aggregator threads feeding a serve::TelemetryStore. A few
-// milliseconds in, worker 1 is SIGKILLed — the spare re-runs its whole
-// assignment, and because a site's capture sequence is a pure function of
-// (seed, site, sample), the restarted shard overwrites any already-delivered
-// slots with bit-identical values.
+// into two aggregator threads feeding a serve::TelemetryStore. Once the
+// aggregator has drained 32 of worker 1's spans, worker 1 is SIGKILLed —
+// the spare re-runs its whole assignment, and because a site's capture
+// sequence is a pure function of (seed, site, sample), the restarted shard
+// overwrites any already-delivered slots with bit-identical values.
 //
 // Exits 0 only if the fleet run (kill and restart included) decodes
 // bit-identically to the same sites captured in-process, with nothing lost.
@@ -23,7 +23,9 @@ int main() {
 
   fleet::FleetConfig config;
   config.sites = 12;
-  config.samples_per_site = 2000;
+  // Worker 1's 4 sites x 20000 samples (~1250 spans) are far more than its
+  // socket holds in flight, so the kill lands mid-assignment on any host.
+  config.samples_per_site = 20000;
   config.seed = 2026;
   config.workers = 3;
   config.spares = 1;
@@ -46,7 +48,7 @@ int main() {
   const auto reference = fleet::FleetCoordinator::run_in_process(config);
 
   fleet::FleetCoordinator coordinator(config);
-  coordinator.schedule_kill(/*worker=*/1, /*after_ms=*/5);
+  coordinator.schedule_kill(/*worker=*/1, /*after_spans=*/32);
   const auto result = coordinator.run();
 
   std::printf("\n  samples      %llu valid / %llu expected (%llu lost)\n",

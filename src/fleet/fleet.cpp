@@ -4,8 +4,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <thread>
 
 #include "calib/fit.h"
@@ -22,12 +24,7 @@ namespace {
 constexpr double kTwoPi = 6.283185307179586;
 // Enough latency samples for stable p99 without unbounded growth.
 constexpr std::size_t kMaxLatencySamples = 1u << 20;
-
-std::int64_t elapsed_ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
+constexpr std::uint64_t kNoKill = std::numeric_limits<std::uint64_t>::max();
 
 // --- worker (child-process) side ------------------------------------------
 
@@ -238,6 +235,16 @@ struct FleetCoordinator::Slot {
   // dead worker's.
   std::atomic<bool> closed{false};
   net::FrameParser parser;  // reader-thread confined
+  // Spans drained (written by the reader only) and the count at which the
+  // scheduled kill is due. From then on the reader holds the slot, until
+  // the coordinator has fired the kill and disarmed it.
+  std::atomic<std::uint64_t> spans{0};
+  std::atomic<std::uint64_t> kill_after{kNoKill};
+
+  [[nodiscard]] bool kill_due() const {
+    return spans.load(std::memory_order_relaxed) >=
+           kill_after.load(std::memory_order_acquire);
+  }
 };
 
 // Per-aggregator-thread tallies, merged after join (no shared counters on
@@ -269,13 +276,34 @@ FleetCoordinator::FleetCoordinator(FleetConfig config)
   for (std::size_t w = 0; w < config_.workers; ++w) {
     logical_done_[w].store(false, std::memory_order_relaxed);
   }
+  // The slots exist before run() so that schedule_kill can arm them.
+  for (std::size_t s = 0; s < config_.workers + config_.spares; ++s) {
+    slots_.push_back(std::make_unique<Slot>());
+  }
 }
 
 FleetCoordinator::~FleetCoordinator() = default;
 
-void FleetCoordinator::schedule_kill(std::size_t worker, int after_ms) {
+void FleetCoordinator::schedule_kill(std::size_t worker,
+                                     std::uint64_t after_spans) {
   PSNT_CHECK(worker < config_.workers, "kill target must be a primary slot");
-  kills_.push_back(KillPlan{worker, after_ms, false});
+  std::atomic<std::uint64_t>& kill_after = slots_[worker]->kill_after;
+  kill_after.store(std::min(kill_after.load(), after_spans));
+}
+
+void FleetCoordinator::notify_coordinator() {
+  {
+    const std::lock_guard<std::mutex> guard(wake_mutex_);
+    ++events_;
+  }
+  wake_.notify_one();
+}
+
+std::uint64_t FleetCoordinator::wait_for_event(std::uint64_t seen) {
+  std::unique_lock<std::mutex> lock(wake_mutex_);
+  wake_.wait_for(lock, std::chrono::milliseconds(1),
+                 [&] { return events_ != seen; });
+  return events_;
 }
 
 void FleetCoordinator::aggregator_loop(std::vector<Slot*>& owned,
@@ -285,6 +313,14 @@ void FleetCoordinator::aggregator_loop(std::vector<Slot*>& owned,
   serve::TelemetryStore* store = config_.store.get();
   std::vector<std::uint8_t> chunk(1u << 16);
   core::RawSample sample;
+  // One span's store records, ingested under one lock per shard run. A
+  // longer (misbehaving but well-formed) span goes in buffer-sized pieces.
+  std::vector<serve::IngestRecord> records;
+  records.reserve(config_.span_samples);
+  const auto ingest = [&] {
+    if (store != nullptr && !records.empty()) store->ingest_locked(records);
+    records.clear();
+  };
 
   for (;;) {
     bool any_open = false;
@@ -292,28 +328,23 @@ void FleetCoordinator::aggregator_loop(std::vector<Slot*>& owned,
     for (Slot* slot : owned) {
       if (slot->closed.load(std::memory_order_relaxed)) continue;
       any_open = true;
+      if (slot->kill_due()) continue;  // held until the kill has fired
       std::size_t got = 0;
       const net::IoStatus st = net::recv_some(
           slot->parent_end, chunk.data(), chunk.size(), /*deadline_ms=*/0, got);
-      if (st == net::IoStatus::kTimeout) continue;
-      progressed = true;
-      if (st != net::IoStatus::kOk) {
-        // Connection gone. A partial trailing frame is the benign kill
-        // signature — complete CRC-verified frames before the cut were
-        // already accepted; the tail is counted, never decoded.
-        if (slot->parser.bytes_pending() > 0) ++tally.truncated_tails;
-        slot->closed.store(true, std::memory_order_release);
-        continue;
-      }
-      slot->parser.feed(chunk.data(), got);
-      double last_latency_us = 0.0;
-      while (auto frame = slot->parser.next()) {
+      if (st != net::IoStatus::kTimeout) progressed = true;
+      if (st == net::IoStatus::kOk) slot->parser.feed(chunk.data(), got);
+      // Also drains the frames a kill hold left buffered.
+      while (!slot->kill_due()) {
+        const auto frame = slot->parser.next();
+        if (!frame) break;
         ++tally.frames;
         if (frame->type == net::FrameType::kDone) {
           net::DonePayload done;
           if (!net::decode_done(*frame, done) &&
               done.worker < config_.workers) {
             logical_done_[done.worker].store(true, std::memory_order_release);
+            notify_coordinator();
           }
           continue;
         }
@@ -328,12 +359,13 @@ void FleetCoordinator::aggregator_loop(std::vector<Slot*>& owned,
         ++tally.spans;
         const std::uint64_t now = net::monotonic_ns();
         const std::uint64_t lat = now > span.send_ns ? now - span.send_ns : 0;
-        last_latency_us = static_cast<double>(lat) * 1e-3;
+        const double latency_us = static_cast<double>(lat) * 1e-3;
         if (tally.latencies.size() < kMaxLatencySamples) {
           tally.latencies.push_back(lat);
         }
-        for (std::size_t i = 0; i < count; ++i) {
-          if (net::decode_span_sample(*frame, i, sample)) {
+        const std::uint8_t* in = frame->payload + net::kSpanHeaderBytes;
+        for (std::size_t i = 0; i < count; ++i, in += net::kSampleWireBytes) {
+          if (net::decode_sample(in, sample)) {
             ++tally.frame_errors;
             break;
           }
@@ -349,23 +381,37 @@ void FleetCoordinator::aggregator_loop(std::vector<Slot*>& owned,
           matrix.valid[idx] = 1;
           // The drain pass proper: ENC + voltage conversion + serving.
           (void)encoder.encode(sample.word);
-          if (store != nullptr) {
-            const core::VoltageBin bin =
-                ladder_.decode(sample.word, sample.code);
-            serve::IngestRecord rec;
-            rec.site = sample.site_id;
-            rec.timestamp = sample.timestamp;
-            rec.volts = bin.estimate().value();
-            rec.latency_us = last_latency_us;
-            rec.in_range = bin.in_range();
-            rec.valid = true;
-            store->ingest_locked(rec);
-          }
+          if (store == nullptr) continue;
+          const core::VoltageBin bin =
+              ladder_.decode(sample.word, sample.code);
+          serve::IngestRecord& rec = records.emplace_back();
+          rec.site = sample.site_id;
+          rec.timestamp = sample.timestamp;
+          rec.volts = bin.estimate().value();
+          rec.latency_us = latency_us;
+          rec.in_range = bin.in_range();
+          if (records.size() == records.capacity()) ingest();
         }
+        ingest();
+        slot->spans.store(slot->spans.load(std::memory_order_relaxed) + 1,
+                          std::memory_order_relaxed);
+        if (slot->kill_due()) notify_coordinator();
       }
-      if (slot->parser.failed()) {
+      // Connection gone (once no kill hold keeps frames buffered): a
+      // partial trailing frame is the benign kill signature — complete
+      // CRC-verified frames before the cut were already accepted; the tail
+      // is counted, never decoded.
+      const bool failed = slot->parser.failed();
+      const bool gone = st != net::IoStatus::kOk &&
+                        st != net::IoStatus::kTimeout && !slot->kill_due();
+      if (failed) {
         ++tally.frame_errors;
+      } else if (gone && slot->parser.bytes_pending() > 0) {
+        ++tally.truncated_tails;
+      }
+      if (failed || gone) {
         slot->closed.store(true, std::memory_order_release);
+        notify_coordinator();
       }
     }
     if (!any_open) break;
@@ -391,13 +437,10 @@ FleetResult FleetCoordinator::run() {
   // 1) All transports first, then ALL forks — while this process is still
   //    single-threaded (fork-with-threads is undefined enough that TSan
   //    rejects it, and the spare-based restart design never needs it).
-  slots_.reserve(total_slots);
-  for (std::size_t s = 0; s < total_slots; ++s) {
-    auto slot = std::make_unique<Slot>();
+  for (auto& slot : slots_) {
     auto [parent_end, child_end] = net::socketpair_stream();
     slot->parent_end = std::move(parent_end);
     slot->child_end = std::move(child_end);
-    slots_.push_back(std::move(slot));
   }
   for (std::size_t s = 0; s < total_slots; ++s) {
     const pid_t pid = ::fork();
@@ -449,22 +492,24 @@ FleetResult FleetCoordinator::run() {
     });
   }
 
-  // 4) Coordinator loop: fire scheduled kills, restart dead assignments
-  //    onto spares, finish when every logical worker is done or lost.
+  // 4) Coordinator loop, run after every aggregator event: fire due kills,
+  //    restart dead assignments onto spares, finish when every logical
+  //    worker is done or lost.
   std::vector<std::uint8_t> handled(total_slots, 0);
   std::vector<std::uint8_t> logical_lost(config_.workers, 0);
   std::size_t next_spare = config_.workers;
+  const auto run_deadline =
+      t0 + std::chrono::milliseconds(config_.run_deadline_ms);
+  std::uint64_t seen = 0;
   result.completed = false;
   for (;;) {
-    const std::int64_t elapsed = elapsed_ms_since(t0);
-    for (KillPlan& kill : kills_) {
-      if (kill.fired || elapsed < kill.after_ms) continue;
-      kill.fired = true;
-      Slot& victim = *slots_[kill.worker];
-      if (victim.pid > 0 && !victim.closed.load(std::memory_order_acquire)) {
-        ::kill(victim.pid, SIGKILL);
-        ++result.workers_killed;
-      }
+    for (std::size_t w = 0; w < config_.workers; ++w) {
+      // A due slot is held by its reader, so it cannot have closed yet.
+      Slot& victim = *slots_[w];
+      if (!victim.kill_due()) continue;
+      ::kill(victim.pid, SIGKILL);
+      ++result.workers_killed;
+      victim.kill_after.store(kNoKill, std::memory_order_release);
     }
 
     for (std::size_t s = 0; s < total_slots; ++s) {
@@ -518,8 +563,8 @@ FleetResult FleetCoordinator::run() {
       result.completed = true;
       break;
     }
-    if (elapsed > config_.run_deadline_ms) break;  // wedge guard
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (std::chrono::steady_clock::now() > run_deadline) break;  // wedge guard
+    seen = wait_for_event(seen);
   }
 
   // 5) Shutdown: ask every live child to exit; their EOFs let the
@@ -531,32 +576,31 @@ FleetResult FleetCoordinator::run() {
       (void)send_frames(slot->parent_end, tx, 250);
     }
   }
-  const auto shutdown_t0 = std::chrono::steady_clock::now();
+  const auto shutdown_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
   for (;;) {
     bool all_closed = true;
     for (auto& slot : slots_) {
       if (!slot->closed.load(std::memory_order_acquire)) all_closed = false;
     }
-    if (all_closed || elapsed_ms_since(shutdown_t0) > 3000) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (all_closed || std::chrono::steady_clock::now() > shutdown_deadline) {
+      break;
+    }
+    seen = wait_for_event(seen);
   }
   stop_.store(true, std::memory_order_release);
   for (std::thread& t : aggregators) t.join();
 
-  // 6) Reap every child (SIGKILL the stragglers so waitpid cannot wedge).
+  // 6) Reap every child. One not yet exited is a straggler (its connection
+  //    closed on a frame error, or the shutdown wait ran out): SIGKILL it so
+  //    waitpid cannot wedge. waitpid returning 0 first proves the pid is
+  //    still this process's unreaped child.
   for (auto& slot : slots_) {
     if (slot->pid <= 0) continue;
     int status = 0;
-    const auto reap_t0 = std::chrono::steady_clock::now();
-    for (;;) {
-      const pid_t got = ::waitpid(slot->pid, &status, WNOHANG);
-      if (got == slot->pid || got < 0) break;
-      if (elapsed_ms_since(reap_t0) > 2000) {
-        ::kill(slot->pid, SIGKILL);
-        (void)::waitpid(slot->pid, &status, 0);
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (::waitpid(slot->pid, &status, WNOHANG) == 0) {
+      ::kill(slot->pid, SIGKILL);
+      (void)::waitpid(slot->pid, &status, 0);
     }
     slot->pid = -1;
   }
@@ -580,7 +624,8 @@ FleetResult FleetCoordinator::run() {
   result.samples_valid = result.matrix.count_valid();
   result.samples_lost = result.samples_expected - result.samples_valid;
   result.wall_seconds =
-      static_cast<double>(elapsed_ms_since(t0)) * 1e-3;
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
   result.samples_per_second =
       result.wall_seconds > 0.0
           ? static_cast<double>(result.samples_valid) / result.wall_seconds

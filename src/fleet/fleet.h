@@ -9,7 +9,8 @@
 // idle). The parent merges every worker stream in its aggregator threads:
 // parse → CRC check → decode samples in place → one drain pass (ENC via
 // core::StreamingEncoder, voltage via the shared core::DecodeLadder) feeding
-// the serve::TelemetryStore.
+// the serve::TelemetryStore once per span. The coordinator thread waits on
+// the aggregators' events (worker done, connection closed, kill due).
 //
 // Determinism & conformance
 //   A site's capture sequence is a pure function of (seed, site, sample) —
@@ -22,7 +23,8 @@
 //   identical values.
 //
 // Failure model
-//   Workers die (SIGKILL mid-soak is the benched case). The aggregator sees
+//   Workers die (SIGKILL mid-soak is the benched case; schedule_kill ties
+//   it to a worker's progress). The aggregator sees
 //   the connection close; a partial trailing frame is counted as a truncated
 //   tail, never decoded (complete CRC-verified frames before the cut stay
 //   accepted). The coordinator then re-assigns the logical worker to a
@@ -34,8 +36,10 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/measure_engine.h"
@@ -77,8 +81,9 @@ struct FleetConfig {
   // Abort guard for the whole run (worker wedge / protocol bug).
   int run_deadline_ms = 120000;
 
-  // Optional serving layer: every decoded sample is ingested (thread-safe
-  // ingest_locked — aggregator threads don't map 1:1 onto store shards).
+  // Optional serving layer: every decoded sample is ingested, one
+  // ingest_locked call per span (thread-safe — aggregator threads don't map
+  // 1:1 onto store shards).
   std::shared_ptr<serve::TelemetryStore> store;
 };
 
@@ -149,9 +154,11 @@ class FleetCoordinator {
   // happen before the aggregator threads start). Callable once.
   FleetResult run();
 
-  // Arms a SIGKILL of primary worker slot `worker` roughly `after_ms` into
-  // the run (fired from the coordinator loop). Call before run().
-  void schedule_kill(std::size_t worker, int after_ms);
+  // Arms a SIGKILL of primary worker slot `worker` once the aggregator has
+  // drained `after_spans` spans from it (0: before any). The aggregator
+  // holds that connection until the coordinator has fired the kill, then
+  // drains what the worker had already sent. Call before run().
+  void schedule_kill(std::size_t worker, std::uint64_t after_spans);
 
   // The in-process reference: identical engines, identical schedule, no
   // processes — the right-hand side of the conformance requirement.
@@ -179,21 +186,24 @@ class FleetCoordinator {
 
   void aggregator_loop(std::vector<Slot*>& owned, SampleMatrix& matrix,
                        ThreadTally& tally);
+  // Aggregator side: counts an event and wakes the coordinator, which waits
+  // until the count differs from the one it last saw (or 1 ms passes).
+  void notify_coordinator();
+  std::uint64_t wait_for_event(std::uint64_t seen);
 
   FleetConfig config_;
   std::vector<std::vector<std::uint32_t>> parts_;
   core::DecodeLadder ladder_;
   std::vector<std::unique_ptr<Slot>> slots_;
   // Index: logical worker. Set by whichever aggregator thread processes the
-  // worker's kDone; polled by the coordinator loop.
+  // worker's kDone; read by the coordinator loop after each wake-up.
   std::unique_ptr<std::atomic<bool>[]> logical_done_;
   std::atomic<bool> stop_{false};
-  struct KillPlan {
-    std::size_t worker = 0;
-    int after_ms = 0;
-    bool fired = false;
-  };
-  std::vector<KillPlan> kills_;
+  // Aggregator → coordinator wake-up: a counter bumped under the mutex, so
+  // an event between the coordinator's checks and its wait is never lost.
+  std::mutex wake_mutex_;
+  std::condition_variable wake_;
+  std::uint64_t events_ = 0;
   bool ran_ = false;
 };
 

@@ -54,24 +54,32 @@ double get_f64(const std::uint8_t* in) {
   return v;
 }
 
-// --- CRC32 table (IEEE reflected, built once) -----------------------------
+// --- CRC32 tables (IEEE reflected, slicing-by-8, built at compile time) ---
+// tables[0] is the bytewise table; tables[k][b] advances the CRC of byte b
+// through k further zero bytes, so eight bytes fold in with eight lookups
+// and no serial dependency between them.
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  return table;
-}
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 // Appends a frame of `type` with `payload_size` payload bytes filled by
 // `fill(payload_ptr)`; computes the CRC after fill so every append shares
@@ -112,10 +120,17 @@ std::optional<WireError> check_payload_size(const Frame& frame,
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
-  const auto& table = crc_table();
+  const CrcTables& t = kCrcTables;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = c ^ get_u32(data);
+    const std::uint32_t hi = get_u32(data + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    c = t[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

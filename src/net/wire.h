@@ -15,8 +15,9 @@
 //     and (b) pop whole spans into the existing drain path with zero
 //     per-sample dispatch;
 //   * decode is zero-copy in the sense that a parsed frame exposes the
-//     payload bytes in place — decode_samples() walks them straight into the
-//     caller's RawSample span without intermediate buffers.
+//     payload bytes in place — decode_sample() reads each record straight
+//     out of that view into the caller's RawSample, without intermediate
+//     buffers.
 //
 // Robustness contract (tests/test_wire_format.cpp): truncated input, flipped
 // bits (CRC), unknown versions, oversized lengths and arbitrary garbage all
@@ -81,7 +82,8 @@ inline constexpr std::size_t kMaxPayloadBytes = 1u << 20;
 //   | u8 target | u8 code | u8 word_width | u32 word_bits
 inline constexpr std::size_t kSampleWireBytes = 23;
 
-// IEEE CRC32 (reflected, poly 0xEDB88320) over `size` bytes.
+// IEEE CRC32 (reflected, poly 0xEDB88320) over `size` bytes, folded in
+// eight bytes per step (slicing-by-8); the value is the bytewise CRC's.
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 
 // --- sample codec ---------------------------------------------------------

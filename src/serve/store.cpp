@@ -279,11 +279,20 @@ void TelemetryStore::ingest(const IngestRecord& record) {
   }
 }
 
-void TelemetryStore::ingest_locked(const IngestRecord& record) {
-  PSNT_CHECK(record.site < config_.site_count, "ingest site out of range");
-  Shard& shard = *shards_[routes_[record.site].shard];
-  const std::lock_guard<std::mutex> guard(shard.ingest_mutex);
-  ingest(record);
+void TelemetryStore::ingest_locked(std::span<const IngestRecord> records) {
+  std::size_t begin = 0;
+  while (begin < records.size()) {
+    const std::size_t shard_index = shard_of(records[begin].site);
+    std::size_t end = begin + 1;
+    while (end < records.size() &&
+           shard_of(records[end].site) == shard_index) {
+      ++end;
+    }
+    // shard_of() takes any site; ingest() range-checks each one.
+    const std::lock_guard<std::mutex> guard(shards_[shard_index]->ingest_mutex);
+    for (std::size_t i = begin; i < end; ++i) ingest(records[i]);
+    begin = end;
+  }
 }
 
 void TelemetryStore::publish(std::size_t shard_index) {

@@ -62,6 +62,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "serve/histogram_sketch.h"
@@ -173,10 +174,15 @@ class TelemetryStore {
   // Thread-safe ingest for writers that cannot honor the single-writer-per-
   // shard contract — the fleet's aggregator threads, whose thread↔connection
   // mapping is independent of the store's site↔shard mapping. Same effect as
-  // ingest() under a per-shard mutex; zero cost to the lock-free ingest()
-  // path (per deployment a shard is driven through exactly one of the two
-  // entry points).
-  void ingest_locked(const IngestRecord& record);
+  // ingest() of each record in order, under a per-shard mutex taken once per
+  // run of consecutive same-shard records (a fleet span is one run when its
+  // samples share a site); zero cost to the lock-free ingest() path (per
+  // deployment a shard is driven through exactly one of the two entry
+  // points).
+  void ingest_locked(std::span<const IngestRecord> records);
+  void ingest_locked(const IngestRecord& record) {
+    ingest_locked(std::span<const IngestRecord>(&record, 1));
+  }
 
   // Snapshot publication. publish(shard) must be called by that shard's
   // writer; publish_all() by a single thread after writers quiesce (the

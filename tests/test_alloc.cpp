@@ -10,6 +10,7 @@
 // only translation unit of its test binary.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -179,6 +180,41 @@ TEST(Allocations, StoreIngestWithAutoPublishIsAllocationFree) {
   const std::uint64_t publishes_before = store.publishes();
   const std::uint64_t before = test::alloc_count();
   ingest(1000000);
+  EXPECT_EQ(test::alloc_count() - before, 0u);
+  EXPECT_GT(store.publishes() - publishes_before, 900u);
+}
+
+TEST(Allocations, SpanIngestLockedIsAllocationFree) {
+  // The fleet aggregator's path: 64-record spans, one site each, handed to
+  // a two-shard store in one ingest_locked call per span. Past warm-up a
+  // million records allocate nothing, auto-publishes included.
+  serve::StoreConfig store_config;
+  store_config.site_count = 64;
+  store_config.shards = 2;
+  store_config.publish_every = 1024;
+  serve::TelemetryStore store(store_config);
+
+  std::uint64_t k = 0;
+  std::array<serve::IngestRecord, 64> span{};
+  const auto ingest = [&](std::uint64_t spans) {
+    for (std::uint64_t i = 0; i < spans; ++i, ++k) {
+      const auto site = static_cast<std::uint32_t>(k % 64);
+      for (std::size_t j = 0; j < span.size(); ++j) {
+        serve::IngestRecord& rec = span[j];
+        rec.site = site;
+        rec.timestamp = Picoseconds{
+            static_cast<double>((k / 64) * span.size() + j) * 10000.0};
+        rec.volts = 1.0 - 0.001 * static_cast<double>(site) -
+                    0.0001 * static_cast<double>(j % 7);
+        rec.latency_us = 0.2 + 0.01 * static_cast<double>(j % 5);
+      }
+      store.ingest_locked(span);
+    }
+  };
+  ingest(256);  // warm-up: both snapshots of each shard built
+  const std::uint64_t publishes_before = store.publishes();
+  const std::uint64_t before = test::alloc_count();
+  ingest(16000);
   EXPECT_EQ(test::alloc_count() - before, 0u);
   EXPECT_GT(store.publishes() - publishes_before, 900u);
 }

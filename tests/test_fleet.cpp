@@ -107,16 +107,16 @@ TEST(Fleet, RoundRobinPartitionIsStillBitIdentical) {
 
 TEST(Fleet, KilledWorkerIsRestartedOnASpareBitIdentically) {
   auto config = small_config();
-  // Big enough that worker 1 cannot finish its assignment before the kill
-  // lands (a 600-sample run completed in under 5 ms on a fast box and the
-  // kill found the worker already gone).
+  // Worker 1's assignment (3 sites x 20000 samples, ~940 spans) is far more
+  // than its socket holds in flight, so a kill after its 16th drained span
+  // lands mid-assignment however fast the host is.
   config.samples_per_site = 20000;
   config.span_samples = 64;
   config.spares = 1;
   config.aggregator_threads = 2;
 
   FleetCoordinator fleet(config);
-  fleet.schedule_kill(1, /*after_ms=*/2);
+  fleet.schedule_kill(1, /*after_spans=*/16);
   const auto result = fleet.run();
 
   EXPECT_TRUE(result.completed);
@@ -134,7 +134,8 @@ TEST(Fleet, KilledWorkerIsRestartedOnASpareBitIdentically) {
 
 TEST(Fleet, KillWithoutSpareCountsLossAndDegradation) {
   auto config = small_config();
-  // Big enough that worker 0 cannot outrun a kill scheduled a few ms in.
+  // Big enough that worker 0 cannot finish sending before a kill after its
+  // 16th drained span (see the test above).
   config.samples_per_site = 20000;
   config.span_samples = 64;
   config.spares = 0;
@@ -146,7 +147,7 @@ TEST(Fleet, KillWithoutSpareCountsLossAndDegradation) {
   }());
 
   FleetCoordinator fleet(config);
-  fleet.schedule_kill(0, /*after_ms=*/2);
+  fleet.schedule_kill(0, /*after_spans=*/16);
   const auto result = fleet.run();
 
   EXPECT_TRUE(result.completed);

@@ -14,6 +14,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -249,6 +250,46 @@ TEST(ServePublish, IncrementalSnapshotsEqualScratchBuilds) {
         check_schedule(shards, publish_every, seed);
       }
     }
+  }
+}
+
+// A span ingest_locked takes each shard's lock once per run of same-shard
+// records; what it publishes must equal ingest() of the same records one by
+// one — at every auto-publish, compared after each span.
+TEST(ServePublish, SpanIngestLockedEqualsPerRecordIngest) {
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << shards);
+    const StoreConfig config = small_config(shards, 16);
+    std::vector<IngestRecord> records;
+    for (const Op& op : random_schedule(21, 1500, config)) {
+      if (op.kind == Op::Kind::kIngest || op.kind == Op::Kind::kIngestLocked) {
+        records.push_back(op.record);
+      }
+    }
+    TelemetryStore per_record{config};
+    TelemetryStore spans{config};
+    stats::Xoshiro256 rng(22);
+    std::size_t checked = 0;
+    for (std::size_t begin = 0; begin < records.size();) {
+      const std::size_t length = std::min<std::size_t>(
+          1 + uniform_index(rng, 40), records.size() - begin);
+      const std::span<const IngestRecord> span(records.data() + begin, length);
+      for (const IngestRecord& record : span) per_record.ingest(record);
+      spans.ingest_locked(span);
+      begin += length;
+
+      const StoreView a = per_record.snapshot();
+      const StoreView b = spans.snapshot();
+      for (std::size_t s = 0; s < shards; ++s) {
+        ASSERT_EQ(a.shards[s] == nullptr, b.shards[s] == nullptr)
+            << "record " << begin << " shard " << s;
+        if (a.shards[s] == nullptr) continue;
+        ASSERT_EQ(diff_shard(*a.shards[s], *b.shards[s]), "")
+            << "record " << begin << " shard " << s;
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 0u);
   }
 }
 

@@ -195,6 +195,37 @@ TEST(WireFormat, TruncationIsPendingBytesNeverAFrame) {
   }
 }
 
+// The IEEE CRC32 register after one more byte, one bit at a time: the
+// definition the table-driven crc32 must reproduce on every wire byte.
+std::uint32_t crc32_bitwise_step(std::uint32_t reg, std::uint8_t byte) {
+  reg ^= byte;
+  for (int k = 0; k < 8; ++k) {
+    reg = (reg & 1u) != 0 ? 0xEDB88320u ^ (reg >> 1) : reg >> 1;
+  }
+  return reg;
+}
+
+TEST(WireFormat, Crc32MatchesTheBitwiseDefinition) {
+  const char* check = "123456789";  // the standard CRC-32 check value
+  EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t*>(check), 9),
+            0xCBF43926u);
+
+  // Every length 0..4096 at every start offset 0..7: both the 8-byte body
+  // and the bytewise tail of the sliced loop, at every alignment.
+  constexpr std::size_t kMaxLength = 4096;
+  stats::Xoshiro256 rng(2027);
+  std::vector<std::uint8_t> bytes(kMaxLength + 8);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    std::uint32_t reg = 0xFFFFFFFFu;
+    for (std::size_t length = 0; length <= kMaxLength; ++length) {
+      if (length > 0) reg = crc32_bitwise_step(reg, bytes[offset + length - 1]);
+      ASSERT_EQ(crc32(bytes.data() + offset, length), reg ^ 0xFFFFFFFFu)
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
 TEST(WireFormat, FlippedPayloadBitFailsCrc) {
   auto bytes = one_span_frame();
   bytes[kFrameHeaderBytes + 3] ^= 0x10;  // flip one payload bit
