@@ -21,18 +21,6 @@ ThermoWord ThermoWord::of_count(std::size_t ones, std::size_t width) {
   return ThermoWord{bits, width};
 }
 
-ThermoWord ThermoWord::from_string(const std::string& s) {
-  PSNT_CHECK(!s.empty() && s.size() <= kMaxBits, "bad thermometer string");
-  ThermoWord word{0, s.size()};
-  // String is MSB-first: s[0] is the highest-threshold cell.
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[s.size() - 1 - i];
-    PSNT_CHECK(c == '0' || c == '1', "thermometer string must be binary");
-    word.set_bit(i, c == '1');
-  }
-  return word;
-}
-
 bool ThermoWord::bit(std::size_t i) const {
   PSNT_CHECK(i < width_, "bit index out of range");
   return (bits_ >> i) & 1u;

@@ -24,8 +24,6 @@ class ThermoWord {
 
   // Canonical thermometer word with `ones` low bits set.
   static ThermoWord of_count(std::size_t ones, std::size_t width);
-  // Parses "0011111" (MSB = highest-threshold cell, as printed in the paper).
-  static ThermoWord from_string(const std::string& s);
 
   [[nodiscard]] std::size_t width() const { return width_; }
   [[nodiscard]] bool bit(std::size_t i) const;

@@ -1,7 +1,7 @@
-// CSV table emission used by the benchmark harnesses.
+// CSV table emission used by the paper report and the grid telemetry.
 //
-// Every bench that regenerates a paper table/figure prints its rows through a
-// CsvTable so the series can be diffed against EXPERIMENTS.md and re-plotted.
+// Every paper_report section prints its rows through a CsvTable so the series
+// can be diffed against the golden file and re-plotted.
 #pragma once
 
 #include <ostream>

@@ -1,7 +1,7 @@
 # Every out-of-line psnt:: function in the libraries must be reached by a
-# program that runs: an example, a paper bench or bench_pipeline. It is the
-# symbol-level companion of check_module_callers.cmake, which cannot see an
-# uncalled function inside a header that something does include.
+# program that ctest runs: an example, paper_report or bench_pipeline. It is
+# the symbol-level companion of check_module_callers.cmake, which cannot see
+# an uncalled function inside a header that something does include.
 #
 #   cmake -B build-syms -S . -DCMAKE_BUILD_TYPE=Debug \
 #         -DCMAKE_CXX_FLAGS_DEBUG=-O0 \
@@ -10,18 +10,21 @@
 #         -DCMAKE_PROJECT_psnt_INCLUDE=$PWD/bench/pipeline/hook.cmake
 #   cmake -DROOT=$PWD -DBUILD=build-syms -P tests/check_unreached_symbols.cmake
 #
-# The script builds every example, every bench/bench_*.cpp and
-# bench_pipeline in that tree, then compares the T/W symbols the
-# libpsnt_*.a archives define in namespace psnt against what survives the
-# section garbage collection of those links. A symbol that no executable
-# keeps fails the check unless tests/unreached_symbols.txt lists it (by
-# prefix of its demangled name) with a reason; an entry that matches no
-# unreached symbol fails too, so the list cannot go stale.
+# The script asks ctest for the tests registered in that tree and takes every
+# program they run that is built in the tree, outside tests/ (the gtest
+# binaries reach everything and prove nothing). It builds those programs,
+# then compares the T/W symbols the libpsnt_*.a archives define in namespace
+# psnt against what survives the section garbage collection of their links.
+# A symbol that no such program keeps fails the check unless
+# tests/unreached_symbols.txt lists it (by prefix of its demangled name) with
+# a reason; an entry that matches no unreached symbol fails too, so the list
+# cannot go stale.
 #
 # Blind spots: an inline function that no library source calls is never
 # emitted into an archive, and a virtual override is kept alive by its
 # vtable whether or not anything calls it; neither can show up here.
 # Header-only modules remain check_module_callers.cmake's job.
+cmake_minimum_required(VERSION 3.19)  # string(JSON)
 if(NOT ROOT OR NOT BUILD)
   message(FATAL_ERROR "usage: cmake -DROOT=<repo> -DBUILD=<build dir> "
                       "-P check_unreached_symbols.cmake")
@@ -45,20 +48,46 @@ if(NOT cxx_flags MATCHES "-ffunction-sections"
                       "(see the top of this script)")
 endif()
 
-file(GLOB example_sources RELATIVE "${ROOT}/examples" "${ROOT}/examples/*.cpp")
-file(GLOB bench_sources RELATIVE "${ROOT}/bench" "${ROOT}/bench/bench_*.cpp")
-set(targets bench_pipeline)
-set(executables "${BUILD}/bench_pipeline")
-foreach(source IN LISTS example_sources)
-  string(REGEX REPLACE "\\.cpp$" "" name "${source}")
-  list(APPEND targets "${name}")
-  list(APPEND executables "${BUILD}/examples/${name}")
+# A test's program is any command word (or -D<var>=<value> value) naming a
+# file in the build tree outside tests/: the examples, paper_report (run by
+# its golden-compare script) and bench_pipeline.
+execute_process(COMMAND "${CMAKE_CTEST_COMMAND}" -N --show-only=json-v1
+                WORKING_DIRECTORY "${BUILD}"
+                OUTPUT_VARIABLE tests_json RESULT_VARIABLE ctest_result)
+if(NOT ctest_result EQUAL 0)
+  message(FATAL_ERROR "ctest could not list the tests of ${BUILD}")
+endif()
+string(JSON test_count LENGTH "${tests_json}" tests)
+set(targets "")
+set(executables "")
+math(EXPR last_test "${test_count} - 1")
+foreach(t RANGE ${last_test})
+  string(JSON word_count ERROR_VARIABLE no_command
+         LENGTH "${tests_json}" tests ${t} command)
+  if(no_command)
+    continue()
+  endif()
+  math(EXPR last_word "${word_count} - 1")
+  foreach(w RANGE ${last_word})
+    string(JSON word GET "${tests_json}" tests ${t} command ${w})
+    string(REGEX REPLACE "^-D[A-Za-z_]+=" "" path "${word}")
+    string(FIND "${path}" "${BUILD}/" in_build)
+    string(FIND "${path}" "${BUILD}/tests/" in_tests)
+    if(in_build EQUAL 0 AND NOT in_tests EQUAL 0
+       AND NOT IS_DIRECTORY "${path}")
+      get_filename_component(name "${path}" NAME)
+      list(APPEND targets "${name}")
+      list(APPEND executables "${path}")
+    endif()
+  endforeach()
 endforeach()
-foreach(source IN LISTS bench_sources)
-  string(REGEX REPLACE "\\.cpp$" "" name "${source}")
-  list(APPEND targets "${name}")
-  list(APPEND executables "${BUILD}/bench/${name}")
-endforeach()
+list(REMOVE_DUPLICATES targets)
+list(REMOVE_DUPLICATES executables)
+if(NOT targets)
+  message(FATAL_ERROR "no test of ${BUILD} runs a program built there")
+endif()
+list(LENGTH targets target_count)
+message(STATUS "ctest runs ${target_count} programs built here: ${targets}")
 
 cmake_host_system_information(RESULT jobs QUERY NUMBER_OF_LOGICAL_CORES)
 execute_process(COMMAND "${CMAKE_COMMAND}" --build "${BUILD}" -j ${jobs}
@@ -162,7 +191,7 @@ foreach(name IN LISTS names)
   if(listed)
     math(EXPR allowed "${allowed} + 1")
   else()
-    list(APPEND problems "  ${name}: no example or bench reaches it")
+    list(APPEND problems "  ${name}: no program that ctest runs reaches it")
   endif()
 endforeach()
 

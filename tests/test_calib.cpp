@@ -6,6 +6,8 @@
 
 #include <sstream>
 
+#include "thermo_words.h"
+
 namespace psnt::calib {
 namespace {
 
@@ -89,13 +91,11 @@ TEST(Calibration, Fig9BinsMatchQuotedIntervals) {
   const auto& fit = calibrated();
   const auto array = make_paper_array(fit.model);
   const Picoseconds skew = fit.model.skew(core::DelayCode{3});
-  const auto bin1 = array.decode(core::ThermoWord::from_string("0011111"),
-                                 skew);
+  const auto bin1 = array.decode(core::thermo_word("0011111"), skew);
   ASSERT_TRUE(bin1.in_range());
   EXPECT_NEAR(bin1.lo->value(), 0.992, 1e-3);
   EXPECT_NEAR(bin1.hi->value(), 1.021, 1e-3);
-  const auto bin2 = array.decode(core::ThermoWord::from_string("0000011"),
-                                 skew);
+  const auto bin2 = array.decode(core::thermo_word("0000011"), skew);
   ASSERT_TRUE(bin2.in_range());
   EXPECT_NEAR(bin2.lo->value(), 0.896, 1e-3);
   EXPECT_NEAR(bin2.hi->value(), 0.929, 1e-3);

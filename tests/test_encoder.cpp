@@ -4,13 +4,14 @@
 
 #include "calib/fit.h"
 #include "core/sensor_array.h"
+#include "thermo_words.h"
 
 namespace psnt::core {
 namespace {
 
 TEST(Encoder, MajorityCountsOnes) {
   Encoder enc{BubblePolicy::kMajority};
-  const auto out = enc.encode(ThermoWord::from_string("0011111"));
+  const auto out = enc.encode(thermo_word("0011111"));
   EXPECT_EQ(out.count, 5);
   EXPECT_EQ(out.binary, 5);
   EXPECT_TRUE(out.valid);
@@ -21,7 +22,7 @@ TEST(Encoder, MajorityCountsOnes) {
 
 TEST(Encoder, MajorityToleratesBubbles) {
   Encoder enc{BubblePolicy::kMajority};
-  const auto out = enc.encode(ThermoWord::from_string("0101111"));
+  const auto out = enc.encode(thermo_word("0101111"));
   EXPECT_EQ(out.count, 5);  // popcount unaffected by the bubble
   EXPECT_TRUE(out.valid);
   EXPECT_EQ(out.bubble_errors, 2);
@@ -29,26 +30,26 @@ TEST(Encoder, MajorityToleratesBubbles) {
 
 TEST(Encoder, RejectFlagsBubbles) {
   Encoder enc{BubblePolicy::kReject};
-  EXPECT_TRUE(enc.encode(ThermoWord::from_string("0011111")).valid);
-  const auto bad = enc.encode(ThermoWord::from_string("0101111"));
+  EXPECT_TRUE(enc.encode(thermo_word("0011111")).valid);
+  const auto bad = enc.encode(thermo_word("0101111"));
   EXPECT_FALSE(bad.valid);
   EXPECT_EQ(bad.count, 5);
 }
 
 TEST(Encoder, FirstZeroUnderReadsOnBubbles) {
   Encoder enc{BubblePolicy::kFirstZero};
-  EXPECT_EQ(enc.encode(ThermoWord::from_string("0011111")).count, 5);
+  EXPECT_EQ(enc.encode(thermo_word("0011111")).count, 5);
   // Bubble at bit 2: ripple encoder stops there.
-  EXPECT_EQ(enc.encode(ThermoWord::from_string("0111011")).count, 2);
+  EXPECT_EQ(enc.encode(thermo_word("0111011")).count, 2);
 }
 
 TEST(Encoder, UnderflowOverflowFlags) {
   Encoder enc;
-  const auto lo = enc.encode(ThermoWord::from_string("0000000"));
+  const auto lo = enc.encode(thermo_word("0000000"));
   EXPECT_TRUE(lo.underflow);
   EXPECT_FALSE(lo.overflow);
   EXPECT_EQ(lo.count, 0);
-  const auto hi = enc.encode(ThermoWord::from_string("1111111"));
+  const auto hi = enc.encode(thermo_word("1111111"));
   EXPECT_TRUE(hi.overflow);
   EXPECT_FALSE(hi.underflow);
   EXPECT_EQ(hi.count, 7);
@@ -111,7 +112,7 @@ TEST(Encoder, RangeFlagsMatchDecodedBins) {
 // the word reads as underflow even though higher cells sampled fine.
 TEST(Encoder, FirstZeroBubbleAtBitZeroUnderflows) {
   Encoder enc{BubblePolicy::kFirstZero};
-  const auto out = enc.encode(ThermoWord::from_string("1111110"));
+  const auto out = enc.encode(thermo_word("1111110"));
   EXPECT_EQ(out.count, 0);
   EXPECT_TRUE(out.underflow);
   EXPECT_FALSE(out.overflow);

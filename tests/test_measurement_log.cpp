@@ -5,6 +5,7 @@
 #include "analog/rail.h"
 #include "calib/fit.h"
 #include "core/thermometer.h"
+#include "thermo_words.h"
 
 namespace psnt::core {
 namespace {
@@ -61,7 +62,7 @@ TEST(MeasurementLog, WorstAndBestByEstimate) {
 TEST(MeasurementLog, CountsBubbledWords) {
   MeasurementLog log{7};
   Measurement m;
-  m.word = ThermoWord::from_string("0101111");
+  m.word = thermo_word("0101111");
   m.bin.lo = Volt{0.99};
   m.bin.hi = Volt{1.02};
   log.record(m);

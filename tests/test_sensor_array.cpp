@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sensor_ladder.h"
+#include "thermo_words.h"
 
 namespace psnt::core {
 namespace {
@@ -89,8 +90,8 @@ TEST(SensorArray, DecodeEndsAreOpen) {
 
 TEST(SensorArray, DecodeCorrectsBubblesFirst) {
   const auto arr = make_array();
-  const auto clean = arr.decode(ThermoWord::from_string("0011111"), kSkew);
-  const auto bubbled = arr.decode(ThermoWord::from_string("0101111"), kSkew);
+  const auto clean = arr.decode(thermo_word("0011111"), kSkew);
+  const auto bubbled = arr.decode(thermo_word("0101111"), kSkew);
   EXPECT_DOUBLE_EQ(clean.lo->value(), bubbled.lo->value());
   EXPECT_DOUBLE_EQ(clean.hi->value(), bubbled.hi->value());
 }

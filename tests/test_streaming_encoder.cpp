@@ -12,6 +12,7 @@
 #include "calib/fit.h"
 #include "core/measure_engine.h"
 #include "stats/rng.h"
+#include "thermo_words.h"
 
 namespace psnt::core {
 namespace {
@@ -66,7 +67,7 @@ TEST(StreamingEncoder, BitIdenticalOnCanonicalAndEdgeWords) {
     // All-bubble worst cases: alternating patterns and the bubble-at-bit-0
     // word that makes kFirstZero read zero.
     for (const char* s : {"1010101", "0101010", "1111110", "1000000"}) {
-      const auto word = ThermoWord::from_string(s);
+      const auto word = thermo_word(s);
       expect_identical(streaming.encode(word), reference.encode(word), word,
                        policy);
     }
@@ -96,7 +97,7 @@ TEST(StreamingEncoder, RunningStatsTally) {
   (void)enc.encode(ThermoWord::of_count(0, 7));  // underflow
   (void)enc.encode(ThermoWord::of_count(7, 7));  // overflow
   (void)enc.encode(ThermoWord::of_count(4, 7));  // clean mid-range
-  (void)enc.encode(ThermoWord::from_string("0101111"));  // 2 bubble bits
+  (void)enc.encode(thermo_word("0101111"));  // 2 bubble bits
 
   const StreamingEncodeStats& st = enc.stats();
   EXPECT_EQ(st.words, 4u);
@@ -109,8 +110,8 @@ TEST(StreamingEncoder, RunningStatsTally) {
 
 TEST(StreamingEncoder, RejectPolicyCountsRejectedWords) {
   StreamingEncoder enc{BubblePolicy::kReject};
-  (void)enc.encode(ThermoWord::from_string("0011111"));  // valid
-  (void)enc.encode(ThermoWord::from_string("0101111"));  // bubbled -> reject
+  (void)enc.encode(thermo_word("0011111"));  // valid
+  (void)enc.encode(thermo_word("0101111"));  // bubbled -> reject
   EXPECT_EQ(enc.stats().rejected, 1u);
 }
 
@@ -153,7 +154,7 @@ TEST(DecodeLadder, BubbledWordDecodesLikeItsCorrectedForm) {
   const auto& model = calib::calibrated().model;
   const DecodeLadder ladder = calib::make_paper_decode_ladder(model);
   const DelayCode code{3};
-  const auto bubbled = ThermoWord::from_string("0101111");
+  const auto bubbled = thermo_word("0101111");
   const auto corrected = bubbled.bubble_corrected();
   const VoltageBin a = ladder.decode(bubbled, code);
   const VoltageBin b = ladder.decode(corrected, code);

@@ -5,6 +5,8 @@
 #include <bit>
 #include <cstdint>
 
+#include "thermo_words.h"
+
 namespace psnt::core {
 namespace {
 
@@ -29,7 +31,7 @@ TEST(ThermoWord, AllZerosAndAllOnes) {
 TEST(ThermoWord, FromStringMatchesPaperConvention) {
   // Paper prints highest-threshold cell first: "0011111" means the five
   // least-loaded cells sampled correctly.
-  const auto w = ThermoWord::from_string("0011111");
+  const auto w = thermo_word("0011111");
   EXPECT_EQ(w.width(), 7u);
   EXPECT_EQ(w.count_ones(), 5u);
   EXPECT_TRUE(w.bit(0));
@@ -42,7 +44,7 @@ TEST(ThermoWord, FromStringMatchesPaperConvention) {
 TEST(ThermoWord, RoundTripsStrings) {
   for (const char* s : {"0000000", "0000011", "0011111", "1111111",
                         "0101010", "1000001"}) {
-    EXPECT_EQ(ThermoWord::from_string(s).to_string(), s);
+    EXPECT_EQ(thermo_word(s).to_string(), s);
   }
 }
 
@@ -58,7 +60,7 @@ TEST(ThermoWord, SetAndGetBits) {
 }
 
 TEST(ThermoWord, BubbleDetection) {
-  const auto bubbled = ThermoWord::from_string("0101111");
+  const auto bubbled = thermo_word("0101111");
   EXPECT_FALSE(bubbled.is_valid_thermometer());
   EXPECT_EQ(bubbled.count_ones(), 5u);
   EXPECT_EQ(bubbled.bubble_error_count(), 2u);  // differs at bits 4 and 5
@@ -104,8 +106,8 @@ TEST(ThermoWord, Validation) {
   EXPECT_THROW(ThermoWord(0, 33), std::logic_error);
   EXPECT_THROW(ThermoWord(0x80, 7), std::logic_error);  // bit beyond width
   EXPECT_THROW(ThermoWord::of_count(8, 7), std::logic_error);
-  EXPECT_THROW(ThermoWord::from_string("01a0"), std::logic_error);
-  EXPECT_THROW(ThermoWord::from_string(""), std::logic_error);
+  EXPECT_THROW(thermo_word("01a0"), std::logic_error);
+  EXPECT_THROW(thermo_word(""), std::logic_error);
 }
 
 // Property sweep: every contiguous word is valid; every word with an

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "calib/fit.h"
+#include "thermo_words.h"
 
 namespace psnt::core {
 namespace {
@@ -153,7 +154,7 @@ TEST(Thermometer, SameVoltageDifferentCodesDifferentWords) {
 
 TEST(Thermometer, EncodeExposesEncoder) {
   auto t = make_thermometer();
-  const auto enc = t.encode(ThermoWord::from_string("0011111"));
+  const auto enc = t.encode(thermo_word("0011111"));
   EXPECT_EQ(enc.count, 5);
 }
 
