@@ -35,7 +35,6 @@ int main() {
   serve::StoreConfig store_config;
   store_config.site_count = config.sites;
   store_config.shards = 2;
-  store_config.v_nominal = 1.0;
   auto store = std::make_shared<serve::TelemetryStore>(store_config);
   config.store = store;
 

@@ -64,7 +64,6 @@ int main(int argc, char** argv) {
   serve::StoreConfig store_config;
   store_config.site_count = fp.site_count();
   store_config.shards = 1;  // the drain is the single writer
-  store_config.v_nominal = 1.0;
   auto store = std::make_shared<serve::TelemetryStore>(store_config);
   config.store = store;
 

@@ -14,6 +14,7 @@
 #include <memory>
 #include <thread>
 
+#include "core/measurement.h"
 #include "cut/scenarios.h"
 #include "grid/scan_grid.h"
 #include "serve/query.h"
@@ -43,7 +44,6 @@ int main() {
   serve::StoreConfig store_config;
   store_config.site_count = fp.site_count();
   store_config.shards = 1;  // the drain is the store's single writer
-  store_config.v_nominal = 1.0;
   store_config.publish_every = 256;  // fresh snapshots every ~0.25 sweeps
   auto store = std::make_shared<serve::TelemetryStore>(store_config);
   config.store = store;
@@ -78,7 +78,8 @@ int main() {
                 "droop=%5.1f mV  worst site=%u (%.1f mV)\n",
                 live_polls, static_cast<unsigned long long>(seq),
                 query.voltage_quantile(0.5),
-                (store_config.v_nominal - query.voltage_quantile(0.01)) * 1e3,
+                (core::kNominalSupply.value() - query.voltage_quantile(0.01)) *
+                    1e3,
                 worst.empty() ? 0 : worst.front().site,
                 worst.empty() ? 0.0 : worst.front().droop * 1e3);
     if (seq == last_seq && seq >= store->total_ingested()) break;

@@ -44,13 +44,13 @@ DelayCode AutoRangeController::observe(const EncodedWord& reading,
   // Soft edges: only act after sustained pressure.
   const auto count = static_cast<std::uint32_t>(reading.count);
   const auto full = static_cast<std::uint32_t>(word_width);
-  if (count <= 1 + config_.edge_margin) {
+  if (count <= 1) {
     consecutive_high_ = 0;
     if (++consecutive_low_ >= config_.edge_patience) {
       consecutive_low_ = 0;
       step_up();
     }
-  } else if (count + 1 + config_.edge_margin >= full) {
+  } else if (count + 1 >= full) {
     consecutive_low_ = 0;
     if (++consecutive_high_ >= config_.edge_patience) {
       consecutive_high_ = 0;

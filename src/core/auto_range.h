@@ -9,9 +9,10 @@
 //     step the code UP (larger skew → lower window).
 //   * reading overflows (no errors)    → the rail is above the window:
 //     step the code DOWN.
-//   * in-range readings near an edge are tolerated for `edge_patience`
-//     consecutive measures before stepping, to avoid hunting on a rail that
-//     merely rings across the window edge.
+//   * in-range readings in an edge bin (a count of 1, or one short of full
+//     scale) are tolerated for `edge_patience` consecutive measures before
+//     stepping, to avoid hunting on a rail that merely rings across the
+//     window edge.
 //
 // The controller is deliberately stateless about absolute voltages — it only
 // sees the encoded word, exactly like the real CNTR block would.
@@ -28,8 +29,6 @@ struct AutoRangeConfig {
   DelayCode initial{3};
   // Consecutive edge-bin readings tolerated before a proactive step.
   std::uint32_t edge_patience = 3;
-  // Counts within this distance of 0 / full-scale count as "near the edge".
-  std::uint32_t edge_margin = 0;
 };
 
 class AutoRangeController {

@@ -50,7 +50,7 @@ void apply_code_policy(const CodePolicyConfig& policy, const SensorArray& array,
                   .code;
   }
   if (policy.auto_range) {
-    AutoRangeConfig ar = policy.auto_range_config;
+    AutoRangeConfig ar;
     ar.initial = initial;
     ctx.enable_auto_range(ar);
   } else {
@@ -75,11 +75,11 @@ DelayCode resolve_code(const MeasureRequest& req, const EngineContext& ctx) {
 
 // The supply the `target` array's inverters see at `launch`.
 inline double sense_volts(SenseTarget target, Picoseconds launch,
-                          const analog::RailPair& rails, Volt v_nominal) {
+                          const analog::RailPair& rails) {
   if (target == SenseTarget::kVdd) return rails.effective(launch).value();
   // LOW-SENSE inverter: nominal VDD against the noisy ground.
   PSNT_CHECK(rails.gnd != nullptr, "GND sense needs a ground rail");
-  return (v_nominal - rails.gnd->at(launch)).value();
+  return (kNominalSupply - rails.gnd->at(launch)).value();
 }
 
 }  // namespace
@@ -99,8 +99,6 @@ BehavioralEngine::BehavioralEngine(SensorArray high_sense,
       low_kernel_(low_sense_) {
   PSNT_CHECK(config_.control_period.value() > 0.0,
              "control period must be positive");
-  PSNT_CHECK(config_.v_nominal.value() > 0.0,
-             "nominal supply must be positive");
 }
 
 void BehavioralEngine::configure_code_policy(const CodePolicyConfig& policy) {
@@ -181,7 +179,7 @@ void BehavioralEngine::measure_raw_batch(const MeasureRequest& first,
                             static_cast<double>(k) * interval.value()},
                 code);
     batch_launch_[k] = launch;
-    batch_v_[k] = sense_volts(target, launch, rails, config_.v_nominal);
+    batch_v_[k] = sense_volts(target, launch, rails);
     fsm_.step(FsmInputs{});  // the done cycle
   }
 
@@ -230,8 +228,7 @@ void BehavioralEngine::measure_auto_ranged(const MeasureRequest& first,
         prepare(Picoseconds{first.start.value() +
                             static_cast<double>(k) * interval.value()},
                 raw.code);
-    const double v =
-        sense_volts(target, raw.timestamp, rails, config_.v_nominal);
+    const double v = sense_volts(target, raw.timestamp, rails);
     fsm_.step(FsmInputs{});  // the done cycle
     std::uint8_t need_scalar = 0;
     if (!kernel.measure_batch(array, &v, 1, raw.code, skew, &raw.word,
@@ -274,7 +271,7 @@ VoltageBin BehavioralEngine::decode(const ThermoWord& word,
 
 VoltageBin BehavioralEngine::decode_gnd_word(const ThermoWord& word,
                                              DelayCode code) const {
-  return ladder(SenseTarget::kGnd).decode_gnd(word, code, config_.v_nominal);
+  return ladder(SenseTarget::kGnd).decode_gnd(word, code, kNominalSupply);
 }
 
 DynamicRange BehavioralEngine::vdd_range(DelayCode code) const {

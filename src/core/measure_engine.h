@@ -58,9 +58,6 @@ struct ThermometerConfig {
   // Control/system clock of the CUT the sensor runs at. The paper's control
   // critical path is 1.22 ns, so 800 MHz (1250 ps) is a comfortable choice.
   Picoseconds control_period{1250.0};
-  // Nominal supply feeding the FFs, the control logic and the LOW-SENSE
-  // inverters.
-  Volt v_nominal{1.0};
 };
 
 // Target window for RangeTuner-based code selection (Sec. III-A).
@@ -72,13 +69,12 @@ struct CodeWindow {
 // How an engine picks its Delay Code. Resolved exactly once, at engine
 // construction: a `window` runs core::tune_for_window against the engine's
 // own array/PG to pick the starting code; `auto_range` then hands that code
-// to an AutoRangeController that re-trims as words are observed.
+// to an AutoRangeController (default patience) that re-trims as words are
+// observed.
 struct CodePolicyConfig {
   DelayCode initial{3};
   std::optional<CodeWindow> window;
   bool auto_range = false;
-  // `initial` (post window resolution) overrides auto_range_config.initial.
-  AutoRangeConfig auto_range_config{};
 };
 
 class EngineContext {
@@ -207,7 +203,7 @@ class BehavioralEngine {
 
   // Decodes a word against the HIGH-SENSE ladder for `code`.
   [[nodiscard]] VoltageBin decode(const ThermoWord& word, DelayCode code) const;
-  // LOW-SENSE (GND-bounce) decode: v_nominal minus the LOW ladder window.
+  // LOW-SENSE (GND-bounce) decode: kNominalSupply minus the LOW ladder window.
   [[nodiscard]] VoltageBin decode_gnd_word(const ThermoWord& word,
                                            DelayCode code) const;
   [[nodiscard]] EncodedWord encode(const ThermoWord& word) const {

@@ -10,6 +10,11 @@
 
 namespace psnt::core {
 
+// The sensor's one nominal supply (Sec. II, Fig. 1): the FFs, the control
+// logic and the LOW-SENSE inverters sit on it, GND-bounce readings decode
+// against it and the serving layer measures droop from it.
+inline constexpr Volt kNominalSupply{1.0};
+
 // 3-bit CP–P delay trim code (the paper's "Delay Code", Sec. III-B).
 class DelayCode {
  public:

@@ -1,5 +1,6 @@
 #include "core/overhead.h"
 
+#include "core/measurement.h"
 #include "sta/control_netlist.h"
 #include "util/error.h"
 
@@ -11,7 +12,7 @@ OverheadReport estimate_overhead(const calib::CalibratedModel& model,
   OverheadReport report;
   const auto sites = static_cast<double>(config.sensor_sites);
   const double bits = static_cast<double>(model.array_loads.size());
-  const double v = config.v_nominal.value();
+  const double v = kNominalSupply.value();
 
   // --- Area ------------------------------------------------------------
   // Both arrays (HIGH-SENSE and LOW-SENSE) at every site.

@@ -28,7 +28,6 @@ struct OverheadConfig {
   // wire), in fF, times the average activity over the 6-cycle transaction.
   double control_toggle_ff = 5.0;
   double control_activity = 0.25;
-  Volt v_nominal{1.0};
   std::size_t sensor_sites = 1;  // arrays replicated across the die
 };
 

@@ -2,15 +2,13 @@
 
 #if defined(PSNT_SIMD_AVX2)
 #include <immintrin.h>
-#elif defined(PSNT_SIMD_NEON)
-#include <arm_neon.h>
 #endif
 
 namespace psnt::core::simd {
 
 namespace {
 
-// Portable reference lane, also the tail handler of the wide backends. The
+// Portable reference lane, also the tail handler of the AVX2 backend. The
 // comparisons are the whole semantic contract: strict v > threshold, with
 // NaN comparing false everywhere (so a NaN voltage fails the window test and
 // falls back to the scalar engine, which models it).
@@ -83,47 +81,7 @@ void sense_compare(const double* v, std::size_t n, const double* lo,
   }
 }
 
-#elif defined(PSNT_SIMD_NEON)
-
-// Advanced SIMD is baseline on AArch64 — nothing to probe.
-bool runtime_supported() { return true; }
-
-void sense_compare(const double* v, std::size_t n, const double* lo,
-                   const double* hi, std::size_t bits, double win_lo,
-                   double win_hi, std::uint32_t* out_words,
-                   std::uint8_t* out_fallback) {
-  const float64x2_t wlo = vdupq_n_f64(win_lo);
-  const float64x2_t whi = vdupq_n_f64(win_hi);
-  std::size_t k = 0;
-  for (; k + 2 <= n; k += 2) {
-    const float64x2_t x = vld1q_f64(v + k);
-    const uint64x2_t in_window =
-        vandq_u64(vcgtq_f64(x, wlo), vcltq_f64(x, whi));
-    std::uint64_t fb0 = ~vgetq_lane_u64(in_window, 0);
-    std::uint64_t fb1 = ~vgetq_lane_u64(in_window, 1);
-    std::uint32_t w0 = 0;
-    std::uint32_t w1 = 0;
-    for (std::size_t i = 0; i < bits; ++i) {
-      const uint64x2_t above_hi = vcgtq_f64(x, vdupq_n_f64(hi[i]));
-      const uint64x2_t above_lo = vcgtq_f64(x, vdupq_n_f64(lo[i]));
-      const uint64x2_t ambiguous = veorq_u64(above_lo, above_hi);
-      fb0 |= vgetq_lane_u64(ambiguous, 0);
-      fb1 |= vgetq_lane_u64(ambiguous, 1);
-      w0 |= static_cast<std::uint32_t>(vgetq_lane_u64(above_hi, 0) & 1u) << i;
-      w1 |= static_cast<std::uint32_t>(vgetq_lane_u64(above_hi, 1) & 1u) << i;
-    }
-    out_words[k + 0] = w0;
-    out_words[k + 1] = w1;
-    out_fallback[k + 0] = static_cast<std::uint8_t>(fb0 & 1u);
-    out_fallback[k + 1] = static_cast<std::uint8_t>(fb1 & 1u);
-  }
-  for (; k < n; ++k) {
-    compare_one(v[k], lo, hi, bits, win_lo, win_hi, out_words[k],
-                out_fallback[k]);
-  }
-}
-
-#else  // scalar fallback (PSNT_SIMD=off, or no supported ISA)
+#else  // scalar fallback (PSNT_SIMD=OFF, or no -mavx2 x86-64 target)
 
 bool runtime_supported() { return true; }
 

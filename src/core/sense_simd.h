@@ -8,11 +8,12 @@
 //     word[k] bit i  =  v[k] > threshold[i]
 //
 // This header is that compare, and nothing else — no physics, no caching.
-// The backend is chosen at build time by the PSNT_SIMD CMake option
-// (auto|avx2|neon|off) and this TU is the only one compiled with extended
-// ISA flags; callers gate on runtime_supported() before dispatching so a
-// binary built with -mavx2 still runs (through the scalar engine path) on a
-// host without AVX2.
+// The backend is chosen at build time by the PSNT_SIMD CMake option: ON
+// (the default) builds AVX2 on x86-64 compilers that take -mavx2 and the
+// portable scalar loop anywhere else; OFF always builds the scalar loop.
+// This TU is the only one compiled with extended ISA flags; callers gate on
+// runtime_supported() before dispatching so a binary built with -mavx2
+// still runs (through the scalar engine path) on a host without AVX2.
 //
 // Every threshold is carried as a guard-band *pair* (lo[i] < hi[i]): the bit
 // is taken from the hi compare, and a sample whose voltage lands between the
@@ -27,7 +28,7 @@
 namespace psnt::core::simd {
 
 // True when the compiled backend's instructions exist on this CPU (always
-// true for "neon"/"scalar"; cpuid-checked for "avx2"). Callers must not
+// true for the scalar loop; cpuid-checked for AVX2). Callers must not
 // dispatch sense_compare when false.
 [[nodiscard]] bool runtime_supported();
 

@@ -22,6 +22,16 @@ namespace psnt::fleet {
 namespace {
 
 constexpr double kTwoPi = 6.283185307179586;
+// Per-site droop amplitude spread (volts) of the deterministic site rails.
+constexpr double kRailSigma = 0.03;
+// Worker capture→bridge ring capacity, in RawSamples.
+constexpr std::size_t kWorkerRingCapacity = 1024;
+// BufferedWriter batch bytes before a worker flushes mid-stream.
+constexpr std::size_t kFlushThreshold = 16 * 1024;
+// Deadline of one blocking socket write, either direction.
+constexpr int kIoDeadlineMs = 5000;
+// Abort guard for the whole run (worker wedge / protocol bug).
+constexpr int kRunDeadlineMs = 120000;
 // Enough latency samples for stable p99 without unbounded growth.
 constexpr std::size_t kMaxLatencySamples = 1u << 20;
 constexpr std::uint64_t kNoKill = std::numeric_limits<std::uint64_t>::max();
@@ -34,7 +44,7 @@ void run_worker_assignment(const FleetConfig& config,
                            const std::vector<std::uint32_t>& sites,
                            const net::AssignPayload& assign,
                            const net::Fd& conn, std::uint32_t& seq) {
-  grid::SpscRing<core::RawSample> ring(config.ring_capacity);
+  grid::SpscRing<core::RawSample> ring(kWorkerRingCapacity);
   std::atomic<bool> capture_done{false};
 
   std::thread producer([&] {
@@ -57,8 +67,7 @@ void run_worker_assignment(const FleetConfig& config,
     capture_done.store(true, std::memory_order_release);
   });
 
-  net::BufferedWriter writer(conn, config.flush_threshold,
-                             config.io_deadline_ms);
+  net::BufferedWriter writer(conn, kFlushThreshold, kIoDeadlineMs);
   std::vector<core::RawSample> span(config.span_samples);
   std::uint64_t produced = 0;
   for (;;) {
@@ -82,7 +91,7 @@ void run_worker_assignment(const FleetConfig& config,
       header.send_ns = net::monotonic_ns();
       net::FrameWriter::append_sample_span(writer.buffer(), header,
                                            span.data(), n);
-      if (writer.buffer().size() >= config.flush_threshold) {
+      if (writer.buffer().size() >= kFlushThreshold) {
         (void)writer.flush();
       }
     }
@@ -136,6 +145,23 @@ bool send_frames(const net::Fd& fd, const std::vector<std::uint8_t>& tx,
 
 }  // namespace
 
+// --- partition -------------------------------------------------------------
+
+std::vector<std::vector<std::uint32_t>> partition_sites(std::size_t sites,
+                                                        std::size_t workers) {
+  PSNT_CHECK(workers > 0, "partition requires at least one worker");
+  std::vector<std::vector<std::uint32_t>> out(workers);
+  const std::size_t base = sites / workers;
+  const std::size_t rem = sites % workers;
+  std::uint32_t next = 0;
+  for (std::size_t w = 0; w < workers; ++w) {
+    const std::size_t count = base + (w < rem ? 1 : 0);
+    out[w].reserve(count);
+    for (std::size_t i = 0; i < count; ++i) out[w].push_back(next++);
+  }
+  return out;
+}
+
 // --- SampleMatrix ----------------------------------------------------------
 
 std::uint64_t SampleMatrix::count_valid() const {
@@ -166,10 +192,9 @@ FleetCoordinator::SiteEngine FleetCoordinator::make_site_engine(
   // pure function of (seed, site, sample) no matter which process runs it —
   // the property every conformance and restart guarantee rests on.
   stats::Xoshiro256 rng = grid::ScanGrid::site_rng(config.seed, site);
-  const double v_nom = config.thermometer.v_nominal.value();
-  const double drop = std::abs(rng.normal(0.0, config.rail_sigma * 0.5));
-  const double amp =
-      std::abs(rng.normal(config.rail_sigma, config.rail_sigma * 0.5));
+  const double v_nom = core::kNominalSupply.value();
+  const double drop = std::abs(rng.normal(0.0, kRailSigma * 0.5));
+  const double amp = std::abs(rng.normal(kRailSigma, kRailSigma * 0.5));
   const double period_ps = rng.uniform(20000.0, 80000.0);
   const double phase = rng.uniform(0.0, kTwoPi);
 
@@ -182,7 +207,7 @@ FleetCoordinator::SiteEngine FleetCoordinator::make_site_engine(
   core::EngineSiteOptions options;
   options.code_policy.initial = config.code;
   out.engine = core::make_behavioral_engine(
-      calib::make_paper_engine(calib::calibrated().model, config.thermometer),
+      calib::make_paper_engine(calib::calibrated().model),
       analog::RailPair{out.vdd.get(), out.gnd.get()}, options);
   return out;
 }
@@ -260,7 +285,7 @@ struct FleetCoordinator::ThreadTally {
 
 FleetCoordinator::FleetCoordinator(FleetConfig config)
     : config_(std::move(config)),
-      parts_(config_.partition.shard(config_.sites, config_.workers)),
+      parts_(partition_sites(config_.sites, config_.workers)),
       ladder_(calib::make_paper_decode_ladder(calib::calibrated().model)) {
   PSNT_CHECK(config_.sites > 0, "fleet needs at least one site");
   PSNT_CHECK(config_.samples_per_site > 0, "fleet needs samples");
@@ -470,7 +495,7 @@ FleetResult FleetCoordinator::run() {
     assign.first_sample = 0;
     assign.sample_count = static_cast<std::uint32_t>(config_.samples_per_site);
     net::FrameWriter::append_assign(tx, assign);
-    if (send_frames(slots_[w]->parent_end, tx, config_.io_deadline_ms)) {
+    if (send_frames(slots_[w]->parent_end, tx, kIoDeadlineMs)) {
       slots_[w]->assigned = static_cast<int>(w);
     }
   }
@@ -499,7 +524,7 @@ FleetResult FleetCoordinator::run() {
   std::vector<std::uint8_t> logical_lost(config_.workers, 0);
   std::size_t next_spare = config_.workers;
   const auto run_deadline =
-      t0 + std::chrono::milliseconds(config_.run_deadline_ms);
+      t0 + std::chrono::milliseconds(kRunDeadlineMs);
   std::uint64_t seen = 0;
   result.completed = false;
   for (;;) {
@@ -539,7 +564,7 @@ FleetResult FleetCoordinator::run() {
         assign.sample_count =
             static_cast<std::uint32_t>(config_.samples_per_site);
         net::FrameWriter::append_assign(tx, assign);
-        if (send_frames(spare.parent_end, tx, config_.io_deadline_ms)) {
+        if (send_frames(spare.parent_end, tx, kIoDeadlineMs)) {
           spare.assigned = logical;
           ++result.workers_restarted;
           restarted = true;

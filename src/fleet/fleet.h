@@ -3,7 +3,7 @@
 // The paper's instrument is distributed — many sensor sites feeding one
 // readout chain — and this layer takes the scan grid's capture/encode split
 // across process boundaries: N forked worker processes each own a shard of
-// the floorplan (fleet::PartitionPolicy), run deterministic captures into a
+// the floorplan (fleet::partition_sites), run deterministic captures into a
 // grid::SpscRing, and a bridge loop batches the ring's RawSamples into
 // framed spans over a net::BufferedWriter (explicit flush when the ring goes
 // idle). The parent merges every worker stream in its aggregator threads:
@@ -45,7 +45,6 @@
 #include "core/measure_engine.h"
 #include "core/measurement.h"
 #include "core/streaming_encoder.h"
-#include "fleet/partition.h"
 #include "util/units.h"
 
 namespace psnt::serve {
@@ -53,6 +52,15 @@ class TelemetryStore;
 }  // namespace psnt::serve
 
 namespace psnt::fleet {
+
+// Shards `sites` site indices across `workers` workers in contiguous blocks,
+// the remainder spread over the leading workers: every site appears exactly
+// once, block sizes differ by at most one, and neighbouring floorplan sites
+// share a worker's engine caches. workers must be > 0. The assignment is
+// static, computed once before any worker forks, so a restarted spare
+// reproduces a dead worker's workload from the logical worker index alone.
+[[nodiscard]] std::vector<std::vector<std::uint32_t>> partition_sites(
+    std::size_t sites, std::size_t workers);
 
 struct FleetConfig {
   // --- workload (mirrors ScanGridConfig's schedule) ---------------------
@@ -62,24 +70,15 @@ struct FleetConfig {
   Picoseconds interval{10000.0};
   core::DelayCode code{3};
   std::uint64_t seed = 2026;
-  core::ThermometerConfig thermometer;
-  // Per-site droop amplitude spread (volts) of the deterministic site rails.
-  double rail_sigma = 0.03;
 
   // --- topology ----------------------------------------------------------
   std::size_t workers = 3;
   // Pre-forked standby workers; one is consumed per mid-run restart.
   std::size_t spares = 1;
   std::size_t aggregator_threads = 1;
-  PartitionPolicy partition;
 
   // --- transport ---------------------------------------------------------
   std::size_t span_samples = 64;       // RawSamples per kSampleSpan frame
-  std::size_t ring_capacity = 1024;    // worker capture→bridge ring
-  std::size_t flush_threshold = 16 * 1024;  // BufferedWriter batch bytes
-  int io_deadline_ms = 5000;
-  // Abort guard for the whole run (worker wedge / protocol bug).
-  int run_deadline_ms = 120000;
 
   // Optional serving layer: every decoded sample is ingested, one
   // ingest_locked call per span (thread-safe — aggregator threads don't map

@@ -17,6 +17,9 @@ namespace psnt::grid {
 
 namespace {
 
+// Per-shard capture→drain ring capacity, in GridSamples (10 KiB).
+constexpr std::size_t kShardRingCapacity = 256;
+
 // One capture in flight from a worker to the aggregator. `raw.site_id`
 // carries the grid-internal site *index* (capture log row),
 // `raw.sample_index` the column; the drain pass owns ENC + voltage conversion.
@@ -82,7 +85,7 @@ struct ScanGrid::Shard {
   // worker's per-sample writes to the scratch vectors above never evict it.
   alignas(util::kCacheLine) std::atomic<bool> done{false};
 
-  explicit Shard(std::size_t ring_capacity) : ring(ring_capacity) {}
+  Shard() : ring(kShardRingCapacity) {}
 };
 
 namespace {
@@ -283,7 +286,7 @@ ScanGrid::ScanGrid(const scan::Floorplan& floorplan, ScanGridConfig config,
   const std::size_t shard_count = std::min(config_.threads, sites_.size());
   shards_.reserve(shard_count);
   for (std::size_t s = 0; s < shard_count; ++s) {
-    auto shard = std::make_unique<Shard>(config_.ring_capacity);
+    auto shard = std::make_unique<Shard>();
     shard->index = s;
     for (std::size_t i = s; i < sites_.size(); i += shard_count) {
       shard->sites.push_back(sites_[i].get());

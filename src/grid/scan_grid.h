@@ -137,8 +137,6 @@ struct ScanGridConfig {
   // instead of taking `code` as-is. Works for both fidelities (the
   // structural netlist loads the tuned tap through its live code register).
   std::optional<core::CodeWindow> code_window;
-  // Per-shard ring capacity (rounded up to a power of two).
-  std::size_t ring_capacity = 256;
   // Samples a worker runs per site before moving to the next site of its
   // shard — the PREPARE/SENSE batch size, and the span one engine call
   // covers when the site captures a whole batch at once. Per-site sample

@@ -5,6 +5,7 @@
 #include <new>
 #include <utility>
 
+#include "core/measurement.h"
 #include "util/cache_line.h"
 #include "util/error.h"
 
@@ -267,7 +268,8 @@ void TelemetryStore::ingest(const IngestRecord& record) {
     site.windows.add(record.timestamp, record.volts);
     shard.voltage.add(record.volts);
     shard.voltage_stats.add(record.volts);
-    shard.top_droop.update(record.site, config_.v_nominal - record.volts);
+    shard.top_droop.update(record.site,
+                            core::kNominalSupply.value() - record.volts);
   }
   shard.latency.add(record.latency_us);
   shard.latency_stats.add(record.latency_us);

@@ -75,19 +75,20 @@ namespace psnt::serve {
 
 // Global (per-shard, merged at query time) distribution sketches: decoded
 // volts over ~0.5–2.4 V and per-measure latency in µs over ~10 ns–1.3 s.
-inline constexpr SketchConfig kVoltageSketch{0.005, 0.5, 160};
-inline constexpr SketchConfig kLatencySketch{0.025, 0.01, 288};
+inline constexpr SketchConfig kVoltageSketch{
+    .alpha = 0.005, .min_value = 0.5, .bucket_count = 160};
+inline constexpr SketchConfig kLatencySketch{
+    .alpha = 0.025, .min_value = 0.01, .bucket_count = 288};
 
 struct StoreConfig {
   // Number of monitored sites; per-site state is allocated up front.
   std::size_t site_count = 1;
   // Concurrent ingest lanes; site s belongs to shard s % shards.
   std::size_t shards = 1;
-  // Droop reference: droop = v_nominal − measured volts.
-  double v_nominal = 1.0;
   // Per-site windowed rollups (width, ring depth, per-window sketch).
-  WindowConfig window{Picoseconds{50000.0}, 8,
-                      SketchConfig{0.005, 0.5, 160}};
+  WindowConfig window{.width = Picoseconds{50000.0},
+                      .windows = 8,
+                      .sketch = kVoltageSketch};
   // Worst-droop leaderboard size.
   std::size_t top_k = 8;
   // Ingests per shard between automatic snapshot publications.

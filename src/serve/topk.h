@@ -1,7 +1,7 @@
 // Top-K worst-droop tracker for the serving layer.
 //
 // Tracks, in O(log K) per update and fixed memory, the K sites whose worst
-// observed droop (v_nominal − v_measured) is largest. Per-site worst droop
+// observed droop (core::kNominalSupply − v_measured) is largest. Per-site worst droop
 // is monotone non-decreasing — a site only ever droops *worse* — which makes
 // the classic bounded min-heap exact (not approximate like space-saving over
 // unbounded key sets): a site evicted from the heap can only re-enter by

@@ -455,7 +455,7 @@ TEST(BatchEngine, EveryWordBinAndRangeMatchesTheArrayReference) {
           const DelayCode code{c};
           const Picoseconds skew = pg.skew(code);
           BehavioralEngine engine{high, low, pg, ThermometerConfig{}};
-          const Volt v_nom = engine.config().v_nominal;
+          const Volt v_nom = kNominalSupply;
           const SensorArray& array = is_vdd ? high : low;
 
           const DynamicRange vref = high.dynamic_range(skew);

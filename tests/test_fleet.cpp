@@ -7,12 +7,13 @@
 // counted and mirrored into the serving layer's degradation status.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "fleet/fleet.h"
-#include "fleet/partition.h"
 #include "net/wire.h"
 #include "serve/store.h"
 
@@ -30,38 +31,44 @@ FleetConfig small_config() {
   return config;
 }
 
-// --- partition policy ------------------------------------------------------
+// --- partition -------------------------------------------------------------
 
 TEST(Partition, BlockedSpreadsRemainderOverLeadingWorkers) {
-  PartitionPolicy policy;  // kBlocked default
-  const auto parts = policy.shard(10, 3);
+  const auto parts = partition_sites(10, 3);
   ASSERT_EQ(parts.size(), 3u);
   EXPECT_EQ(parts[0], (std::vector<std::uint32_t>{0, 1, 2, 3}));
   EXPECT_EQ(parts[1], (std::vector<std::uint32_t>{4, 5, 6}));
   EXPECT_EQ(parts[2], (std::vector<std::uint32_t>{7, 8, 9}));
 }
 
-TEST(Partition, RoundRobinInterleaves) {
-  PartitionPolicy policy{PartitionStrategy::kRoundRobin};
-  const auto parts = policy.shard(7, 3);
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], (std::vector<std::uint32_t>{0, 3, 6}));
-  EXPECT_EQ(parts[1], (std::vector<std::uint32_t>{1, 4}));
-  EXPECT_EQ(parts[2], (std::vector<std::uint32_t>{2, 5}));
-}
-
+// What partition_sites promises, over sites 0-24 x workers 1-8 (workers >
+// sites included): every site exactly once, each worker's sites one
+// contiguous run, and block sizes that differ by at most one.
 TEST(Partition, EverySiteAssignedExactlyOnce) {
-  for (const auto strategy :
-       {PartitionStrategy::kBlocked, PartitionStrategy::kRoundRobin}) {
-    PartitionPolicy policy{strategy};
-    const auto parts = policy.shard(23, 5);
-    std::vector<int> seen(23, 0);
-    for (const auto& part : parts) {
-      for (const auto site : part) seen[site]++;
-    }
-    for (std::size_t s = 0; s < seen.size(); ++s) {
-      EXPECT_EQ(seen[s], 1) << "site " << s << " under strategy "
-                            << static_cast<int>(strategy);
+  for (std::size_t sites = 0; sites <= 24; ++sites) {
+    for (std::size_t workers = 1; workers <= 8; ++workers) {
+      SCOPED_TRACE(std::to_string(sites) + " sites, " +
+                   std::to_string(workers) + " workers");
+      const auto parts = partition_sites(sites, workers);
+      ASSERT_EQ(parts.size(), workers);
+      std::vector<int> seen(sites, 0);
+      std::size_t smallest = sites;
+      std::size_t largest = 0;
+      for (const auto& part : parts) {
+        for (std::size_t i = 0; i < part.size(); ++i) {
+          ASSERT_LT(part[i], sites);
+          seen[part[i]]++;
+          if (i > 0) {
+            EXPECT_EQ(part[i], part[i - 1] + 1) << "run broken";
+          }
+        }
+        smallest = std::min(smallest, part.size());
+        largest = std::max(largest, part.size());
+      }
+      for (std::size_t s = 0; s < sites; ++s) {
+        EXPECT_EQ(seen[s], 1) << "site " << s;
+      }
+      EXPECT_LE(largest - smallest, 1u);
     }
   }
 }
@@ -91,16 +98,6 @@ TEST(Fleet, MatchesInProcessReferenceAcrossAggregatorThreads) {
     EXPECT_GT(result.samples_per_second, 0.0);
     EXPECT_FALSE(result.span_latency_ns.empty());
   }
-}
-
-TEST(Fleet, RoundRobinPartitionIsStillBitIdentical) {
-  auto config = small_config();
-  config.partition.strategy = PartitionStrategy::kRoundRobin;
-  const auto reference = FleetCoordinator::run_in_process(config);
-  FleetCoordinator fleet(config);
-  const auto result = fleet.run();
-  EXPECT_TRUE(result.completed);
-  EXPECT_TRUE(result.matrix.identical_to(reference));
 }
 
 // --- failure model ---------------------------------------------------------

@@ -328,7 +328,7 @@ TEST(MeasureEngineCapabilities, StructuralIsBatchSingleVoteWithLiveTrim) {
   auto auto_engine = make_structural_engine(
       calib::make_paper_array(model), PulseGenerator{model.pg_config()},
       {&vdd, nullptr}, ThermometerConfig{}.control_period,
-      EngineSiteOptions{{DelayCode{3}, std::nullopt, true, {}}, false});
+      EngineSiteOptions{{DelayCode{3}, std::nullopt, true}, false});
   EXPECT_TRUE(auto_engine->context().auto_ranging());
 }
 

@@ -25,7 +25,6 @@ StoreConfig make_config(std::size_t sites, std::size_t shards) {
   StoreConfig config;
   config.site_count = sites;
   config.shards = shards;
-  config.v_nominal = 1.0;
   config.publish_every = 128;
   config.top_k = 4;
   return config;

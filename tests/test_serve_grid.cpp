@@ -38,7 +38,6 @@ TEST(ServeGrid, DrainPublishesEverySampleIntoStore) {
   serve::StoreConfig store_config;
   store_config.site_count = fp.site_count();
   store_config.shards = 1;
-  store_config.v_nominal = 1.0;
   store_config.publish_every = 16;
   auto store = std::make_shared<serve::TelemetryStore>(store_config);
   config.store = store;

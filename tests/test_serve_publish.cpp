@@ -30,7 +30,6 @@ StoreConfig small_config(std::size_t shards, std::size_t publish_every) {
   StoreConfig config;
   config.site_count = 12;
   config.shards = shards;
-  config.v_nominal = 1.0;
   config.window = WindowConfig{Picoseconds{1000.0}, 4,
                                SketchConfig{0.01, 0.5, 48}};
   config.top_k = 3;
